@@ -290,7 +290,15 @@ class Egress:
 
 
 class Gateway:
-    """Owns the store, the active rule packs, and the sequential pipeline."""
+    """Owns the store, the active rule packs, and the sequential pipeline.
+
+    Ingest chains only from the triples a reading inserted, which is exact
+    while the store is a fixpoint of the active packs.  Installing a pack
+    without rechain or loading a knowledge pack can break that, so they
+    mark the store stale and the next chain evaluates the whole store.
+    Writes made to the store behind the gateway's back are not tracked;
+    follow them with set_rulepack(..., rechain=True).
+    """
 
     def __init__(self, store: Store, annotator: Annotator, egress: Egress | None = None):
         self.store = store
@@ -299,6 +307,7 @@ class Gateway:
         self.rulepacks: dict[str, RulePack] = {}
         self.per_rule: dict[str, int] = {}
         self.guard_type_errors = 0
+        self._stale = True  # the store is not known to be a fixpoint of the packs
         self._derived_hooks: list[DerivedHook] = []
         self._queue: queue.Queue = queue.Queue()
         self._worker = threading.Thread(target=self._run, name="ingest-pipeline", daemon=True)
@@ -334,18 +343,43 @@ class Gateway:
         self.rulepacks[pack.pack_id] = pack
         for rule in pack.rules:
             self.per_rule.setdefault(rule.id, 0)
+        self._stale = True
         if not rechain:
             return None
         self.store.retract(Inferred)
-        before = set(self.store.snapshot())
-        stats = forward_chain(self.store, self.active_packs())
+        stats = self._chain(delta=None)
         self.per_rule = dict(stats.per_rule)
-        self.guard_type_errors = stats.guard_type_errors
-        self._notify(self._new_inferred(before), observation_iri="", timestamp=now_ms())
+        self._notify(stats.committed, observation_iri="", timestamp=now_ms())
         return stats
 
     def load_knowledge_pack(self, document: str, pack_id: str) -> int:
-        return self.store.load_pack(document, pack_id)
+        loaded = self.store.load_pack(document, pack_id)
+        # marked after the load, so a chain running meanwhile cannot clear it
+        self._stale = True
+        return loaded
+
+    def _chain(self, delta: list[Triple] | None) -> ChainStats:
+        """Chain the active packs from delta, or from the whole store when
+        there is none or the store is stale.
+
+        guard_type_errors keeps the count of guard-skipped bindings in the
+        store: a chain that evaluated the whole store recounts them all, a
+        delta chain adds the new ones.  The stale mark is cleared before the
+        chain starts, so a mark set by another thread while it runs survives
+        to the next chain; a chain that raises sets it again.
+        """
+        whole = delta is None or self._stale
+        self._stale = False
+        try:
+            stats = forward_chain(self.store, self.active_packs(), None if whole else set(delta))
+        except BaseException:
+            self._stale = True
+            raise
+        if stats.whole_store:
+            self.guard_type_errors = stats.guard_type_errors
+        else:
+            self.guard_type_errors += stats.guard_type_errors
+        return stats
 
     # -- pipeline ------------------------------------------------------------
 
@@ -374,29 +408,18 @@ class Gateway:
         # annotate can fail; nothing is inserted until it has succeeded
         graph = self.annotator.annotate(reading)
         source = Asserted(f"urn:dev:{reading.device_id}")
-        before = set(self.store.snapshot())
-        added = sum(1 for t in graph.triples if self.store.insert(t, source))
-        stats = forward_chain(self.store, self.active_packs())
+        inserted = [self.store.canonical(t) for t in graph.triples if self.store.insert(t, source)]
+        stats = self._chain(delta=inserted)
         for rule_id, count in stats.per_rule.items():
             self.per_rule[rule_id] = self.per_rule.get(rule_id, 0) + count
-        self.guard_type_errors += stats.guard_type_errors
-        derived = self._new_inferred(before)
-        notified = self._notify(
-            derived, observation_iri=graph.observation_iri.value, timestamp=reading.timestamp
-        )
+        obs = graph.observation_iri.value
+        notified = self._notify(stats.committed, observation_iri=obs, timestamp=reading.timestamp)
         return IngestReceipt(
-            observation_iri=graph.observation_iri.value,
-            triples_added=added,
-            derived=derived,
+            observation_iri=obs,
+            triples_added=len(inserted),
+            derived=stats.committed,
             notifications_queued=notified,
         )
-
-    def _new_inferred(self, before: set[Triple]) -> list[Triple]:
-        out = []
-        for triple, prov in self.store.snapshot().items():
-            if triple not in before and isinstance(prov, Inferred):
-                out.append(triple)
-        return out
 
     def _notify(self, derived: list[Triple], observation_iri: str, timestamp: int) -> int:
         queued = 0

@@ -1,4 +1,4 @@
-"""Shareable if-then rule packs and naive forward chaining to fixpoint.
+"""Shareable if-then rule packs and delta-driven forward chaining to fixpoint.
 
 A rule joins its body patterns against the store, filters the resulting
 bindings through numeric guards, and instantiates its head templates.
@@ -6,11 +6,18 @@ Safety (every head/guard variable bound in the body) guarantees that only
 ground terms already in the finite store can appear in conclusions, so
 chaining always terminates.
 
-Chaining is round-based and naive: each round evaluates every rule against
-the store as it stood when the round began, then commits the union of the
-conclusions.  A round that commits nothing is the fixpoint.  This makes
-round counts independent of rule order and keeps the engine easy to check
-against a brute-force closure.
+Chaining is round-based: each round evaluates every rule against the store
+as it stood when the round began, then commits the union of the
+conclusions.  A round that commits nothing is the fixpoint.  Rounds are
+semi-naive (Bancilhon & Ramakrishnan 1986): given the triples the previous
+round committed (its delta), a round forms only the rule instances with at
+least one body atom matching a delta triple, because every other instance
+already fired in an earlier round.  A whole-store round stands in wherever
+that shortcut is not exact: when the caller gives no delta, and whenever
+IRI aliases can take part (see forward_chain).  Either way round i commits
+exactly the facts a plain whole-store round i would, so round counts stay
+independent of rule order and the engine stays easy to check against a
+brute-force closure.
 """
 
 from __future__ import annotations
@@ -19,10 +26,21 @@ import logging
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
+from typing import AbstractSet
 
 from .lexer import GrammarError, TokenCursor, read_pattern, tokenize
 from .model import InvalidTriple, Triple, numeric_value, serialize_term
-from .store import InvalidPattern, Inferred, Store, TriplePattern, pattern_to_triple, substitute
+from .store import (
+    M3_EQUIVALENT_TO,
+    InvalidPattern,
+    Inferred,
+    Store,
+    TriplePattern,
+    Variable,
+    pattern_to_triple,
+    substitute,
+    unify,
+)
 
 log = logging.getLogger(__name__)
 
@@ -104,10 +122,16 @@ class RulePack:
 
 @dataclass
 class ChainStats:
+    """What one forward_chain call did; see forward_chain for each field."""
+
     rounds: int
     derived: int
     per_rule: dict[str, int] = field(default_factory=dict)
+    #: guard-skipped bindings, each counted once, in the round where it first forms
     guard_type_errors: int = 0
+    committed: list[Triple] = field(default_factory=list)
+    #: the first round evaluated the whole store, so guard_type_errors covers all of it
+    whole_store: bool = False
 
 
 def check_safety(rule: Rule) -> list[str]:
@@ -222,42 +246,71 @@ def parse_pattern(text: str) -> TriplePattern:
 @dataclass
 class RuleFire:
     triples: set[Triple]
-    guard_type_errors: int = 0
+    #: bindings skipped because a guard variable held a non-numeric term
+    guard_skips: set[frozenset] = field(default_factory=set)
+
+    @property
+    def guard_type_errors(self) -> int:
+        return len(self.guard_skips)
 
 
-def _join_body(rule: Rule, store: Store) -> list[dict]:
-    bindings: list[dict] = [{}]
-    for pattern in rule.body:
+def _extend(
+    bindings: list[dict],
+    patterns: tuple[TriplePattern, ...],
+    store: Store,
+    exclude: AbstractSet[Triple] | None = None,
+) -> list[dict]:
+    """Join the patterns, in order, onto each binding; skip triples in exclude."""
+    for pattern in patterns:
         extended: list[dict] = []
         for b in bindings:
             try:
                 bound = substitute(pattern, b)
             except InvalidPattern:
                 continue  # a literal landed in the predicate slot: matches nothing
-            for _, mb in store.match(bound):
-                extended.append({**b, **mb})
+            for t, mb in store.match(bound):
+                if exclude is None or t not in exclude:
+                    extended.append({**b, **mb})
         bindings = extended
         if not bindings:
             break
     return bindings
 
 
-def evaluate_rule(rule: Rule, store: Store) -> RuleFire:
+def _join_body(rule: Rule, store: Store, delta: AbstractSet[Triple] | None) -> list[dict]:
+    if delta is None:
+        return _extend([{}], rule.body, store)
+    out: list[dict] = []
+    for k, atom in enumerate(rule.body):
+        seeds = [b for b in (unify(atom, t) for t in delta) if b is not None]
+        if seeds:
+            # atoms before k match only non-delta triples, so each binding is
+            # formed once: at the first of its atoms that matches the delta
+            early = _extend(seeds, rule.body[:k], store, exclude=delta)
+            out.extend(_extend(early, rule.body[k + 1:], store))
+    return out
+
+
+def evaluate_rule(rule: Rule, store: Store, delta: AbstractSet[Triple] | None = None) -> RuleFire:
     """Ground head instantiations for every body match passing all guards.
+
+    With a delta (stored triples), only body matches that use at least one
+    delta triple count; the other atoms match anywhere in the store.  The
+    store must hold no alias class (see forward_chain) for that to be exact.
 
     Guards compare exact numeric values, so lexical form is irrelevant
     ("38.0" equals "38").  A guard variable bound to a non-numeric term
-    skips that one binding and counts it as a guard type error.  A head
+    skips that one binding and records it in guard_skips.  A head
     instantiation that cannot form a triple (a literal in the subject or
     predicate slot) is skipped.
     """
     fire = RuleFire(set())
-    for binding in _join_body(rule, store):
+    for binding in _join_body(rule, store, delta):
         ok = True
         for guard in rule.guards:
             value = numeric_value(binding[guard.variable])
             if value is None:
-                fire.guard_type_errors += 1
+                fire.guard_skips.add(frozenset(binding.items()))
                 log.debug("rule %s: guard on non-numeric binding skipped", rule.id)
                 ok = False
                 break
@@ -278,34 +331,68 @@ def _triple_sort_key(t: Triple) -> tuple[str, str, str]:
     return (serialize_term(t.subject), serialize_term(t.predicate), serialize_term(t.object))
 
 
-def forward_chain(store: Store, packs: list[RulePack]) -> ChainStats:
+def forward_chain(
+    store: Store, packs: list[RulePack], delta: AbstractSet[Triple] | None = None
+) -> ChainStats:
     """Run all rules to fixpoint, inserting conclusions as Inferred(rule_id).
 
+    delta holds the stored triples added since the store was last a fixpoint
+    of these packs (on ingest, what the reading inserted); the first round
+    then forms only rule instances that use one of them.  delta=None makes
+    the first round evaluate the whole store, which is exact for any store.
+    Each later round's delta is what the round before committed.  A round
+    also evaluates the whole store whenever the store holds an alias class
+    or some rule's head predicate is m3:equivalentTo or a variable:
+    canonicalization then depends on atom order and on unions made
+    mid-round, which a delta round would not reproduce.  (An equivalence
+    statement in the delta either makes the store hold an alias class or
+    is trivial and changes no canonical form.)
+
     Every rule is evaluated against the store as of the start of the round;
-    the round's conclusions are committed together afterwards.  per_rule
-    counts the triples each rule newly added (first producer wins when two
-    rules derive the same triple in one round); every rule id appears in
-    the map.  rounds includes the final empty round, so rounds <= derived + 1.
+    the round's conclusions are committed together afterwards, in rule
+    order and sorted within a rule.  per_rule counts the triples each rule
+    newly added (first producer wins when two rules derive the same triple
+    in one round); every rule id appears in the map.  committed lists the
+    added triples in commit order, in stored form.  rounds includes the
+    final empty round, so rounds <= derived + 1.  guard_type_errors counts
+    each guard-skipped binding once, in the round where it first forms: a
+    delta round sees only bindings that use a delta triple, a whole-store
+    round every binding in the store.  whole_store tells whether the first
+    round was one; rules that derive equivalence statements make every
+    round one, so a chain whose first round used a delta used one in all.
     """
     rules: list[Rule] = [r for pack in packs for r in pack.rules]
     for rule in rules:
         violations = check_safety(rule)
         if violations:
             raise RuleSafetyError(rule.id, violations)
+    whole_store_only = any(
+        isinstance(h.predicate, Variable) or h.predicate == M3_EQUIVALENT_TO
+        for r in rules
+        for h in r.head
+    )
     stats = ChainStats(rounds=0, derived=0, per_rule={r.id: 0 for r in rules})
+    skipped: set[tuple[int, frozenset]] = set()
     while True:
         stats.rounds += 1
+        if delta is not None and (whole_store_only or store.has_aliases()):
+            delta = None
+        if stats.rounds == 1:
+            stats.whole_store = delta is None
         pending: list[tuple[str, Triple]] = []
-        for rule in rules:
-            fire = evaluate_rule(rule, store)
-            stats.guard_type_errors += fire.guard_type_errors
+        for i, rule in enumerate(rules):
+            fire = evaluate_rule(rule, store, delta)
+            skipped.update((i, b) for b in fire.guard_skips)
             pending.extend((rule.id, t) for t in sorted(fire.triples, key=_triple_sort_key))
-        committed = 0
+        committed: list[Triple] = []
         for rule_id, triple in pending:
             if store.insert(triple, Inferred(rule_id)):
                 stats.per_rule[rule_id] += 1
-                stats.derived += 1
-                committed += 1
-        if committed == 0:
+                committed.append(store.canonical(triple))
+        if not committed:
             break
+        stats.committed.extend(committed)
+        delta = set(committed)
+    stats.derived = len(stats.committed)
+    stats.guard_type_errors = len(skipped)
     return stats

@@ -203,6 +203,16 @@ class Store:
                     return cur
                 cur = parent
 
+    def has_aliases(self) -> bool:
+        """True iff some equivalence class holds two or more IRIs."""
+        with self._lock:
+            return bool(self._alias_parent)
+
+    def canonical(self, triple: Triple) -> Triple:
+        """The form insert stores the triple in under the current alias map."""
+        with self._lock:
+            return self._canonical_triple(triple)
+
     def _union(self, a: Iri, b: Iri) -> None:
         ra = self.resolve_alias(a)
         rb = self.resolve_alias(b)

@@ -10,6 +10,7 @@ from knotgate.annotation import (
     UnknownUnit,
     UnregisteredDevice,
 )
+from knotgate import gateway as gateway_module
 from knotgate.gateway import (
     BadTopic,
     DecodeError,
@@ -23,7 +24,15 @@ from knotgate.gateway import (
     sniff_format,
     topic_to_route,
 )
-from knotgate.model import Iri, Triple, make_iri, parse_triples
+from knotgate.model import (
+    XSD_STRING,
+    Iri,
+    Literal,
+    Triple,
+    make_iri,
+    parse_triples,
+    serialize_triples,
+)
 from knotgate.rules import parse_rulepack
 from knotgate.store import Inferred, Store
 
@@ -235,6 +244,106 @@ def test_stats_accumulate(fever_pack_text):
     assert stats["per_rule"]["fever"] == 2
     assert stats["store_size"] == 18 + 2
     gateway.shutdown()
+
+
+def test_pack_installed_without_rechain_applies_to_earlier_readings(fever_pack_text):
+    gateway = make_gateway()
+    assert gateway.ingest(RawReading("thermo1", "temperature", 39.5, "cel", 1)).derived == []
+    gateway.set_rulepack(parse_rulepack(fever_pack_text))
+    receipt = gateway.ingest(RawReading("thermo1", "temperature", 36.0, "cel", 2))
+    fever = Triple(Iri("urn:obs:thermo1:1"), make_iri("m3:indicates"), make_iri("m3:Fever"))
+    assert receipt.derived == [fever]
+    gateway.shutdown()
+
+
+def test_knowledge_pack_applies_to_earlier_readings(fever_pack_text, remedies_pack_text):
+    gateway = make_gateway([parse_rulepack(fever_pack_text), parse_rulepack(SUGGEST_PACK)])
+    gateway.ingest(RawReading("thermo1", "temperature", 39.5, "cel", 1))
+    gateway.load_knowledge_pack(remedies_pack_text, "remedies")
+    receipt = gateway.ingest(RawReading("thermo1", "temperature", 36.0, "cel", 2))
+    assert [(t.subject.value, t.predicate) for t in receipt.derived] == [
+        ("urn:obs:thermo1:1", make_iri("m3:suggests"))
+    ] * 3
+    gateway.shutdown()
+
+
+SUGGEST_PACK = (
+    "PACK suggest RULE suggest : IF ?o m3:indicates ?s . ?s m3:hasRemedy ?r "
+    "THEN ?o m3:suggests ?r ."
+)
+
+
+def test_knowledge_pack_loaded_during_a_chain_is_chained_next(
+    monkeypatch, fever_pack_text, remedies_pack_text
+):
+    # the load lands after the ingest chain has chosen its delta; the next
+    # ingest must still join the loaded pack with the earlier reading
+    gateway = make_gateway([parse_rulepack(fever_pack_text), parse_rulepack(SUGGEST_PACK)])
+    gateway.ingest(RawReading("thermo1", "temperature", 39.5, "cel", 1))
+    real = gateway_module.forward_chain
+
+    def load_mid_chain(store, packs, delta=None):
+        monkeypatch.setattr(gateway_module, "forward_chain", real)
+        gateway.load_knowledge_pack(remedies_pack_text, "remedies")
+        return real(store, packs, delta)
+
+    monkeypatch.setattr(gateway_module, "forward_chain", load_mid_chain)
+    assert gateway.ingest(RawReading("thermo1", "temperature", 36.0, "cel", 2)).derived == []
+    receipt = gateway.ingest(RawReading("thermo1", "temperature", 36.5, "cel", 3))
+    assert [(t.subject.value, t.predicate) for t in receipt.derived] == [
+        ("urn:obs:thermo1:1", make_iri("m3:suggests"))
+    ] * 3
+    gateway.shutdown()
+
+
+def test_chain_during_a_knowledge_pack_load_leaves_it_to_be_chained(
+    monkeypatch, fever_pack_text, remedies_pack_text
+):
+    # a chain that runs while the pack is being loaded must not clear the
+    # mark the load leaves behind
+    gateway = make_gateway([parse_rulepack(fever_pack_text), parse_rulepack(SUGGEST_PACK)])
+    gateway.ingest(RawReading("thermo1", "temperature", 39.5, "cel", 1))
+    real = gateway.store.load_pack
+
+    def chain_mid_load(document, pack_id):
+        gateway._chain(delta=[])
+        return real(document, pack_id)
+
+    monkeypatch.setattr(gateway.store, "load_pack", chain_mid_load)
+    gateway.load_knowledge_pack(remedies_pack_text, "remedies")
+    receipt = gateway.ingest(RawReading("thermo1", "temperature", 36.0, "cel", 2))
+    assert len(receipt.derived) == 3
+    gateway.shutdown()
+
+
+def test_reading_whose_chain_failed_is_chained_next(monkeypatch, fever_pack_text):
+    gateway = make_gateway([parse_rulepack(fever_pack_text)])
+    gateway.ingest(RawReading("thermo1", "temperature", 36.0, "cel", 1))
+    real = gateway_module.forward_chain
+
+    def fail_once(store, packs, delta=None):
+        monkeypatch.setattr(gateway_module, "forward_chain", real)
+        raise RuntimeError("chain interrupted")
+
+    monkeypatch.setattr(gateway_module, "forward_chain", fail_once)
+    with pytest.raises(RuntimeError):
+        gateway.ingest(RawReading("thermo1", "temperature", 39.5, "cel", 2))
+    receipt = gateway.ingest(RawReading("thermo1", "temperature", 36.5, "cel", 3))
+    fever = Triple(Iri("urn:obs:thermo1:2"), make_iri("m3:indicates"), make_iri("m3:Fever"))
+    assert receipt.derived == [fever]
+    gateway.shutdown()
+
+
+def test_guard_type_errors_count_each_skipped_binding_once():
+    labelled = parse_rulepack("PACK p RULE r : IF ?o m3:label ?v FILTER ?v > 1 THEN ?o m3:a m3:b .")
+    for links in ("", "<urn:x:b> <urn:knotgate:m3#equivalentTo> <urn:x:a> .\n"):
+        gateway = make_gateway([labelled])
+        high = Triple(Iri("urn:x:1"), make_iri("m3:label"), Literal("high", XSD_STRING))
+        gateway.load_knowledge_pack(serialize_triples([high]) + links, "labels")
+        for i in range(3):
+            gateway.ingest(RawReading("thermo1", "temperature", 36.0, "cel", i))
+            assert gateway.guard_type_errors == 1
+        gateway.shutdown()
 
 
 # -- egress -------------------------------------------------------------------

@@ -2,9 +2,19 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from knotgate.model import Iri, Literal, Triple, XSD_DOUBLE, XSD_STRING, make_iri
+from knotgate.model import (
+    Iri,
+    Literal,
+    Triple,
+    XSD_DOUBLE,
+    XSD_STRING,
+    make_iri,
+    serialize_term,
+)
 from knotgate.rules import (
+    ChainStats,
     Guard,
     Rule,
     RulePack,
@@ -16,7 +26,15 @@ from knotgate.rules import (
     parse_pattern,
     parse_rulepack,
 )
-from knotgate.store import Asserted, Inferred, Store, TriplePattern, Variable
+from knotgate.store import (
+    M3_EQUIVALENT_TO,
+    Asserted,
+    Inferred,
+    Loaded,
+    Store,
+    TriplePattern,
+    Variable,
+)
 
 from generators import Vocab, rand_rulepack, rand_safe_rule
 from oracles import oracle_closure, oracle_rule_fire
@@ -214,6 +232,25 @@ def test_guard_on_non_numeric_binding_skips_and_counts(fever_pack_text):
     assert fire.guard_type_errors == 1
 
 
+def test_guard_type_error_counted_once_in_its_first_round():
+    pack = parse_rulepack(CHAINED_PACK)
+    high = Iri("urn:obs:thermo1:9")
+    store = store_with(
+        observation_triples("39")
+        + [
+            Triple(high, make_iri("rdf:type"), make_iri("ssn:Observation")),
+            Triple(high, make_iri("ssn:observedProperty"), make_iri("m3:BodyTemperature")),
+            Triple(high, make_iri("ssn:observationResult"), Literal("high", XSD_STRING)),
+        ]
+    )
+    stats = forward_chain(store, [pack])
+    assert (stats.rounds, stats.guard_type_errors) == (3, 1)
+    unrelated = observation_triples("36", seq=2)
+    for t in unrelated:
+        store.insert(t, Asserted("urn:dev:test"))
+    assert forward_chain(store, [pack], delta=set(unrelated)).guard_type_errors == 0
+
+
 def test_evaluate_rule_matches_enumeration_oracle():
     rng = random.Random(12)
     for _ in range(200):
@@ -347,3 +384,137 @@ def test_head_instantiation_with_literal_subject_is_skipped():
     store = store_with(observation_triples("39"))
     fire = evaluate_rule(rule, store)
     assert fire.triples == set()
+
+
+def test_delta_chain_forms_only_instances_using_the_delta():
+    pack = parse_rulepack(CHAINED_PACK)
+    store = store_with(observation_triples("39"))
+    forward_chain(store, [pack])
+    new = observation_triples("40", seq=2)
+    for t in new:
+        store.insert(t, Asserted("urn:dev:test"))
+    stats = forward_chain(store, [pack], delta=set(new))
+    obs = Iri("urn:obs:thermo1:2")
+    assert stats.committed == [
+        Triple(obs, make_iri("m3:indicates"), make_iri("m3:Fever")),
+        Triple(obs, make_iri("m3:hasState"), make_iri("m3:Unwell")),
+    ]
+    assert (stats.rounds, stats.derived) == (3, 2)
+    # the first observation's instance is not formed again
+    assert evaluate_rule(pack.rules[0], store, delta=set(new)).triples == {stats.committed[0]}
+
+
+def test_rule_deriving_an_alias_chains_whole_store_rounds():
+    # "merge" unites a and b mid-round; that turns the old conclusion
+    # (b q c) of "copy" into the new (a q c), which only a whole-store
+    # round forms in the same round
+    a, b, c = Iri("urn:node:a"), Iri("urn:node:b"), Iri("urn:node:c")
+    q, r = Iri("urn:rel:q"), Iri("urn:rel:r")
+    x, y = Variable("x"), Variable("y")
+    pack = RulePack("p", (), (
+        Rule("merge", (TriplePattern(x, r, y),), (), (TriplePattern(x, M3_EQUIVALENT_TO, y),)),
+        Rule("copy", (TriplePattern(x, q, y),), (), (TriplePattern(x, q, y),)),
+    ))
+
+    def chained_then_merge() -> Store:
+        store = store_with([Triple(b, q, c)])
+        forward_chain(store, [pack])
+        store.insert(Triple(a, r, b), Asserted("urn:dev:test"))
+        return store
+
+    got = forward_chain(chained_then_merge(), [pack], delta={Triple(a, r, b)})
+    want = forward_chain(chained_then_merge(), [pack])
+    assert got.committed == want.committed == [Triple(a, M3_EQUIVALENT_TO, b), Triple(a, q, c)]
+    assert got.rounds == want.rounds == 2
+
+
+def test_alias_in_store_chains_whole_store_rounds():
+    # the rule names <b>, which the store aliases to <a>: only a whole-store
+    # match canonicalizes the atom before comparing it with (s p a)
+    a, b, c, s_ = (Iri(f"urn:node:{n}") for n in "abcs")
+    p, r, x = Iri("urn:rel:p"), Iri("urn:rel:r"), Variable("x")
+    named = Rule("named", (TriplePattern(x, p, b),), (), (TriplePattern(x, r, c),))
+    pack = RulePack("p", (), (named,))
+    store = store_with([Triple(b, M3_EQUIVALENT_TO, a)])
+    forward_chain(store, [pack])
+    store.insert(Triple(s_, p, b), Asserted("urn:dev:test"))
+    stats = forward_chain(store, [pack], delta={store.canonical(Triple(s_, p, b))})
+    assert stats.committed == [Triple(s_, r, c)]
+
+
+# -- delta chaining against whole-store rounds ----------------------------------
+
+
+def sort_key(t: Triple) -> tuple[str, str, str]:
+    return (serialize_term(t.subject), serialize_term(t.predicate), serialize_term(t.object))
+
+
+def whole_store_rounds(store: Store, packs: list[RulePack]) -> ChainStats:
+    """Reference chain: every round evaluates every rule over the whole store."""
+    rules = [r for pack in packs for r in pack.rules]
+    stats = ChainStats(rounds=0, derived=0, per_rule={r.id: 0 for r in rules})
+    while True:
+        stats.rounds += 1
+        pending = [
+            (rule.id, t)
+            for rule in rules
+            for t in sorted(evaluate_rule(rule, store).triples, key=sort_key)
+        ]
+        committed = 0
+        for rule_id, t in pending:
+            if store.insert(t, Inferred(rule_id)):
+                stats.per_rule[rule_id] += 1
+                stats.committed.append(store.canonical(t))
+                committed += 1
+        if not committed:
+            return stats
+
+
+def chained_store_then_batch(seed: int, aliases: bool):
+    """A random store chained to fixpoint, then a random batch inserted.
+
+    Deterministic in its arguments, so two calls build identical stores.
+    Half the packs carry a transitive rule, which chains over many rounds;
+    with aliases, m3:equivalentTo is one of the predicates.
+    """
+    rng = random.Random(seed)
+    vocab = Vocab(rng)
+    links = []
+    if aliases:
+        vocab.predicates.append(M3_EQUIVALENT_TO)
+        nodes = vocab.subjects + [o for o in vocab.objects if isinstance(o, Iri)]
+        links = [Triple(rng.choice(nodes), M3_EQUIVALENT_TO, rng.choice(nodes)) for _ in range(6)]
+    packs = [rand_rulepack(rng, vocab, "gen", max_rules=4)]
+    if rng.random() < 0.5:
+        p = rng.choice(vocab.predicates)
+        a, b, c = Variable("a"), Variable("b"), Variable("c")
+        transitive = Rule(
+            "trans", (TriplePattern(a, p, b), TriplePattern(b, p, c)), (), (TriplePattern(a, p, c),)
+        )
+        packs.append(RulePack("trans", (), (transitive,)))
+    store, base = vocab.store(rng.randint(0, 30))
+    for t in links:
+        store.insert(t, Loaded("links"))
+    forward_chain(store, packs)
+    batch = vocab.graph(rng.randint(0, 6))
+    inserted = {store.canonical(t) for t in batch if store.insert(t, Asserted("urn:dev:test"))}
+    return store, packs, links + base + batch, inserted
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), aliases=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_delta_chain_equals_whole_store_chain(seed, aliases):
+    by_delta, packs, facts, inserted = chained_store_then_batch(seed, aliases)
+    whole, _, _, _ = chained_store_then_batch(seed, aliases)
+    reference, _, _, _ = chained_store_then_batch(seed, aliases)
+    got = forward_chain(by_delta, packs, delta=inserted)
+    want = forward_chain(whole, packs, delta=None)
+    ref = whole_store_rounds(reference, packs)
+    assert list(by_delta.snapshot().items()) == list(whole.snapshot().items())
+    assert list(whole.snapshot().items()) == list(reference.snapshot().items())
+    for stats in (got, want):
+        assert (stats.rounds, stats.per_rule, stats.committed) == (
+            ref.rounds, ref.per_rule, ref.committed
+        )
+    if not whole.has_aliases():
+        assert set(by_delta) == oracle_closure(set(facts), [r for p in packs for r in p.rules])

@@ -262,6 +262,20 @@ def test_insert_canonicalizes_terms():
     assert store.match(TriplePattern(Iri("urn:b:x"), Iri("urn:p:1"), Variable("o")))
 
 
+def test_has_aliases_and_canonical_form():
+    store = Store()
+    eq = make_iri("m3:equivalentTo")
+    t = triple("urn:b:x", "urn:p:1", "urn:o:1")
+    store.insert(Triple(Iri("urn:a:x"), eq, Iri("urn:a:x")), Loaded("links"))
+    assert not store.has_aliases()  # a class of one IRI is trivial
+    assert store.canonical(t) == t
+    store.insert(Triple(Iri("urn:b:x"), eq, Iri("urn:a:x")), Loaded("links"))
+    assert store.has_aliases()
+    assert store.canonical(t) == triple("urn:a:x", "urn:p:1", "urn:o:1")
+    link = Triple(Iri("urn:b:x"), eq, Iri("urn:c:x"))
+    assert store.canonical(link) == link  # equivalence statements stay verbatim
+
+
 def test_alias_statements_stored_verbatim():
     store = Store()
     eq = make_iri("m3:equivalentTo")
