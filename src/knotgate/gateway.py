@@ -24,7 +24,7 @@ from typing import Callable, Union
 
 from .annotation import Annotator, RawReading
 from .model import Triple, triple_to_line
-from .rules import ChainStats, RulePack, RuleSafetyError, check_safety, forward_chain
+from .rules import ChainStats, RulePack, forward_chain
 from .store import Asserted, Inferred, Store
 
 log = logging.getLogger(__name__)
@@ -335,11 +335,6 @@ class Gateway:
         as if the new pack had been active from the start; cumulative
         per-rule counts are reset to that fresh run's counts.
         """
-        for rule in pack.rules:
-            violations = check_safety(rule)
-            if violations:
-                # refuse unsafe packs here so the pipeline can never fail mid-commit
-                raise RuleSafetyError(rule.id, violations)
         self.rulepacks[pack.pack_id] = pack
         for rule in pack.rules:
             self.per_rule.setdefault(rule.id, 0)

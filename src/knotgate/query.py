@@ -1,22 +1,21 @@
 """SELECT queries over the store: basic graph patterns, numeric filters, LIMIT.
 
 Grammar: ``SELECT ?v+ WHERE { pattern (. pattern)* } (FILTER guard)* (LIMIT n)?``
-with the same term and guard lexemes as the rule grammar.  Evaluation is a
-natural join over the patterns with binding propagation; rows are distinct
-and deterministically ordered by the serialized terms.
+with the same term and guard lexemes as the rule grammar.  Evaluation is
+one Store.join over the patterns, cheapest index bucket first, so a query
+reads one store snapshot; rows are distinct and deterministically ordered
+by the serialized terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
-from fractions import Fraction
 from typing import Mapping
 
 from .lexer import GrammarError, TokenCursor, read_pattern, tokenize
 from .model import Term, numeric_value, serialize_term
-from .rules import Guard
-from .store import InvalidPattern, MatchResult, Store, TriplePattern, substitute
+from .rules import Guard, read_guard
+from .store import InvalidPattern, Store, TriplePattern, substitute
 
 
 class QuerySyntaxError(GrammarError):
@@ -91,10 +90,7 @@ def parse_query(text: str, presumed_bound: frozenset[str] = frozenset()) -> Quer
         filters = []
         while cursor.at_keyword("FILTER"):
             cursor.next()
-            var = cursor.expect("VAR")
-            op = cursor.expect("OP")
-            num = cursor.expect("NUMBER")
-            filters.append(Guard(var.text, op.text, Fraction(Decimal(num.text))))
+            filters.append(read_guard(cursor))
         limit = None
         if cursor.at_keyword("LIMIT"):
             cursor.next()
@@ -118,12 +114,11 @@ def _row_key(row: tuple[Term, ...]) -> tuple[str, ...]:
     return tuple(serialize_term(t) for t in row)
 
 
-def _matches(store: Store, pattern: TriplePattern, binding: dict[str, Term]) -> list[MatchResult]:
+def _cost(store: Store, pattern: TriplePattern, binding: dict[str, Term]) -> int:
     try:
-        bound = substitute(pattern, binding)
+        return store.candidate_count(substitute(pattern, binding))
     except InvalidPattern:
-        return []  # a literal landed in the predicate slot: matches nothing
-    return store.match(bound)
+        return 0  # a literal landed in the predicate slot: matches nothing
 
 
 def evaluate_query(
@@ -138,22 +133,11 @@ def evaluate_query(
     """
     seed: dict[str, Term] = dict(bindings) if bindings else {}
     patterns = list(query.patterns)
-    if patterns:
-        # seed the join with the currently cheapest pattern
-        counts = [len(_matches(store, p, seed)) for p in patterns]
-        first = counts.index(min(counts))
-        patterns.insert(0, patterns.pop(first))
-    partial: list[dict[str, Term]] = [seed]
-    for pattern in patterns:
-        extended: list[dict[str, Term]] = []
-        for b in partial:
-            for _, mb in _matches(store, pattern, b):
-                extended.append({**b, **mb})
-        partial = extended
-        if not partial:
-            break
+    # seed the join with the pattern whose index bucket is currently smallest
+    costs = [_cost(store, p, seed) for p in patterns]
+    patterns.insert(0, patterns.pop(costs.index(min(costs))))
     rows: set[tuple[Term, ...]] = set()
-    for b in partial:
+    for b in store.join(patterns, [seed]):
         ok = True
         for guard in query.filters:
             value = numeric_value(b[guard.variable])

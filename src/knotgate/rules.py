@@ -2,9 +2,9 @@
 
 A rule joins its body patterns against the store, filters the resulting
 bindings through numeric guards, and instantiates its head templates.
-Safety (every head/guard variable bound in the body) guarantees that only
-ground terms already in the finite store can appear in conclusions, so
-chaining always terminates.
+Safety (every head/guard variable bound in the body, enforced when a Rule
+is constructed) guarantees that only ground terms already in the finite
+store can appear in conclusions, so chaining always terminates.
 
 Chaining is round-based: each round evaluates every rule against the store
 as it stood when the round began, then commits the union of the
@@ -88,6 +88,8 @@ class Guard:
 
 @dataclass(frozen=True)
 class Rule:
+    """An if-then rule; constructing an unsafe one raises RuleSafetyError."""
+
     id: str
     body: tuple[TriplePattern, ...]
     guards: tuple[Guard, ...]
@@ -98,6 +100,9 @@ class Rule:
             raise ValueError("empty rule id")
         if not self.body or not self.head:
             raise ValueError(f"rule {self.id!r}: body and head must be nonempty")
+        violations = check_safety(self)
+        if violations:
+            raise RuleSafetyError(self.id, violations)
 
     def body_variables(self) -> frozenset[str]:
         out: frozenset[str] = frozenset()
@@ -154,7 +159,8 @@ def _wrap_grammar_error(exc: GrammarError) -> RuleSyntaxError:
     return err
 
 
-def _read_guard(cursor: TokenCursor) -> Guard:
+def read_guard(cursor: TokenCursor) -> Guard:
+    """One ``?var op number`` guard; the FILTER keyword is already consumed."""
     var = cursor.expect("VAR")
     op = cursor.expect("OP")
     num = cursor.expect("NUMBER")
@@ -173,7 +179,7 @@ def _read_rule(cursor: TokenCursor) -> Rule:
     guards = []
     while cursor.at_keyword("FILTER"):
         cursor.next()
-        guards.append(_read_guard(cursor))
+        guards.append(read_guard(cursor))
     cursor.expect_keyword("THEN")
     head = [read_pattern(cursor)]
     seen_final_dot = False
@@ -192,7 +198,7 @@ def _read_rule(cursor: TokenCursor) -> Rule:
 
 
 def parse_rulepack(text: str) -> RulePack:
-    """Parse a rule pack, expand prefixes, and enforce safety on every rule.
+    """Parse a rule pack, expand prefixes; every rule is safe by construction.
 
     Raises RuleSyntaxError with a (line, column) position, or
     RuleSafetyError naming the offending rule and variables.
@@ -218,10 +224,6 @@ def parse_rulepack(text: str) -> RulePack:
         raise
     except GrammarError as exc:
         raise _wrap_grammar_error(exc) from None
-    for rule in rules:
-        violations = check_safety(rule)
-        if violations:
-            raise RuleSafetyError(rule.id, violations)
     return RulePack(pack_id, tuple(domains), tuple(rules))
 
 
@@ -254,40 +256,17 @@ class RuleFire:
         return len(self.guard_skips)
 
 
-def _extend(
-    bindings: list[dict],
-    patterns: tuple[TriplePattern, ...],
-    store: Store,
-    exclude: AbstractSet[Triple] | None = None,
-) -> list[dict]:
-    """Join the patterns, in order, onto each binding; skip triples in exclude."""
-    for pattern in patterns:
-        extended: list[dict] = []
-        for b in bindings:
-            try:
-                bound = substitute(pattern, b)
-            except InvalidPattern:
-                continue  # a literal landed in the predicate slot: matches nothing
-            for t, mb in store.match(bound):
-                if exclude is None or t not in exclude:
-                    extended.append({**b, **mb})
-        bindings = extended
-        if not bindings:
-            break
-    return bindings
-
-
 def _join_body(rule: Rule, store: Store, delta: AbstractSet[Triple] | None) -> list[dict]:
     if delta is None:
-        return _extend([{}], rule.body, store)
+        return store.join(rule.body, [{}])
     out: list[dict] = []
     for k, atom in enumerate(rule.body):
         seeds = [b for b in (unify(atom, t) for t in delta) if b is not None]
         if seeds:
             # atoms before k match only non-delta triples, so each binding is
             # formed once: at the first of its atoms that matches the delta
-            early = _extend(seeds, rule.body[:k], store, exclude=delta)
-            out.extend(_extend(early, rule.body[k + 1:], store))
+            early = store.join(rule.body[:k], seeds, exclude=delta)
+            out.extend(store.join(rule.body[k + 1:], early))
     return out
 
 
@@ -362,10 +341,6 @@ def forward_chain(
     round one, so a chain whose first round used a delta used one in all.
     """
     rules: list[Rule] = [r for pack in packs for r in pack.rules]
-    for rule in rules:
-        violations = check_safety(rule)
-        if violations:
-            raise RuleSafetyError(rule.id, violations)
     whole_store_only = any(
         isinstance(h.predicate, Variable) or h.predicate == M3_EQUIVALENT_TO
         for r in rules

@@ -7,8 +7,10 @@ representative is the lexicographically smallest IRI of the class; terms
 are canonicalized on the way in, so matching never chases aliases.
 
 Concurrency: single writer, any number of readers.  A re-entrant lock
-guards every operation, which trivially gives readers a consistent
-snapshot at desk scale.
+guards every operation, so each call reads one snapshot: a join (every
+binding of every pattern), a match, a snapshot copy or iteration.  Two
+separate calls may see different states, since the writer can commit
+between them.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Union
+from typing import AbstractSet, Collection, Iterator, NamedTuple, Sequence, Union
 
 from .model import (
     Iri,
@@ -336,29 +338,62 @@ class Store:
         surviving triples, hence is deterministic for a fixed store state.
         """
         with self._lock:
-            if not (
-                isinstance(pattern.predicate, Iri)
-                and pattern.predicate == M3_EQUIVALENT_TO
-            ):
-                pattern = TriplePattern(
-                    *(
-                        p if isinstance(p, Variable) else self.resolve_alias(p)
-                        for p in pattern.positions()
-                    )
-                )
-            candidates = self._candidates(pattern)
+            pattern, bucket = self._bucket(pattern)
             out: list[MatchResult] = []
-            for t in candidates:
+            for t in bucket:
                 b = unify(pattern, t)
                 if b is not None:
                     out.append(MatchResult(t, b))
             return out
 
-    def _candidates(self, pattern: TriplePattern) -> list[Triple]:
+    def candidate_count(self, pattern: TriplePattern) -> int:
+        """Size of the index bucket match scans: an upper bound on its rows."""
+        with self._lock:
+            return len(self._bucket(pattern)[1])
+
+    def join(
+        self,
+        patterns: Sequence[TriplePattern],
+        seeds: list[dict[str, Term]],
+        exclude: AbstractSet[Triple] | None = None,
+    ) -> list[dict[str, Term]]:
+        """Extend each seed binding through the patterns, in the order given.
+
+        The whole join holds the lock, so every binding it returns reads
+        the same store state.  A pattern that a binding turns invalid (a
+        literal in the predicate slot) matches nothing for that binding;
+        triples in exclude are skipped.
+        """
+        bindings = seeds
+        with self._lock:
+            for pattern in patterns:
+                if not bindings:
+                    break
+                extended: list[dict[str, Term]] = []
+                for b in bindings:
+                    try:
+                        bound = substitute(pattern, b)
+                    except InvalidPattern:
+                        continue
+                    for t, mb in self.match(bound):
+                        if exclude is None or t not in exclude:
+                            extended.append({**b, **mb})
+                bindings = extended
+        return bindings
+
+    def _bucket(self, pattern: TriplePattern) -> tuple[TriplePattern, Collection[Triple]]:
+        """The pattern as match unifies it and the index bucket holding its candidates."""
+        if pattern.predicate != M3_EQUIVALENT_TO:
+            pattern = TriplePattern(
+                *(
+                    p if isinstance(p, Variable) else self.resolve_alias(p)
+                    for p in pattern.positions()
+                )
+            )
         if not isinstance(pattern.subject, Variable):
-            return list(self._by_subject.get(pattern.subject, {}))
+            return pattern, self._by_subject.get(pattern.subject, {})
         if not isinstance(pattern.predicate, Variable):
-            return list(self._by_predicate.get(pattern.predicate, {}))
+            return pattern, self._by_predicate.get(pattern.predicate, {})
         if not isinstance(pattern.object, Variable):
-            return list(self._by_object.get(pattern.object, {}))
-        return list(self._triples)
+            return pattern, self._by_object.get(pattern.object, {})
+        return pattern, self._triples

@@ -1,4 +1,5 @@
 import random
+import threading
 
 import pytest
 
@@ -10,7 +11,7 @@ from knotgate.query import (
     evaluate_query,
     parse_query,
 )
-from knotgate.store import Loaded, Store, TriplePattern, Variable
+from knotgate.store import Asserted, Loaded, Store, TriplePattern, Variable
 
 from generators import Vocab, rand_query
 from oracles import oracle_query
@@ -177,3 +178,34 @@ def test_prebound_evaluation():
     q = parse_query("SELECT ?r WHERE { ?s m3:hasRemedy ?r }", presumed_bound=frozenset({"s"}))
     table = evaluate_query(q, store, bindings={"s": make_iri("m3:Fever")})
     assert table.rows == [(make_iri("m3:GingerTea"),)]
+
+
+def test_query_reads_one_snapshot_while_writer_commits(monkeypatch):
+    o1, a, b, x = (Iri(f"urn:t:{name}") for name in ("o1", "a", "b", "X"))
+    five, six = Literal("5", XSD_DOUBLE), Literal("6", XSD_DOUBLE)
+    store = Store()
+    store.insert(Triple(o1, a, x), Loaded("old"))
+    store.insert(Triple(o1, b, five), Loaded("old"))
+
+    def write() -> None:
+        store.retract(Loaded("old"))
+        store.insert(Triple(o1, b, six), Asserted("urn:dev:1"))
+
+    writer = threading.Thread(target=write)
+    original = Store.match
+
+    def match(self, pattern):
+        # the join's second step: let the writer commit between the two patterns
+        if pattern.subject == o1 and writer.ident is None:
+            writer.start()
+            writer.join(timeout=0.2)
+        return original(self, pattern)
+
+    monkeypatch.setattr(Store, "match", match)
+    q = parse_query("SELECT ?o ?v WHERE { ?o <urn:t:a> <urn:t:X> . ?o <urn:t:b> ?v }")
+    rows = evaluate_query(q, store).rows
+    writer.join(timeout=5)
+    assert not writer.is_alive()
+    # the state before the writer ran, or the state after it: never a mix
+    assert rows in ([(o1, five)], [])
+    assert list(store) == [Triple(o1, b, six)]

@@ -163,13 +163,14 @@ def test_check_safety_fever_rule(fever_pack_text):
 
 
 def test_check_safety_reports_head_only_variable():
-    rule = Rule(
-        "r",
-        (TriplePattern(Variable("o"), make_iri("rdf:type"), make_iri("ssn:Observation")),),
-        (),
-        (TriplePattern(Variable("y"), make_iri("m3:a"), make_iri("m3:b")),),
-    )
-    assert check_safety(rule) == ["y"]
+    with pytest.raises(RuleSafetyError) as err:
+        Rule(
+            "r",
+            (TriplePattern(Variable("o"), make_iri("rdf:type"), make_iri("ssn:Observation")),),
+            (),
+            (TriplePattern(Variable("y"), make_iri("m3:a"), make_iri("m3:b")),),
+        )
+    assert err.value.variables == ["y"]
 
 
 def test_check_safety_matches_set_difference_oracle():
@@ -182,12 +183,17 @@ def test_check_safety_matches_set_difference_oracle():
         if rng.random() < 0.5:
             h = head[0]
             head[0] = TriplePattern(h.subject, h.predicate, Variable("fresh"))
-        rule = Rule(rule.id, rule.body, rule.guards, tuple(head))
         body_vars = set().union(*(p.variables() for p in rule.body))
-        head_vars = set().union(*(p.variables() for p in rule.head))
+        head_vars = set().union(*(p.variables() for p in head))
         guard_vars = {g.variable for g in rule.guards}
         expected = sorted((head_vars | guard_vars) - body_vars)
-        assert check_safety(rule) == expected
+        if expected:
+            with pytest.raises(RuleSafetyError) as err:
+                Rule(rule.id, rule.body, rule.guards, tuple(head))
+            assert err.value.variables == expected
+        else:
+            rule = Rule(rule.id, rule.body, rule.guards, tuple(head))
+            assert check_safety(rule) == expected
 
 
 # -- evaluation --------------------------------------------------------------
@@ -296,15 +302,14 @@ def test_chain_is_idempotent():
 
 
 def test_chain_requires_safe_rules():
-    rule = Rule(
-        "bad",
-        (TriplePattern(Variable("o"), make_iri("rdf:type"), make_iri("ssn:Observation")),),
-        (),
-        (TriplePattern(Variable("y"), make_iri("m3:a"), make_iri("m3:b")),),
-    )
-    pack = RulePack("p", (), (rule,))
-    with pytest.raises(RuleSafetyError):
-        forward_chain(store_with(observation_triples("39")), [pack])
+    with pytest.raises(RuleSafetyError) as err:
+        Rule(
+            "bad",
+            (TriplePattern(Variable("o"), make_iri("rdf:type"), make_iri("ssn:Observation")),),
+            (),
+            (TriplePattern(Variable("y"), make_iri("m3:a"), make_iri("m3:b")),),
+        )
+    assert err.value.variables == ["y"]
 
 
 def test_inferred_provenance_carries_rule_id(fever_pack_text):

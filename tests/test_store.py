@@ -3,7 +3,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotgate.model import Iri, Literal, Triple, make_iri, serialize_triples
+from knotgate.model import Iri, Literal, Triple, make_iri, serialize_term, serialize_triples
+from knotgate.query import Query
 from knotgate.store import (
     Asserted,
     Inferred,
@@ -15,8 +16,8 @@ from knotgate.store import (
     unify,
 )
 
-from generators import Vocab, rand_triple
-from oracles import oracle_alias_classes, oracle_match
+from generators import Vocab, rand_query, rand_triple
+from oracles import oracle_alias_classes, oracle_match, oracle_query
 
 P = Iri("urn:rel:p0")
 
@@ -344,3 +345,65 @@ def test_unify_repeated_variable():
     different = Triple(Iri("urn:a:1"), P, Iri("urn:a:2"))
     assert unify(pattern, same) == {"x": Iri("urn:a:1")}
     assert unify(pattern, different) is None
+
+
+def _row_key(row) -> tuple[str, ...]:
+    return tuple(serialize_term(t) for t in row)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_join_matches_nested_loop_oracle(seed):
+    rng = random.Random(seed)
+    vocab = Vocab(rng)
+    store, _ = vocab.store(rng.randint(0, 40))
+    stored = list(store)
+    exclude = set(rng.sample(stored, rng.randint(0, len(stored) // 2))) if rng.random() < 0.7 else None
+    patterns = rand_query(rng, vocab).patterns
+    names = sorted(set().union(*(p.variables() for p in patterns)))
+    kept = [t for t in stored if not exclude or t not in exclude]
+    full = sorted(oracle_query(kept, Query(tuple(names), patterns, ())), key=_row_key)
+    # seeds bind a pattern variable to any vocabulary term (a literal may land
+    # in a predicate slot) or to a value some full row holds
+    terms = vocab.subjects + vocab.predicates + vocab.objects
+    seeds = [{}] + [{rng.choice(names): rng.choice(terms)} for _ in range(rng.randint(1, 3))]
+    if full:
+        row = rng.choice(full)
+        i = rng.randrange(len(names))
+        seeds.append({names[i]: row[i]})
+    got = store.join(patterns, seeds, exclude=exclude)
+    assert all(set(b) == set(names) for b in got)
+    expected = [
+        row
+        for s in seeds
+        for row in full
+        if all(row[names.index(name)] == term for name, term in s.items())
+    ]
+    assert sorted(_row_key(tuple(b[n] for n in names)) for b in got) == sorted(
+        _row_key(row) for row in expected
+    )
+
+
+def test_candidate_count_reads_the_bucket_match_scans():
+    rng = random.Random(21)
+    for _ in range(50):
+        vocab = Vocab(rng)
+        store, _ = vocab.store(rng.randint(0, 40))
+        for _ in range(10):
+            pattern = TriplePattern(
+                rng.choice([Variable("s"), *vocab.subjects]),
+                rng.choice([Variable("p"), *vocab.predicates]),
+                rng.choice([Variable("o"), *vocab.objects]),
+            )
+            assert store.candidate_count(pattern) >= len(store.match(pattern))
+    store = Store()
+    eq = make_iri("m3:equivalentTo")
+    store.insert(Triple(Iri("urn:b:x"), eq, Iri("urn:a:x")), Loaded("links"))
+    store.insert(triple("urn:b:x", "urn:p:1", "urn:o:1"), Asserted("urn:dev:x"))
+    store.insert(triple("urn:a:x", "urn:p:2", "urn:o:1"), Asserted("urn:dev:x"))
+    # an alias resolves to its class's subject bucket, as in match
+    aliased = TriplePattern(Iri("urn:b:x"), Variable("p"), Variable("o"))
+    assert store.candidate_count(aliased) == len(store.match(aliased)) == 2
+    # equivalence lookups read the verbatim stored form
+    verbatim = TriplePattern(Iri("urn:b:x"), eq, Variable("o"))
+    assert store.candidate_count(verbatim) == len(store.match(verbatim)) == 1
