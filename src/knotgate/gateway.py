@@ -448,6 +448,7 @@ class Gateway:
         return {
             "store_size": len(self.store),
             "per_rule": dict(sorted(self.per_rule.items())),
+            "guard_type_errors": self.guard_type_errors,
         }
 
     def shutdown(self) -> None:

@@ -15,7 +15,7 @@ from typing import Mapping
 from .lexer import GrammarError, TokenCursor, read_pattern, tokenize
 from .model import Term, numeric_value, serialize_term
 from .rules import Guard, read_guard
-from .store import InvalidPattern, Store, TriplePattern, substitute
+from .store import Store, TriplePattern
 
 
 class QuerySyntaxError(GrammarError):
@@ -114,13 +114,6 @@ def _row_key(row: tuple[Term, ...]) -> tuple[str, ...]:
     return tuple(serialize_term(t) for t in row)
 
 
-def _cost(store: Store, pattern: TriplePattern, binding: dict[str, Term]) -> int:
-    try:
-        return store.candidate_count(substitute(pattern, binding))
-    except InvalidPattern:
-        return 0  # a literal landed in the predicate slot: matches nothing
-
-
 def evaluate_query(
     query: Query,
     store: Store,
@@ -134,7 +127,7 @@ def evaluate_query(
     seed: dict[str, Term] = dict(bindings) if bindings else {}
     patterns = list(query.patterns)
     # seed the join with the pattern whose index bucket is currently smallest
-    costs = [_cost(store, p, seed) for p in patterns]
+    costs = [store.candidate_count(p, seed) for p in patterns]
     patterns.insert(0, patterns.pop(costs.index(min(costs))))
     rows: set[tuple[Term, ...]] = set()
     for b in store.join(patterns, [seed]):

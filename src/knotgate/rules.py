@@ -29,7 +29,7 @@ from fractions import Fraction
 from typing import AbstractSet
 
 from .lexer import GrammarError, TokenCursor, read_pattern, tokenize
-from .model import InvalidTriple, Triple, numeric_value, serialize_term
+from .model import InvalidTriple, Term, Triple, numeric_value, serialize_term
 from .store import (
     M3_EQUIVALENT_TO,
     InvalidPattern,
@@ -256,12 +256,22 @@ class RuleFire:
         return len(self.guard_skips)
 
 
-def _join_body(rule: Rule, store: Store, delta: AbstractSet[Triple] | None) -> list[dict]:
-    if delta is None:
-        return store.join(rule.body, [{}])
+def _by_predicate(delta: AbstractSet[Triple]) -> dict[Term, list[Triple]]:
+    groups: dict[Term, list[Triple]] = {}
+    for t in delta:
+        groups.setdefault(t.predicate, []).append(t)
+    return groups
+
+
+def _join_delta(
+    rule: Rule, store: Store, delta: AbstractSet[Triple], by_predicate: dict[Term, list[Triple]]
+) -> list[dict]:
     out: list[dict] = []
     for k, atom in enumerate(rule.body):
-        seeds = [b for b in (unify(atom, t) for t in delta) if b is not None]
+        # an atom with a constant predicate can only unify with delta triples
+        # of that predicate (delta rounds run only on alias-free stores)
+        tries = delta if isinstance(atom.predicate, Variable) else by_predicate.get(atom.predicate, ())
+        seeds = [b for b in (unify(atom, t) for t in tries) if b is not None]
         if seeds:
             # atoms before k match only non-delta triples, so each binding is
             # formed once: at the first of its atoms that matches the delta
@@ -270,12 +280,19 @@ def _join_body(rule: Rule, store: Store, delta: AbstractSet[Triple] | None) -> l
     return out
 
 
-def evaluate_rule(rule: Rule, store: Store, delta: AbstractSet[Triple] | None = None) -> RuleFire:
+def evaluate_rule(
+    rule: Rule,
+    store: Store,
+    delta: AbstractSet[Triple] | None = None,
+    by_predicate: dict[Term, list[Triple]] | None = None,
+) -> RuleFire:
     """Ground head instantiations for every body match passing all guards.
 
     With a delta (stored triples), only body matches that use at least one
     delta triple count; the other atoms match anywhere in the store.  The
     store must hold no alias class (see forward_chain) for that to be exact.
+    by_predicate is the delta grouped by predicate, for callers that
+    evaluate many rules against one delta; it is worked out when omitted.
 
     Guards compare exact numeric values, so lexical form is irrelevant
     ("38.0" equals "38").  A guard variable bound to a non-numeric term
@@ -284,7 +301,11 @@ def evaluate_rule(rule: Rule, store: Store, delta: AbstractSet[Triple] | None = 
     predicate slot) is skipped.
     """
     fire = RuleFire(set())
-    for binding in _join_body(rule, store, delta):
+    if delta is None:
+        bindings = store.join(rule.body, [{}])
+    else:
+        bindings = _join_delta(rule, store, delta, by_predicate or _by_predicate(delta))
+    for binding in bindings:
         ok = True
         for guard in rule.guards:
             value = numeric_value(binding[guard.variable])
@@ -355,8 +376,9 @@ def forward_chain(
         if stats.rounds == 1:
             stats.whole_store = delta is None
         pending: list[tuple[str, Triple]] = []
+        by_predicate = None if delta is None else _by_predicate(delta)
         for i, rule in enumerate(rules):
-            fire = evaluate_rule(rule, store, delta)
+            fire = evaluate_rule(rule, store, delta, by_predicate)
             skipped.update((i, b) for b in fire.guard_skips)
             pending.extend((rule.id, t) for t in sorted(fire.triples, key=_triple_sort_key))
         committed: list[Triple] = []

@@ -6,6 +6,14 @@ provenance wins, which makes replays idempotent.  IRI equivalences
 representative is the lexicographically smallest IRI of the class; terms
 are canonicalized on the way in, so matching never chases aliases.
 
+Reads are index probes (Store.match): each pattern position is a constant,
+a value the caller's bindings give its variable, or a free variable.  A
+probe scans the smallest subject, predicate or object bucket its bound
+positions key and checks each candidate only on the positions that bucket
+leaves open; every bucket keeps insertion order, so the rows come in the
+same order whichever bucket is scanned.  Store.join, the one join behind
+rules and queries, makes one probe per binding per pattern.
+
 Concurrency: single writer, any number of readers.  A re-entrant lock
 guards every operation, so each call reads one snapshot: a join (every
 binding of every pattern), a match, a snapshot copy or iteration.  Two
@@ -329,27 +337,46 @@ class Store:
 
     # -- reads -------------------------------------------------------------
 
-    def match(self, pattern: TriplePattern) -> list[MatchResult]:
-        """All stored triples unifying with the pattern, with their bindings.
+    def match(
+        self, pattern: TriplePattern, bindings: dict[str, Term] | None = None
+    ) -> list[MatchResult]:
+        """Stored triples matching the pattern under bindings, with the
+        bindings of the pattern's free variables.
 
-        Concrete pattern terms are alias-canonicalized first (mirroring
-        insert), except on equivalence-statement lookups which match the
-        verbatim stored form.  Result order follows insertion order of the
-        surviving triples, hence is deterministic for a fixed store state.
+        One index probe.  Each position is a constant, a value bindings
+        gives its variable, or a free variable.  Constants and bound values
+        are alias-canonicalized first (mirroring insert), except on
+        equivalence-statement lookups which match the verbatim stored form;
+        a non-IRI bound into the predicate slot matches nothing.  The probe
+        scans the smallest index bucket among the bound positions, checks
+        each candidate only on the other bound positions, and binds the
+        free variables (a repeated one must meet the same term twice).
+        Every bucket keeps insertion order, so rows follow the insertion
+        order of the matching triples, whichever bucket is scanned.
         """
         with self._lock:
-            pattern, bucket = self._bucket(pattern)
+            bucket, fixed, free = self._probe(pattern, bindings)
             out: list[MatchResult] = []
             for t in bucket:
-                b = unify(pattern, t)
-                if b is not None:
-                    out.append(MatchResult(t, b))
+                terms = (t.subject, t.predicate, t.object)
+                for i, term in fixed:
+                    if terms[i] is not term and terms[i] != term:
+                        break
+                else:
+                    b: dict[str, Term] = {}
+                    for i, name in free:
+                        if b.setdefault(name, terms[i]) != terms[i]:
+                            break
+                    else:
+                        out.append(MatchResult(t, b))
             return out
 
-    def candidate_count(self, pattern: TriplePattern) -> int:
+    def candidate_count(
+        self, pattern: TriplePattern, bindings: dict[str, Term] | None = None
+    ) -> int:
         """Size of the index bucket match scans: an upper bound on its rows."""
         with self._lock:
-            return len(self._bucket(pattern)[1])
+            return len(self._probe(pattern, bindings)[0])
 
     def join(
         self,
@@ -360,9 +387,9 @@ class Store:
         """Extend each seed binding through the patterns, in the order given.
 
         The whole join holds the lock, so every binding it returns reads
-        the same store state.  A pattern that a binding turns invalid (a
-        literal in the predicate slot) matches nothing for that binding;
-        triples in exclude are skipped.
+        the same store state.  Each binding makes one match probe per
+        pattern, so a binding that puts a literal in the predicate slot
+        matches nothing; triples in exclude are skipped.
         """
         bindings = seeds
         with self._lock:
@@ -371,29 +398,37 @@ class Store:
                     break
                 extended: list[dict[str, Term]] = []
                 for b in bindings:
-                    try:
-                        bound = substitute(pattern, b)
-                    except InvalidPattern:
-                        continue
-                    for t, mb in self.match(bound):
+                    for t, mb in self.match(pattern, b):
                         if exclude is None or t not in exclude:
                             extended.append({**b, **mb})
                 bindings = extended
         return bindings
 
-    def _bucket(self, pattern: TriplePattern) -> tuple[TriplePattern, Collection[Triple]]:
-        """The pattern as match unifies it and the index bucket holding its candidates."""
-        if pattern.predicate != M3_EQUIVALENT_TO:
-            pattern = TriplePattern(
-                *(
-                    p if isinstance(p, Variable) else self.resolve_alias(p)
-                    for p in pattern.positions()
-                )
-            )
-        if not isinstance(pattern.subject, Variable):
-            return pattern, self._by_subject.get(pattern.subject, {})
-        if not isinstance(pattern.predicate, Variable):
-            return pattern, self._by_predicate.get(pattern.predicate, {})
-        if not isinstance(pattern.object, Variable):
-            return pattern, self._by_object.get(pattern.object, {})
-        return pattern, self._triples
+    def _probe(
+        self, pattern: TriplePattern, bindings: dict[str, Term] | None
+    ) -> tuple[Collection[Triple], list[tuple[int, Term]], list[tuple[int, str]]]:
+        """The bucket a probe scans, the bound (position, term) pairs left to
+        check, and the free (position, name) pairs.
+
+        A non-IRI bound into the predicate slot keys the predicate index,
+        which holds none, so that empty bucket is the smallest."""
+        values: list[Term | None] = []
+        free: list[tuple[int, str]] = []
+        for i, p in enumerate(pattern.positions()):
+            term = p
+            if isinstance(p, Variable):
+                term = bindings.get(p.name) if bindings else None
+                if term is None:
+                    free.append((i, p.name))
+            values.append(term)
+        if self._alias_parent and values[1] != M3_EQUIVALENT_TO:
+            values = [v if v is None else self.resolve_alias(v) for v in values]
+        bucket: Collection[Triple] = self._triples
+        key = -1
+        for i, index in enumerate((self._by_subject, self._by_predicate, self._by_object)):
+            if values[i] is not None:
+                candidates = index.get(values[i], {})
+                if key < 0 or len(candidates) < len(bucket):
+                    bucket, key = candidates, i
+        fixed = [(i, v) for i, v in enumerate(values) if v is not None and i != key]
+        return bucket, fixed, free

@@ -1,4 +1,5 @@
 import json
+import os
 import signal
 import socket
 import subprocess
@@ -198,6 +199,13 @@ def test_export_without_config_writes_empty(tmp_path):
 # -- serve (subprocess) --------------------------------------------------------------
 
 
+def child_env() -> dict[str, str]:
+    """This environment with src/ first on PYTHONPATH, so a child python
+    imports knotgate from this checkout whether or not it is installed."""
+    parts = [str(REPO / "src"), os.environ.get("PYTHONPATH", "")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in parts if p)}
+
+
 def _wait_for_line(proc, needle: str, timeout: float = 10.0) -> str:
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -215,13 +223,14 @@ def test_serve_minimal_config_answers_stats(tmp_path):
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
+        env=child_env(),
     )
     try:
         line = _wait_for_line(proc, "http listening on")
         port = int(line.rsplit(":", 1)[1])
         with urllib.request.urlopen(f"http://127.0.0.1:{port}/api/v1/stats", timeout=5) as resp:
             body = json.load(resp)
-        assert body == {"store_size": 0, "per_rule": {}}
+        assert body == {"store_size": 0, "per_rule": {}, "guard_type_errors": 0}
     finally:
         proc.send_signal(signal.SIGTERM)
         proc.wait(timeout=10)
@@ -238,6 +247,7 @@ def test_serve_missing_rulepack_file_exits_2_with_filename(tmp_path):
         capture_output=True,
         text=True,
         timeout=30,
+        env=child_env(),
     )
     assert proc.returncode == 2
     assert "no-such-pack.rules" in proc.stderr
@@ -255,6 +265,7 @@ def test_serve_port_conflict_exits_3(tmp_path):
             capture_output=True,
             text=True,
             timeout=30,
+            env=child_env(),
         )
     finally:
         blocker.close()

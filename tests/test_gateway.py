@@ -346,6 +346,17 @@ def test_guard_type_errors_count_each_skipped_binding_once():
         gateway.shutdown()
 
 
+def test_stats_expose_guard_type_errors():
+    labelled = parse_rulepack("PACK p RULE r : IF ?o m3:label ?v FILTER ?v > 1 THEN ?o m3:a m3:b .")
+    gateway = make_gateway([labelled])
+    assert gateway.stats()["guard_type_errors"] == 0
+    high = Triple(Iri("urn:x:1"), make_iri("m3:label"), Literal("high", XSD_STRING))
+    gateway.load_knowledge_pack(serialize_triples([high]), "labels")
+    gateway.ingest(RawReading("thermo1", "temperature", 36.0, "cel", 1))
+    assert gateway.stats() == {"store_size": 1 + 6, "per_rule": {"r": 0}, "guard_type_errors": 1}
+    gateway.shutdown()
+
+
 # -- egress -------------------------------------------------------------------
 
 

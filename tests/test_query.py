@@ -194,12 +194,13 @@ def test_query_reads_one_snapshot_while_writer_commits(monkeypatch):
     writer = threading.Thread(target=write)
     original = Store.match
 
-    def match(self, pattern):
-        # the join's second step: let the writer commit between the two patterns
-        if pattern.subject == o1 and writer.ident is None:
+    def match(self, pattern, bindings=None):
+        # the join's second step, the probe binding ?o to o1: let the writer
+        # commit between the two patterns
+        if bindings and bindings.get("o") == o1 and writer.ident is None:
             writer.start()
             writer.join(timeout=0.2)
-        return original(self, pattern)
+        return original(self, pattern, bindings)
 
     monkeypatch.setattr(Store, "match", match)
     q = parse_query("SELECT ?o ?v WHERE { ?o <urn:t:a> <urn:t:X> . ?o <urn:t:b> ?v }")

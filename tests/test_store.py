@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotgate.model import Iri, Literal, Triple, make_iri, serialize_term, serialize_triples
+from knotgate.model import Blank, Iri, Literal, Triple, make_iri, serialize_term, serialize_triples
 from knotgate.query import Query
 from knotgate.store import (
     Asserted,
@@ -407,3 +407,52 @@ def test_candidate_count_reads_the_bucket_match_scans():
     # equivalence lookups read the verbatim stored form
     verbatim = TriplePattern(Iri("urn:b:x"), eq, Variable("o"))
     assert store.candidate_count(verbatim) == len(store.match(verbatim)) == 1
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_match_probe_matches_linear_scan_oracle(seed):
+    rng = random.Random(seed)
+    vocab = Vocab(rng)
+    eq = make_iri("m3:equivalentTo")
+    iris = vocab.subjects + [o for o in vocab.objects if isinstance(o, Iri)]
+    alts = [Iri(f"urn:alt:{i}") for i in range(3)]
+    pairs = [
+        (rng.choice(iris + alts), rng.choice(iris + alts))
+        for _ in range(rng.randint(1, 4) if rng.random() < 0.5 else 0)
+    ]
+    store = Store()
+    for a, b in pairs:  # links first, so every later triple is stored canonical
+        store.insert(Triple(a, eq, b), Loaded("links"))
+    for t in vocab.graph(rng.randint(0, 40)):
+        store.insert(t, Loaded("seed"))
+    classes = oracle_alias_classes([(a.value, b.value) for a, b in pairs])
+    stored = list(store)
+    # terms for constants and bound values: aliases, the equivalence
+    # predicate, and non-IRIs that a binding may put in the predicate slot
+    terms = vocab.subjects + vocab.predicates + vocab.objects + alts + [eq, Blank("b1")]
+
+    def position(constants: list) -> object:  # three names, so variables repeat
+        return Variable(rng.choice("xyz")) if rng.random() < 0.5 else rng.choice(constants)
+
+    for _ in range(10):
+        pattern = TriplePattern(
+            position(vocab.subjects + alts), position(vocab.predicates + [eq]), position(terms)
+        )
+        bindings = {name: rng.choice(terms) for name in rng.sample("xyzw", rng.randint(0, 4))}
+        got = store.match(pattern, bindings)
+        count = store.candidate_count(pattern, bindings)
+        values = [bindings.get(p.name, p) if isinstance(p, Variable) else p for p in pattern.positions()]
+        if not isinstance(values[1], (Iri, Variable)):
+            assert got == [] and count == 0
+            continue
+        if values[1] != eq:  # equivalence lookups read the verbatim stored form
+            values = [Iri(classes.get(v.value, v.value)) if isinstance(v, Iri) else v for v in values]
+        expected = oracle_match(stored, TriplePattern(*values))
+        assert [(r.triple, r.bindings) for r in got] == expected  # same rows, same order
+        buckets = [
+            sum(1 for t in stored if (t.subject, t.predicate, t.object)[i] == v)
+            for i, v in enumerate(values)
+            if not isinstance(v, Variable)
+        ]
+        assert count == min(buckets, default=len(stored)) >= len(got)
