@@ -263,9 +263,8 @@ def _by_predicate(delta: AbstractSet[Triple]) -> dict[Term, list[Triple]]:
     return groups
 
 
-def _join_delta(
-    rule: Rule, store: Store, delta: AbstractSet[Triple], by_predicate: dict[Term, list[Triple]]
-) -> list[dict]:
+def _join_delta(rule: Rule, store: Store, delta: AbstractSet[Triple]) -> list[dict]:
+    by_predicate = _by_predicate(delta)
     out: list[dict] = []
     for k, atom in enumerate(rule.body):
         # an atom with a constant predicate can only unify with delta triples
@@ -280,19 +279,12 @@ def _join_delta(
     return out
 
 
-def evaluate_rule(
-    rule: Rule,
-    store: Store,
-    delta: AbstractSet[Triple] | None = None,
-    by_predicate: dict[Term, list[Triple]] | None = None,
-) -> RuleFire:
+def evaluate_rule(rule: Rule, store: Store, delta: AbstractSet[Triple] | None = None) -> RuleFire:
     """Ground head instantiations for every body match passing all guards.
 
     With a delta (stored triples), only body matches that use at least one
     delta triple count; the other atoms match anywhere in the store.  The
     store must hold no alias class (see forward_chain) for that to be exact.
-    by_predicate is the delta grouped by predicate, for callers that
-    evaluate many rules against one delta; it is worked out when omitted.
 
     Guards compare exact numeric values, so lexical form is irrelevant
     ("38.0" equals "38").  A guard variable bound to a non-numeric term
@@ -304,7 +296,7 @@ def evaluate_rule(
     if delta is None:
         bindings = store.join(rule.body, [{}])
     else:
-        bindings = _join_delta(rule, store, delta, by_predicate or _by_predicate(delta))
+        bindings = _join_delta(rule, store, delta)
     for binding in bindings:
         ok = True
         for guard in rule.guards:
@@ -376,9 +368,8 @@ def forward_chain(
         if stats.rounds == 1:
             stats.whole_store = delta is None
         pending: list[tuple[str, Triple]] = []
-        by_predicate = None if delta is None else _by_predicate(delta)
         for i, rule in enumerate(rules):
-            fire = evaluate_rule(rule, store, delta, by_predicate)
+            fire = evaluate_rule(rule, store, delta)
             skipped.update((i, b) for b in fire.guard_skips)
             pending.extend((rule.id, t) for t in sorted(fire.triples, key=_triple_sort_key))
         committed: list[Triple] = []
