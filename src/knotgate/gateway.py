@@ -429,21 +429,6 @@ class Gateway:
                     log.exception("derived-fact hook failed")
         return queued
 
-    def bridge_publish(self, fact: Triple, target: EgressTarget) -> DeliveryRecord:
-        """Publish one stored fact to an egress target.
-
-        The fact must already be in the store; its provenance fills the
-        envelope's rule_id, and an urn:obs: subject fills observation_iri.
-        """
-        prov = self.store.provenance(fact)
-        if prov is None:
-            raise ValueError("fact is not in the store")
-        rule_id = prov.rule_id if isinstance(prov, Inferred) else ""
-        subject = getattr(fact.subject, "value", "")
-        obs = subject if subject.startswith("urn:obs:") else ""
-        ctx = DerivedContext(rule_id=rule_id, observation_iri=obs, timestamp=now_ms())
-        return self.egress.deliver(target, fact_envelope(fact, ctx))
-
     def stats(self) -> dict:
         return {
             "store_size": len(self.store),

@@ -14,6 +14,7 @@ from .model import (
     MalformedIri,
     PREFIXES,
     Term,
+    UNESCAPES,
     XSD_LONG,
     XSD_STRING,
     make_iri,
@@ -137,7 +138,7 @@ def tokenize(text: str) -> list[Token]:
                     if i + 1 >= n:
                         raise err("dangling escape")
                     esc = text[i + 1]
-                    mapped = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}.get(esc)
+                    mapped = UNESCAPES.get(esc)
                     if mapped is None:
                         raise err(f"unknown escape \\{esc}")
                     out.append(mapped)

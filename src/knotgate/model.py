@@ -199,7 +199,8 @@ def numeric_value(term: Term) -> Fraction | None:
 
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-_UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+#: string-literal escapes, shared by the line format and the rule lexer
+UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
 
 
 def _escape_lexical(text: str) -> str:
@@ -280,9 +281,9 @@ class _LineScanner:
                     raise ValueError("dangling escape")
                 esc = self.text[self.pos]
                 self.pos += 1
-                if esc not in _UNESCAPES:
+                if esc not in UNESCAPES:
                     raise ValueError(f"unknown escape \\{esc}")
-                out.append(_UNESCAPES[esc])
+                out.append(UNESCAPES[esc])
             elif c == '"':
                 break
             else:

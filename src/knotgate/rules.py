@@ -30,17 +30,7 @@ from typing import AbstractSet
 
 from .lexer import GrammarError, TokenCursor, read_pattern, tokenize
 from .model import InvalidTriple, Term, Triple, numeric_value, serialize_term
-from .store import (
-    M3_EQUIVALENT_TO,
-    InvalidPattern,
-    Inferred,
-    Store,
-    TriplePattern,
-    Variable,
-    pattern_to_triple,
-    substitute,
-    unify,
-)
+from .store import M3_EQUIVALENT_TO, Inferred, Store, TriplePattern, Variable
 
 log = logging.getLogger(__name__)
 
@@ -267,10 +257,10 @@ def _join_delta(rule: Rule, store: Store, delta: AbstractSet[Triple]) -> list[di
     by_predicate = _by_predicate(delta)
     out: list[dict] = []
     for k, atom in enumerate(rule.body):
-        # an atom with a constant predicate can only unify with delta triples
-        # of that predicate (delta rounds run only on alias-free stores)
-        tries = delta if isinstance(atom.predicate, Variable) else by_predicate.get(atom.predicate, ())
-        seeds = [b for b in (unify(atom, t) for t in tries) if b is not None]
+        # an atom with a constant predicate can only match delta triples of
+        # that predicate (delta rounds run only on alias-free stores)
+        tries = delta if isinstance(atom.predicate, Variable) else by_predicate.get(atom.predicate)
+        seeds = [b for _, b in store.match(atom, among=tries)] if tries else []
         if seeds:
             # atoms before k match only non-delta triples, so each binding is
             # formed once: at the first of its atoms that matches the delta
@@ -312,9 +302,11 @@ def evaluate_rule(rule: Rule, store: Store, delta: AbstractSet[Triple] | None = 
         if not ok:
             continue
         for template in rule.head:
+            # safety binds every head variable
+            terms = [binding[p.name] if isinstance(p, Variable) else p for p in template.positions()]
             try:
-                fire.triples.add(pattern_to_triple(substitute(template, binding)))
-            except (InvalidTriple, InvalidPattern):
+                fire.triples.add(Triple(*terms))
+            except InvalidTriple:
                 log.debug("rule %s: structurally invalid head instantiation skipped", rule.id)
     return fire
 

@@ -1,7 +1,10 @@
 """Application-facing layer: HTTP API, subscriptions, and service composition.
 
 Subscriptions deliver an envelope for every newly inferred fact that
-unifies with their pattern, at most once per (subscription, fact).
+matches their pattern, at most once per (subscription, fact).  Both
+subscriptions and composition triggers match through the store
+(Store.match over the one fact), so a pattern naming any IRI of an alias
+class matches the fact stored under the class's canonical IRI.
 Composition pipelines react to derived facts by running a lookup query
 against loaded knowledge (with the trigger's bindings substituted) and
 filling a JSON response template, turning e.g. a derived fever state into
@@ -55,7 +58,7 @@ from .model import Triple, TripleParseError, compact_term, serialize_term
 from .mqtt import MqttClient
 from .query import Query, UnsafeQuery, evaluate_query, parse_query
 from .rules import RuleSafetyError, parse_pattern, parse_rulepack
-from .store import Store, TriplePattern, unify
+from .store import Store, TriplePattern
 
 log = logging.getLogger(__name__)
 
@@ -120,7 +123,8 @@ def _fill_template(node: object, scalars: dict[str, str], arrays: dict[str, list
 class SubscriptionManager:
     """Pattern-triggered envelope deliveries, at most once per (sub, fact)."""
 
-    def __init__(self, egress: Egress):
+    def __init__(self, store: Store, egress: Egress):
+        self.store = store
         self.egress = egress
         self._lock = threading.Lock()
         self._subs: dict[str, Subscription] = {}
@@ -139,7 +143,7 @@ class SubscriptionManager:
                 sub
                 for sub in self._subs.values()
                 if (sub.id, fact) not in self._delivered
-                and unify(sub.pattern, fact) is not None
+                and self.store.match(sub.pattern, among=(fact,))
             ]
             for sub in due:
                 self._delivered.add((sub.id, fact))
@@ -199,9 +203,10 @@ class CompositionManager:
             pipelines = list(self._pipelines.values())
         fired = 0
         for pipe in pipelines:
-            bindings = unify(pipe.trigger, fact)
-            if bindings is None:
+            matched = self.store.match(pipe.trigger, among=(fact,))
+            if not matched:
                 continue
+            bindings = matched[0].bindings
             table = evaluate_query(pipe.lookup, self.store, bindings=bindings)
             scalars = {name: compact_term(term) for name, term in bindings.items()}
             arrays: dict[str, list[str]] = {}
@@ -262,6 +267,14 @@ _ERROR_STATUS: list[tuple[type, int]] = [
     (InvalidSubscription, 400),
     (ValueError, 400),
 ]
+
+
+#: error_body's HTTP statuses as CoAP response codes; a 500 is re-raised
+_COAP_STATUS = {
+    404: coap_proto.NOT_FOUND,
+    422: coap_proto.UNPROCESSABLE,
+    400: coap_proto.BAD_REQUEST,
+}
 
 
 def error_body(exc: Exception) -> tuple[int, dict]:
@@ -442,7 +455,7 @@ class Runtime:
         self.annotator = Annotator(self.registry)
         self.egress = Egress()
         self.gateway = Gateway(self.store, self.annotator, self.egress)
-        self.subscriptions = SubscriptionManager(self.egress)
+        self.subscriptions = SubscriptionManager(self.store, self.egress)
         self.compositions = CompositionManager(self.store, self.egress)
         self.gateway.add_derived_hook(self.subscriptions.on_derived)
         self.gateway.add_derived_hook(self.compositions.on_derived)
@@ -550,23 +563,17 @@ class Runtime:
             message = InboundMessage("coap", "/ingest", payload, now_ms())
             reading = decode_reading(payload, "json", received_at=message.received_at)
             receipt = self.gateway.ingest(reading)
-        except UnregisteredDevice as exc:
-            return coap_proto.NOT_FOUND, _coap_error(exc)
-        except (UnknownUnit, UnsupportedConversion) as exc:
-            return coap_proto.UNPROCESSABLE, _coap_error(exc)
-        except (DecodeError, ValueError) as exc:
-            return coap_proto.BAD_REQUEST, _coap_error(exc)
+        except Exception as exc:
+            status, body = error_body(exc)
+            if status not in _COAP_STATUS:
+                raise
+            return _COAP_STATUS[status], json.dumps(body).encode("utf-8")
         return coap_proto.CREATED, json.dumps(receipt.to_json()).encode("utf-8")
 
     def _bridge_derived_to_mqtt(self, fact: Triple, ctx: DerivedContext) -> int:
         domains = self.gateway.domains_for_rule(ctx.rule_id) or ("default",)
         self.egress.deliver(MqttTopic(f"derived/{domains[0]}"), fact_envelope(fact, ctx))
         return 0  # protocol bridging, not a subscription notification
-
-
-def _coap_error(exc: Exception) -> bytes:
-    _, body = error_body(exc)
-    return json.dumps(body).encode("utf-8")
 
 
 def _read_file(base: Path, name: str) -> str:

@@ -11,8 +11,12 @@ a value the caller's bindings give its variable, or a free variable.  A
 probe scans the smallest subject, predicate or object bucket its bound
 positions key and checks each candidate only on the positions that bucket
 leaves open; every bucket keeps insertion order, so the rows come in the
-same order whichever bucket is scanned.  Store.join, the one join behind
-rules and queries, makes one probe per binding per pattern.
+same order whichever bucket is scanned.  Given among (stored triples such
+as a chaining round's delta or one derived fact), a probe scans those
+instead and checks every bound position.  match is the only pattern
+matcher: Store.join, the one join behind rules and queries, makes one
+probe per binding per pattern, and delta seeding, subscriptions and
+composition triggers probe with among, so all of them see aliases alike.
 
 Concurrency: single writer, any number of readers.  A re-entrant lock
 guards every operation, so each call reads one snapshot: a join (every
@@ -125,44 +129,6 @@ class TriplePattern:
 class MatchResult(NamedTuple):
     triple: Triple
     bindings: dict[str, Term]
-
-
-def unify(
-    pattern: TriplePattern,
-    triple: Triple,
-    bindings: dict[str, Term] | None = None,
-) -> dict[str, Term] | None:
-    """Bindings extending `bindings` that make pattern equal triple, or None."""
-    out = dict(bindings) if bindings else {}
-    for pat, term in zip(pattern.positions(), (triple.subject, triple.predicate, triple.object)):
-        if isinstance(pat, Variable):
-            bound = out.get(pat.name)
-            if bound is None:
-                out[pat.name] = term
-            elif bound != term:
-                return None
-        elif pat != term:
-            return None
-    return out
-
-
-def substitute(pattern: TriplePattern, bindings: dict[str, Term]) -> TriplePattern:
-    """Replace bound variables with their terms; unbound variables stay."""
-
-    def sub(p: PatternTerm) -> PatternTerm:
-        if isinstance(p, Variable) and p.name in bindings:
-            return bindings[p.name]
-        return p
-
-    return TriplePattern(sub(pattern.subject), sub(pattern.predicate), sub(pattern.object))
-
-
-def pattern_to_triple(pattern: TriplePattern) -> Triple:
-    """A fully concrete pattern as a triple; raises if a variable remains."""
-    s, p, o = pattern.positions()
-    if isinstance(s, Variable) or isinstance(p, Variable) or isinstance(o, Variable):
-        raise InvalidPattern("pattern still contains variables")
-    return Triple(s, p, o)
 
 
 class Store:
@@ -338,24 +304,31 @@ class Store:
     # -- reads -------------------------------------------------------------
 
     def match(
-        self, pattern: TriplePattern, bindings: dict[str, Term] | None = None
+        self,
+        pattern: TriplePattern,
+        bindings: dict[str, Term] | None = None,
+        among: Collection[Triple] | None = None,
     ) -> list[MatchResult]:
         """Stored triples matching the pattern under bindings, with the
         bindings of the pattern's free variables.
 
-        One index probe.  Each position is a constant, a value bindings
-        gives its variable, or a free variable.  Constants and bound values
-        are alias-canonicalized first (mirroring insert), except on
-        equivalence-statement lookups which match the verbatim stored form;
-        a non-IRI bound into the predicate slot matches nothing.  The probe
-        scans the smallest index bucket among the bound positions, checks
-        each candidate only on the other bound positions, and binds the
-        free variables (a repeated one must meet the same term twice).
-        Every bucket keeps insertion order, so rows follow the insertion
-        order of the matching triples, whichever bucket is scanned.
+        The only pattern matcher: rules, queries, subscriptions and
+        composition triggers all match through it.  Each position is a
+        constant, a value bindings gives its variable, or a free variable.
+        Constants and bound values are alias-canonicalized first (mirroring
+        insert), except on equivalence-statement lookups which match the
+        verbatim stored form; a non-IRI bound into the predicate slot
+        matches nothing.  Without among, the probe scans the smallest index
+        bucket among the bound positions and checks each candidate only on
+        the other bound positions; every bucket keeps insertion order, so
+        rows follow the insertion order of the matching triples, whichever
+        bucket is scanned.  among (stored triples, e.g. a round's delta or
+        one derived fact) is scanned in its own order instead, each triple
+        checked on every bound position.  Either way the free variables are
+        bound, and a repeated one must meet the same term twice.
         """
         with self._lock:
-            bucket, fixed, free = self._probe(pattern, bindings)
+            bucket, fixed, free = self._probe(pattern, bindings, among)
             out: list[MatchResult] = []
             for t in bucket:
                 terms = (t.subject, t.predicate, t.object)
@@ -405,13 +378,18 @@ class Store:
         return bindings
 
     def _probe(
-        self, pattern: TriplePattern, bindings: dict[str, Term] | None
+        self,
+        pattern: TriplePattern,
+        bindings: dict[str, Term] | None,
+        among: Collection[Triple] | None = None,
     ) -> tuple[Collection[Triple], list[tuple[int, Term]], list[tuple[int, str]]]:
-        """The bucket a probe scans, the bound (position, term) pairs left to
-        check, and the free (position, name) pairs.
+        """The bucket a probe scans (among, when given), the bound
+        (position, term) pairs left to check, and the free (position, name)
+        pairs.
 
         A non-IRI bound into the predicate slot keys the predicate index,
-        which holds none, so that empty bucket is the smallest."""
+        which holds none, so that empty bucket is the smallest; under among
+        it fails the predicate check instead."""
         values: list[Term | None] = []
         free: list[tuple[int, str]] = []
         for i, p in enumerate(pattern.positions()):
@@ -423,12 +401,15 @@ class Store:
             values.append(term)
         if self._alias_parent and values[1] != M3_EQUIVALENT_TO:
             values = [v if v is None else self.resolve_alias(v) for v in values]
-        bucket: Collection[Triple] = self._triples
         key = -1
-        for i, index in enumerate((self._by_subject, self._by_predicate, self._by_object)):
-            if values[i] is not None:
-                candidates = index.get(values[i], {})
-                if key < 0 or len(candidates) < len(bucket):
-                    bucket, key = candidates, i
+        if among is not None:
+            bucket: Collection[Triple] = among
+        else:
+            bucket = self._triples
+            for i, index in enumerate((self._by_subject, self._by_predicate, self._by_object)):
+                if values[i] is not None:
+                    candidates = index.get(values[i], {})
+                    if key < 0 or len(candidates) < len(bucket):
+                        bucket, key = candidates, i
         fixed = [(i, v) for i, v in enumerate(values) if v is not None and i != key]
         return bucket, fixed, free

@@ -192,6 +192,17 @@ def test_coap_ingest_bad_payload(coap_runtime):
     assert code == coap.BAD_REQUEST
 
 
+def test_coap_ingest_unexpected_error_is_5xx(coap_runtime, monkeypatch):
+    # an error the HTTP table calls 500 is re-raised, and the server answers 5.00
+    def boom(reading):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(coap_runtime.gateway, "ingest", boom)
+    port = coap_runtime.coap_server.port
+    code, _ = coap.request("127.0.0.1", port, coap.POST, ["ingest"], reading_payload(39.0, 1))
+    assert code == coap.INTERNAL_ERROR
+
+
 def test_coap_unknown_path(coap_runtime):
     port = coap_runtime.coap_server.port
     code, _ = coap.request("127.0.0.1", port, coap.POST, ["elsewhere"], b"{}")

@@ -30,7 +30,6 @@ from knotgate.model import (
     Literal,
     Triple,
     make_iri,
-    parse_triples,
     serialize_triples,
 )
 from knotgate.rules import parse_rulepack
@@ -360,20 +359,6 @@ def test_stats_expose_guard_type_errors():
 # -- egress -------------------------------------------------------------------
 
 
-def test_webhook_delivery_success(capture_server, fever_pack_text):
-    gateway = make_gateway([parse_rulepack(fever_pack_text)])
-    gateway.ingest(decode_reading(JSON_READING, "json"))
-    fever = Triple(Iri("urn:obs:thermo1:1"), make_iri("m3:indicates"), make_iri("m3:Fever"))
-    record = gateway.bridge_publish(fever, Webhook(capture_server.url))
-    assert record.ok and record.attempts == 1
-    [envelope] = capture_server.requests
-    assert set(envelope) == {"triple", "rule_id", "observation_iri", "timestamp"}
-    assert parse_triples(envelope["triple"] + "\n") == [fever]
-    assert envelope["rule_id"] == "fever"
-    assert envelope["observation_iri"] == "urn:obs:thermo1:1"
-    gateway.shutdown()
-
-
 def test_webhook_500_exhausts_retry_budget(capture_server):
     capture_server.fail_times = 5
     egress = Egress(spacing_s=0.01)
@@ -396,14 +381,6 @@ def test_mqtt_target_without_client_fails_cleanly():
     record = egress.deliver(MqttTopic("derived/health"), b"{}")
     assert not record.ok
     assert record.attempts == 0
-
-
-def test_bridge_publish_requires_stored_fact(fever_pack_text):
-    gateway = make_gateway([parse_rulepack(fever_pack_text)])
-    ghost = Triple(Iri("urn:obs:x:1"), make_iri("m3:indicates"), make_iri("m3:Fever"))
-    with pytest.raises(ValueError):
-        gateway.bridge_publish(ghost, Webhook("http://127.0.0.1:1/hook"))
-    gateway.shutdown()
 
 
 def test_egress_target_validation():

@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from knotgate.lexer import GrammarError, tokenize
 from knotgate.model import (
     Blank,
     InvalidTerm,
@@ -149,6 +150,17 @@ def test_parse_literal_escapes():
     doc = '<urn:a:1> <urn:p:1> "a\\"b\\\\c\\nd"^^<http://www.w3.org/2001/XMLSchema#string> .'
     [t] = parse_triples(doc)
     assert t.object == Literal('a"b\\c\nd', XSD_STRING)
+
+
+def test_rule_lexer_unescapes_like_line_format():
+    for esc in '\\"nrt':
+        [t] = parse_triples(f'<urn:a:1> <urn:p:1> "x\\{esc}y"^^<{XSD_STRING}> .')
+        [token, _] = tokenize(f'"x\\{esc}y"')
+        assert token.kind == "STRING" and token.text == t.object.lexical
+    with pytest.raises(GrammarError, match=r"unknown escape \\q"):
+        tokenize('"x\\qy"')
+    with pytest.raises(GrammarError, match="dangling escape"):
+        tokenize('"x\\')
 
 
 def test_round_trip_200_random_graphs():

@@ -250,8 +250,10 @@ def test_subscription_delivers_once_per_fact(base_url, runtime, capture_server):
     r1 = requests.post(f"{base_url}/api/v1/observations", json=ingest_body(39.0))
     assert r1.json()["notifications_queued"] == 1
     [envelope] = capture_server.requests
+    assert set(envelope) == {"triple", "rule_id", "observation_iri", "timestamp"}
     assert parse_triples(envelope["triple"] + "\n")[0].object == make_iri("m3:Fever")
     assert envelope["rule_id"] == "fever"
+    assert envelope["observation_iri"] == "urn:obs:thermo1:1"
     assert envelope["timestamp"] == 1700000000000
 
 
@@ -300,6 +302,42 @@ def test_subscription_on_asserted_facts_never_fires(runtime, capture_server):
     receipt = runtime.gateway.ingest(RawReading("thermo1", "temperature", 36.0, "cel", 1))
     assert receipt.notifications_queued == 0
     assert capture_server.requests == []
+
+
+def test_subscription_and_composition_match_through_aliases(capture_server, fixtures_dir):
+    cfg, base = load_config(fixtures_dir / "gateway.toml")
+    cfg.load.rulepacks = ["rules/fever.rules"]
+    cfg.load.packs = []
+    rt = Runtime.from_config(cfg, base)
+    try:
+        # the alias comes first, so the remedies are stored under m3:AFever
+        rt.gateway.load_knowledge_pack(
+            "<urn:knotgate:m3#Fever> <urn:knotgate:m3#equivalentTo> <urn:knotgate:m3#AFever> .\n",
+            "aliases",
+        )
+        rt.gateway.load_knowledge_pack((fixtures_dir / "packs" / "remedies.nt").read_text(), "remedies")
+        trigger = parse_pattern("?o m3:indicates m3:Fever")
+        rt.subscriptions.register(trigger, Webhook(capture_server.url))
+        rt.compositions.register(
+            trigger,
+            "SELECT ?r WHERE { m3:Fever m3:hasRemedy ?r }",
+            {"observation": "{o}", "suggestions": "{r}"},
+            Webhook(capture_server.url),
+        )
+        receipt = rt.gateway.ingest(RawReading("thermo1", "temperature", 39.5, "cel", 1))
+        assert receipt.notifications_queued == 2
+        [envelope] = [r for r in capture_server.requests if "triple" in r]
+        # delivered in stored form, under the class's canonical IRI
+        assert parse_triples(envelope["triple"] + "\n") == [
+            Triple(Iri("urn:obs:thermo1:1"), make_iri("m3:indicates"), make_iri("m3:AFever"))
+        ]
+        [payload] = [r for r in capture_server.requests if "suggestions" in r]
+        assert payload == {
+            "observation": "urn:obs:thermo1:1",
+            "suggestions": ["m3:ColdCompress", "m3:GingerTea", "m3:Hydration"],
+        }
+    finally:
+        rt.stop()
 
 
 # -- compositions ------------------------------------------------------------------

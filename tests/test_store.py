@@ -13,7 +13,6 @@ from knotgate.store import (
     Store,
     TriplePattern,
     Variable,
-    unify,
 )
 
 from generators import Vocab, rand_query, rand_triple
@@ -339,12 +338,13 @@ def test_concurrent_readers_see_consistent_snapshots():
         assert store.match(TriplePattern(t.subject, t.predicate, t.object))
 
 
-def test_unify_repeated_variable():
+def test_match_repeated_variable():
+    store = Store()
     pattern = TriplePattern(Variable("x"), P, Variable("x"))
     same = Triple(Iri("urn:a:1"), P, Iri("urn:a:1"))
     different = Triple(Iri("urn:a:1"), P, Iri("urn:a:2"))
-    assert unify(pattern, same) == {"x": Iri("urn:a:1")}
-    assert unify(pattern, different) is None
+    assert store.match(pattern, among=[same]) == [(same, {"x": Iri("urn:a:1")})]
+    assert store.match(pattern, among=[different]) == []
 
 
 def _row_key(row) -> tuple[str, ...]:
@@ -442,14 +442,18 @@ def test_match_probe_matches_linear_scan_oracle(seed):
         bindings = {name: rng.choice(terms) for name in rng.sample("xyzw", rng.randint(0, 4))}
         got = store.match(pattern, bindings)
         count = store.candidate_count(pattern, bindings)
+        # among scans a random subset, in its own order, in place of a bucket
+        subset = rng.sample(stored, rng.randint(0, len(stored)))
+        got_among = store.match(pattern, bindings, among=subset)
         values = [bindings.get(p.name, p) if isinstance(p, Variable) else p for p in pattern.positions()]
         if not isinstance(values[1], (Iri, Variable)):
-            assert got == [] and count == 0
+            assert got == [] and count == 0 and got_among == []
             continue
         if values[1] != eq:  # equivalence lookups read the verbatim stored form
             values = [Iri(classes.get(v.value, v.value)) if isinstance(v, Iri) else v for v in values]
         expected = oracle_match(stored, TriplePattern(*values))
         assert [(r.triple, r.bindings) for r in got] == expected  # same rows, same order
+        assert [(r.triple, r.bindings) for r in got_among] == oracle_match(subset, TriplePattern(*values))
         buckets = [
             sum(1 for t in stored if (t.subject, t.predicate, t.object)[i] == v)
             for i, v in enumerate(values)
