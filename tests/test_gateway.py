@@ -21,6 +21,7 @@ from knotgate.gateway import (
     MqttTopic,
     Webhook,
     decode_reading,
+    fact_envelope,
     sniff_format,
     topic_to_route,
 )
@@ -30,6 +31,7 @@ from knotgate.model import (
     Literal,
     Triple,
     make_iri,
+    parse_triples,
     serialize_triples,
 )
 from knotgate.rules import parse_rulepack
@@ -357,6 +359,28 @@ def test_stats_expose_guard_type_errors():
 
 
 # -- egress -------------------------------------------------------------------
+
+
+def test_webhook_delivery_success(capture_server, fever_pack_text):
+    gateway = make_gateway([parse_rulepack(fever_pack_text)])
+    records = []
+    gateway.add_derived_hook(
+        lambda fact, ctx: records.append(gateway.egress.deliver(Webhook(capture_server.url), fact_envelope(fact, ctx)))
+        or 1
+    )
+    receipt = gateway.ingest(decode_reading(JSON_READING, "json"))
+    fever = Triple(Iri("urn:obs:thermo1:1"), make_iri("m3:indicates"), make_iri("m3:Fever"))
+    assert receipt.derived == [fever]
+    assert receipt.notifications_queued == 1
+    [record] = records
+    assert record.ok and record.attempts == 1
+    [envelope] = capture_server.requests
+    assert set(envelope) == {"triple", "rule_id", "observation_iri", "timestamp"}
+    assert parse_triples(envelope["triple"] + "\n") == [fever]
+    assert envelope["rule_id"] == "fever"
+    assert envelope["observation_iri"] == "urn:obs:thermo1:1"
+    assert envelope["timestamp"] == 1700000000000
+    gateway.shutdown()
 
 
 def test_webhook_500_exhausts_retry_budget(capture_server):
