@@ -13,8 +13,8 @@ semi-naive (Bancilhon & Ramakrishnan 1986): given the triples the previous
 round committed (its delta), a round forms only the rule instances with at
 least one body atom matching a delta triple, because every other instance
 already fired in an earlier round.  A whole-store round stands in wherever
-that shortcut is not exact: when the caller gives no delta, and whenever
-IRI aliases can take part (see forward_chain).  Either way round i commits
+that shortcut is not exact: when the caller gives no delta, and when the
+alias map can change (see forward_chain).  Either way round i commits
 exactly the facts a plain whole-store round i would, so round counts stay
 independent of rule order and the engine stays easy to check against a
 brute-force closure.
@@ -258,8 +258,9 @@ def _join_delta(rule: Rule, store: Store, delta: AbstractSet[Triple]) -> list[di
     out: list[dict] = []
     for k, atom in enumerate(rule.body):
         # an atom with a constant predicate can only match delta triples of
-        # that predicate (delta rounds run only on alias-free stores)
-        tries = delta if isinstance(atom.predicate, Variable) else by_predicate.get(atom.predicate)
+        # that predicate's canonical form
+        key = store.resolve_alias(atom.predicate)
+        tries = delta if isinstance(key, Variable) else by_predicate.get(key)
         seeds = [b for _, b in store.match(atom, among=tries)] if tries else []
         if seeds:
             # atoms before k match only non-delta triples, so each binding is
@@ -273,8 +274,8 @@ def evaluate_rule(rule: Rule, store: Store, delta: AbstractSet[Triple] | None = 
     """Ground head instantiations for every body match passing all guards.
 
     With a delta (stored triples), only body matches that use at least one
-    delta triple count; the other atoms match anywhere in the store.  The
-    store must hold no alias class (see forward_chain) for that to be exact.
+    delta triple count; the other atoms match anywhere in the store.  That
+    is exact while the alias map is as it was when the delta was stored.
 
     Guards compare exact numeric values, so lexical form is irrelevant
     ("38.0" equals "38").  A guard variable bound to a non-numeric term
@@ -325,25 +326,25 @@ def forward_chain(
     then forms only rule instances that use one of them.  delta=None makes
     the first round evaluate the whole store, which is exact for any store.
     Each later round's delta is what the round before committed.  A round
-    also evaluates the whole store whenever the store holds an alias class
-    or some rule's head predicate is m3:equivalentTo or a variable:
-    canonicalization then depends on atom order and on unions made
-    mid-round, which a delta round would not reproduce.  (An equivalence
-    statement in the delta either makes the store hold an alias class or
-    is trivial and changes no canonical form.)
+    also evaluates the whole store when its delta holds an equivalence
+    statement, or when some rule's head predicate is m3:equivalentTo or a
+    variable: only then can the alias map change mid-chain, renaming
+    triples outside the delta.  With the map fixed the store serves every
+    triple in canonical form, so delta rounds stay exact with aliases.
 
     Every rule is evaluated against the store as of the start of the round;
     the round's conclusions are committed together afterwards, in rule
     order and sorted within a rule.  per_rule counts the triples each rule
     newly added (first producer wins when two rules derive the same triple
     in one round); every rule id appears in the map.  committed lists the
-    added triples in commit order, in stored form.  rounds includes the
-    final empty round, so rounds <= derived + 1.  guard_type_errors counts
-    each guard-skipped binding once, in the round where it first forms: a
-    delta round sees only bindings that use a delta triple, a whole-store
-    round every binding in the store.  whole_store tells whether the first
-    round was one; rules that derive equivalence statements make every
-    round one, so a chain whose first round used a delta used one in all.
+    added triples in commit order, as served when committed.  rounds
+    includes the final empty round, so rounds <= derived + 1.
+    guard_type_errors counts each guard-skipped binding once, in the round
+    where it first forms: a delta round sees only bindings that use a delta
+    triple, a whole-store round every binding in the store.  whole_store
+    tells whether the first round was one; rules that derive equivalence
+    statements make every round one, so a chain whose first round used a
+    delta used one in all.
     """
     rules: list[Rule] = [r for pack in packs for r in pack.rules]
     whole_store_only = any(
@@ -355,7 +356,7 @@ def forward_chain(
     skipped: set[tuple[int, frozenset]] = set()
     while True:
         stats.rounds += 1
-        if delta is not None and (whole_store_only or store.has_aliases()):
+        if delta is not None and (whole_store_only or any(t.predicate == M3_EQUIVALENT_TO for t in delta)):
             delta = None
         if stats.rounds == 1:
             stats.whole_store = delta is None

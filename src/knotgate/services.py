@@ -4,7 +4,7 @@ Subscriptions deliver an envelope for every newly inferred fact that
 matches their pattern, at most once per (subscription, fact).  Both
 subscriptions and composition triggers match through the store
 (Store.match over the one fact), so a pattern naming any IRI of an alias
-class matches the fact stored under the class's canonical IRI.
+class matches the fact served under the class's canonical IRI.
 Composition pipelines react to derived facts by running a lookup query
 against loaded knowledge (with the trigger's bindings substituted) and
 filling a JSON response template, turning e.g. a derived fever state into
@@ -62,6 +62,9 @@ from .store import Store, TriplePattern
 
 log = logging.getLogger(__name__)
 
+#: largest HTTP request body read; a larger Content-Length gets 413 unread
+MAX_BODY_BYTES = 16 * 1024 * 1024
+
 
 class TemplateError(ValueError):
     """A response template references an unresolvable placeholder."""
@@ -69,6 +72,10 @@ class TemplateError(ValueError):
 
 class InvalidSubscription(ValueError):
     """Subscription pattern needs at least one concrete position."""
+
+
+class BodyTooLarge(ValueError):
+    """The request's Content-Length exceeds MAX_BODY_BYTES."""
 
 
 @dataclass(frozen=True)
@@ -265,6 +272,7 @@ _ERROR_STATUS: list[tuple[type, int]] = [
     (InvalidRegistration, 400),
     (TemplateError, 400),
     (InvalidSubscription, 400),
+    (BodyTooLarge, 413),
     (ValueError, 400),
 ]
 
@@ -395,6 +403,10 @@ class _ApiHandler(BaseHTTPRequestHandler):
 
     def _read_body(self) -> bytes:
         length = int(self.headers.get("Content-Length", "0"))
+        if length < 0:
+            raise ValueError(f"negative Content-Length {length}")
+        if length > MAX_BODY_BYTES:
+            raise BodyTooLarge(f"Content-Length {length} exceeds {MAX_BODY_BYTES} bytes")
         return self.rfile.read(length)
 
     def _dispatch(self, method: str) -> None:

@@ -1,10 +1,12 @@
 """In-memory indexed triple store with provenance tags and IRI aliasing.
 
-Set semantics throughout: a triple is stored at most once and the first
-provenance wins, which makes replays idempotent.  IRI equivalences
-(predicate m3:equivalentTo) are folded into a union-find whose canonical
-representative is the lexicographically smallest IRI of the class; terms
-are canonicalized on the way in, so matching never chases aliases.
+Set semantics throughout: a triple is stated at most once and the first
+provenance wins, which makes replays idempotent.  The store keeps each
+stated triple verbatim and serves it in canonical form, every IRI replaced
+by the smallest IRI of its class under the equivalences that the stated
+m3:equivalentTo triples (served verbatim) define.  That view is a pure
+function of the stated triples, whatever their order, and every read
+serves it, so matching never chases aliases.
 
 Reads are index probes (Store.match): each pattern position is a constant,
 a value the caller's bindings give its variable, or a free variable.  A
@@ -126,6 +128,11 @@ class TriplePattern:
         return sum(1 for p in self.positions() if not isinstance(p, Variable))
 
 
+def _link(t: Triple) -> bool:
+    """Whether t is an equivalence statement between two IRIs."""
+    return t.predicate == M3_EQUIVALENT_TO and isinstance(t.subject, Iri) and isinstance(t.object, Iri)
+
+
 class MatchResult(NamedTuple):
     triple: Triple
     bindings: dict[str, Term]
@@ -134,11 +141,14 @@ class MatchResult(NamedTuple):
 class Store:
     def __init__(self) -> None:
         self._lock = threading.RLock()
+        #: every stated triple, verbatim and in statement order
+        self._stated: dict[Triple, Provenance] = {}
+        #: the served view of _stated, indexed below
         self._triples: dict[Triple, Provenance] = {}
-        self._by_subject: dict[Term, dict[Triple, None]] = {}
-        self._by_predicate: dict[Term, dict[Triple, None]] = {}
-        self._by_object: dict[Term, dict[Triple, None]] = {}
-        self._alias_parent: dict[Iri, Iri] = {}
+        #: the subject, predicate and object indexes: term -> its triples
+        self._indexes: tuple[dict[Term, dict[Triple, None]], ...] = ({}, {}, {})
+        #: aliased IRI -> the smallest IRI of its class
+        self._alias_root: dict[Term, Term] = {}
 
     def __len__(self) -> int:
         with self._lock:
@@ -164,142 +174,118 @@ class Store:
     # -- aliases -----------------------------------------------------------
 
     def resolve_alias(self, term: Term) -> Term:
-        """Canonical representative of the term's equivalence class.
-
-        Identity for non-IRIs and for IRIs with no recorded equivalence.
-        Idempotent by construction (the canonical element maps to itself).
-        """
-        if not isinstance(term, Iri):
-            return term
+        """The smallest IRI of the term's equivalence class; the term itself
+        for non-IRIs and for IRIs with no recorded equivalence."""
         with self._lock:
-            cur = term
-            while True:
-                parent = self._alias_parent.get(cur)
-                if parent is None or parent == cur:
-                    return cur
-                cur = parent
-
-    def has_aliases(self) -> bool:
-        """True iff some equivalence class holds two or more IRIs."""
-        with self._lock:
-            return bool(self._alias_parent)
+            return self._alias_root.get(term, term)
 
     def canonical(self, triple: Triple) -> Triple:
-        """The form insert stores the triple in under the current alias map."""
+        """The form the view serves the triple in under the current alias map."""
         with self._lock:
             return self._canonical_triple(triple)
 
-    def _union(self, a: Iri, b: Iri) -> None:
-        ra = self.resolve_alias(a)
-        rb = self.resolve_alias(b)
-        if ra == rb:
-            return
-        # smaller IRI becomes the root, so the root is always the class minimum
-        root, child = (ra, rb) if ra.value < rb.value else (rb, ra)
-        self._alias_parent[child] = root
-        # flatten both entry points onto the new root
-        for node in (a, b):
-            cur = node
-            while cur != root:
-                nxt = self._alias_parent.get(cur, root)
-                self._alias_parent[cur] = root
-                if nxt == cur:
-                    break
-                cur = nxt
+    def _relinks(self, t: Triple) -> bool:
+        """Whether stating t changes the alias map."""
+        return _link(t) and self.resolve_alias(t.subject) != self.resolve_alias(t.object)
 
-    def _rebuild_aliases(self) -> None:
-        self._alias_parent = {}
-        for triple in self._triples:
-            if triple.predicate == M3_EQUIVALENT_TO and isinstance(
-                triple.subject, Iri
-            ) and isinstance(triple.object, Iri):
-                self._union(triple.subject, triple.object)
+    def _rebuild(self) -> None:
+        """Recompute the alias map, the view and its indexes from _stated."""
+        parent: dict[Term, Term] = {}
+
+        def root(term: Term) -> Term:
+            while term in parent:
+                term = parent[term]
+            return term
+
+        for t in filter(_link, self._stated):
+            low, high = sorted((root(t.subject), root(t.object)), key=lambda iri: iri.value)
+            if low != high:
+                parent[high] = low
+        self._alias_root = {iri: root(iri) for iri in parent}
+        self._triples = {}
+        self._indexes = ({}, {}, {})
+        for t, prov in self._stated.items():
+            self._serve(t, prov)
+
+    def _serve(self, triple: Triple, prov: Provenance) -> bool:
+        """Add the triple's canonical form to the view unless it is there."""
+        t = self._canonical_triple(triple)
+        if t in self._triples:
+            return False
+        self._triples[t] = prov
+        for index, term in zip(self._indexes, (t.subject, t.predicate, t.object)):
+            index.setdefault(term, {})[t] = None
+        return True
 
     def _canonical_triple(self, triple: Triple) -> Triple:
-        # equivalence statements are stored verbatim so the alias map can be
-        # rebuilt from them after a retract
-        if triple.predicate == M3_EQUIVALENT_TO:
+        # equivalence statements are served verbatim: they define the map
+        if not self._alias_root or triple.predicate == M3_EQUIVALENT_TO:
             return triple
-        return Triple(
-            self.resolve_alias(triple.subject),
-            self.resolve_alias(triple.predicate),
-            self.resolve_alias(triple.object),
-        )
+        root = self._alias_root
+        s, p, o = triple.subject, triple.predicate, triple.object
+        return Triple(root.get(s, s), root.get(p, p), root.get(o, o))
 
     # -- mutation ----------------------------------------------------------
 
     def insert(self, triple: Triple, prov: Provenance) -> bool:
-        """Insert with set semantics; True iff the triple was absent.
+        """State the triple; True iff the view gained its canonical form.
 
-        Terms are alias-canonicalized on the way in.  Re-insertion keeps
-        the original provenance (first write wins).
+        First write wins, also among triples of one canonical form.  A
+        statement that changes the alias map rebuilds the view, in O(store
+        size): a rule that derives k new aliases in one round rebuilds k
+        times, which only whole-store rounds do (see rules.forward_chain).
         """
         with self._lock:
-            if (
-                triple.predicate == M3_EQUIVALENT_TO
-                and isinstance(triple.subject, Iri)
-                and isinstance(triple.object, Iri)
-            ):
-                self._union(triple.subject, triple.object)
-            t = self._canonical_triple(triple)
-            if t in self._triples:
+            if triple in self._stated:
                 return False
-            self._triples[t] = prov
-            self._by_subject.setdefault(t.subject, {})[t] = None
-            self._by_predicate.setdefault(t.predicate, {})[t] = None
-            self._by_object.setdefault(t.object, {})[t] = None
-            return True
+            self._stated[triple] = prov
+            if self._relinks(triple):
+                self._rebuild()
+                return True
+            return self._serve(triple, prov)
 
     def retract(self, selector: ProvenanceSelector) -> int:
-        """Remove all triples whose provenance matches; returns the count.
+        """Unstate all triples whose provenance matches; returns the count.
 
         The selector is a Provenance class (whole kind) or instance (exact).
-        The alias map is rebuilt if any equivalence statement was removed.
+        With aliases the view is rebuilt, so retracting an alias serves the
+        triples it renamed in their stated forms again.
         """
         if isinstance(selector, type):
             matches = lambda prov: isinstance(prov, selector)
         else:
             matches = lambda prov: prov == selector
         with self._lock:
-            victims = [t for t, p in self._triples.items() if matches(p)]
-            rebuild = False
+            victims = [t for t, p in self._stated.items() if matches(p)]
             for t in victims:
-                del self._triples[t]
-                self._unindex(self._by_subject, t.subject, t)
-                self._unindex(self._by_predicate, t.predicate, t)
-                self._unindex(self._by_object, t.object, t)
-                if t.predicate == M3_EQUIVALENT_TO:
-                    rebuild = True
-            if rebuild:
-                self._rebuild_aliases()
+                del self._stated[t]
+                if not self._alias_root:  # the view is the stated triples
+                    del self._triples[t]
+                    for index, term in zip(self._indexes, (t.subject, t.predicate, t.object)):
+                        del index[term][t]
+                        if not index[term]:
+                            del index[term]
+            if victims and self._alias_root:
+                self._rebuild()
             return len(victims)
 
-    @staticmethod
-    def _unindex(index: dict[Term, dict[Triple, None]], key: Term, t: Triple) -> None:
-        bucket = index.get(key)
-        if bucket is not None:
-            bucket.pop(t, None)
-            if not bucket:
-                del index[key]
-
     def load_pack(self, document: str, pack_id: str) -> int:
-        """Parse and insert a whole pack with Loaded provenance, all or nothing.
+        """Parse and state a whole pack with Loaded provenance, all or nothing.
 
-        Equivalence statements in the pack are applied to the alias map
-        before any triple is inserted, so the pack's own data is stored in
-        canonical form.  Returns the count of newly inserted triples.
+        Rebuilds the view at most once, however many aliases the pack holds.
+        Returns the count of newly stated triples.
         """
-        parsed = parse_triples(document)  # raises before anything is inserted
+        parsed = parse_triples(document)  # raises before anything is stated
         prov = Loaded(pack_id)
         with self._lock:
-            for t in parsed:
-                if (
-                    t.predicate == M3_EQUIVALENT_TO
-                    and isinstance(t.subject, Iri)
-                    and isinstance(t.object, Iri)
-                ):
-                    self._union(t.subject, t.object)
-            return sum(1 for t in parsed if self.insert(t, prov))
+            fresh = [t for t in dict.fromkeys(parsed) if t not in self._stated]
+            self._stated.update(dict.fromkeys(fresh, prov))
+            if any(self._relinks(t) for t in fresh):
+                self._rebuild()
+            else:
+                for t in fresh:
+                    self._serve(t, prov)
+            return len(fresh)
 
     # -- reads -------------------------------------------------------------
 
@@ -315,9 +301,9 @@ class Store:
         The only pattern matcher: rules, queries, subscriptions and
         composition triggers all match through it.  Each position is a
         constant, a value bindings gives its variable, or a free variable.
-        Constants and bound values are alias-canonicalized first (mirroring
-        insert), except on equivalence-statement lookups which match the
-        verbatim stored form; a non-IRI bound into the predicate slot
+        Constants and bound values are alias-canonicalized first (as the
+        view is), except on equivalence-statement lookups which match the
+        verbatim served form; a non-IRI bound into the predicate slot
         matches nothing.  Without among, the probe scans the smallest index
         bucket among the bound positions and checks each candidate only on
         the other bound positions; every bucket keeps insertion order, so
@@ -399,14 +385,14 @@ class Store:
                 if term is None:
                     free.append((i, p.name))
             values.append(term)
-        if self._alias_parent and values[1] != M3_EQUIVALENT_TO:
+        if self._alias_root and values[1] != M3_EQUIVALENT_TO:
             values = [v if v is None else self.resolve_alias(v) for v in values]
         key = -1
         if among is not None:
             bucket: Collection[Triple] = among
         else:
             bucket = self._triples
-            for i, index in enumerate((self._by_subject, self._by_predicate, self._by_object)):
+            for i, index in enumerate(self._indexes):
                 if values[i] is not None:
                     candidates = index.get(values[i], {})
                     if key < 0 or len(candidates) < len(bucket):

@@ -297,6 +297,37 @@ def test_knowledge_pack_loaded_during_a_chain_is_chained_next(
     gateway.shutdown()
 
 
+ALIAS = "<urn:knotgate:m3#Fever> <urn:knotgate:m3#equivalentTo> <urn:knotgate:m3#AFever> .\n"
+
+
+def test_ingest_on_an_alias_store_chains_by_delta(monkeypatch, fever_pack_text, remedies_pack_text):
+    chains = []
+    real = gateway_module.forward_chain
+
+    def recording(store, packs, delta=None):
+        chains.append(real(store, packs, delta))
+        return chains[-1]
+
+    monkeypatch.setattr(gateway_module, "forward_chain", recording)
+    derived = {}
+    for order in ("alias first", "alias last"):
+        gateway = make_gateway([parse_rulepack(fever_pack_text), parse_rulepack(SUGGEST_PACK)])
+        packs = [(ALIAS, "alias"), (remedies_pack_text, "remedies")]
+        for document, pack_id in packs if order == "alias first" else reversed(packs):
+            gateway.load_knowledge_pack(document, pack_id)
+        gateway.ingest(RawReading("thermo1", "temperature", 36.0, "cel", 1))  # chains the loads
+        del chains[:]
+        derived[order] = gateway.ingest(RawReading("thermo1", "temperature", 39.5, "cel", 2)).derived
+        assert [stats.whole_store for stats in chains] == [False]
+        gateway.shutdown()
+    obs = Iri("urn:obs:thermo1:2")
+    assert derived["alias last"] == derived["alias first"]
+    assert derived["alias first"] == [Triple(obs, make_iri("m3:indicates"), make_iri("m3:AFever"))] + [
+        Triple(obs, make_iri("m3:suggests"), make_iri(f"m3:{remedy}"))
+        for remedy in ("ColdCompress", "GingerTea", "Hydration")
+    ]
+
+
 def test_chain_during_a_knowledge_pack_load_leaves_it_to_be_chained(
     monkeypatch, fever_pack_text, remedies_pack_text
 ):

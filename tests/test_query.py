@@ -75,6 +75,30 @@ def test_remedy_fixture_rows(remedies_pack_text):
     ]
 
 
+ALIAS = "<urn:knotgate:m3#Fever> <urn:knotgate:m3#equivalentTo> <urn:knotgate:m3#AFever> .\n"
+
+
+def remedy_rows(store: Store) -> list:
+    return evaluate_query(parse_query("SELECT ?r WHERE { m3:Fever m3:hasRemedy ?r }"), store).rows
+
+
+def test_alias_stated_after_the_data_it_renames(remedies_pack_text):
+    store = Store()
+    store.load_pack(remedies_pack_text, "remedies")
+    store.load_pack(ALIAS, "alias")
+    assert len(remedy_rows(store)) == 3
+
+
+def test_alias_retract_serves_the_stated_forms_again(remedies_pack_text):
+    store = Store()
+    store.load_pack(ALIAS, "alias")
+    store.load_pack(remedies_pack_text, "remedies")
+    store.retract(Loaded("alias"))
+    assert len(remedy_rows(store)) == 3
+    has_remedy = TriplePattern(Variable("s"), make_iri("m3:hasRemedy"), Variable("r"))
+    assert {r.triple.subject for r in store.match(has_remedy)} == {make_iri("m3:Fever")}
+
+
 def test_join_on_shared_variable():
     store = Store()
     p1, p2 = Iri("urn:rel:a"), Iri("urn:rel:b")

@@ -1,3 +1,4 @@
+import socket
 import time
 
 import pytest
@@ -10,6 +11,7 @@ from knotgate.model import Iri, Triple, make_iri, parse_triples
 from knotgate.query import evaluate_query, parse_query
 from knotgate.rules import parse_pattern, parse_rulepack
 from knotgate.services import (
+    MAX_BODY_BYTES,
     InvalidSubscription,
     Runtime,
     Subscription,
@@ -69,6 +71,21 @@ def test_ingest_endpoint_unknown_unit(base_url):
     resp = requests.post(f"{base_url}/api/v1/observations", json=ingest_body(39.0, unit="parsec"))
     assert resp.status_code == 422
     assert resp.json()["error"] == "UnknownUnit"
+
+
+@pytest.mark.parametrize("length, status", [(-1, 400), (MAX_BODY_BYTES + 1, 413)])
+def test_bad_content_length_is_refused_unread(runtime, length, status):
+    # no body follows the headers: reading one would block until the timeout
+    with socket.create_connection(("127.0.0.1", runtime.http_port), timeout=2) as sock:
+        sock.sendall(
+            f"POST /api/v1/observations HTTP/1.1\r\nHost: x\r\nContent-Length: {length}\r\n\r\n".encode()
+        )
+        reply = b""
+        while b"\r\n" not in reply:
+            chunk = sock.recv(4096)
+            assert chunk, "connection closed without a reply"
+            reply += chunk
+    assert reply.split()[1] == str(status).encode()
 
 
 def test_ingest_endpoint_malformed_json(base_url):
@@ -310,7 +327,7 @@ def test_subscription_and_composition_match_through_aliases(capture_server, fixt
     cfg.load.packs = []
     rt = Runtime.from_config(cfg, base)
     try:
-        # the alias comes first, so the remedies are stored under m3:AFever
+        # the remedies are served under m3:AFever, whichever pack comes first
         rt.gateway.load_knowledge_pack(
             "<urn:knotgate:m3#Fever> <urn:knotgate:m3#equivalentTo> <urn:knotgate:m3#AFever> .\n",
             "aliases",
@@ -327,7 +344,7 @@ def test_subscription_and_composition_match_through_aliases(capture_server, fixt
         receipt = rt.gateway.ingest(RawReading("thermo1", "temperature", 39.5, "cel", 1))
         assert receipt.notifications_queued == 2
         [envelope] = [r for r in capture_server.requests if "triple" in r]
-        # delivered in stored form, under the class's canonical IRI
+        # delivered in served form, under the class's canonical IRI
         assert parse_triples(envelope["triple"] + "\n") == [
             Triple(Iri("urn:obs:thermo1:1"), make_iri("m3:indicates"), make_iri("m3:AFever"))
         ]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from knotgate.model import Blank, Iri, Literal, Triple, make_iri, serialize_term, serialize_triples
-from knotgate.query import Query
+from knotgate.query import Query, evaluate_query
 from knotgate.store import (
     Asserted,
     Inferred,
@@ -262,15 +262,13 @@ def test_insert_canonicalizes_terms():
     assert store.match(TriplePattern(Iri("urn:b:x"), Iri("urn:p:1"), Variable("o")))
 
 
-def test_has_aliases_and_canonical_form():
+def test_canonical_form():
     store = Store()
     eq = make_iri("m3:equivalentTo")
     t = triple("urn:b:x", "urn:p:1", "urn:o:1")
     store.insert(Triple(Iri("urn:a:x"), eq, Iri("urn:a:x")), Loaded("links"))
-    assert not store.has_aliases()  # a class of one IRI is trivial
-    assert store.canonical(t) == t
+    assert store.canonical(t) == t  # a class of one IRI is trivial
     store.insert(Triple(Iri("urn:b:x"), eq, Iri("urn:a:x")), Loaded("links"))
-    assert store.has_aliases()
     assert store.canonical(t) == triple("urn:a:x", "urn:p:1", "urn:o:1")
     link = Triple(Iri("urn:b:x"), eq, Iri("urn:c:x"))
     assert store.canonical(link) == link  # equivalence statements stay verbatim
@@ -291,6 +289,100 @@ def test_retract_pack_rebuilds_aliases():
     assert store.resolve_alias(Iri("urn:b:x")) == Iri("urn:a:x")
     store.retract(Loaded("links"))
     assert store.resolve_alias(Iri("urn:b:x")) == Iri("urn:b:x")
+
+
+def test_load_pack_rebuilds_the_view_at_most_once(monkeypatch):
+    store = Store()
+    rebuilds = []
+    real = store._rebuild
+
+    def counting() -> None:
+        rebuilds.append(len(store))
+        real()
+
+    monkeypatch.setattr(store, "_rebuild", counting)
+    eq = "<urn:knotgate:m3#equivalentTo>"
+    store.load_pack("".join(f"<urn:n:b{i}> <urn:p:1> <urn:o:1> .\n" for i in range(5)), "data")
+    store.load_pack("<urn:n:x> <urn:p:1> <urn:o:1> .\n", "extra")
+    store.retract(Loaded("extra"))
+    assert rebuilds == []  # without aliases each triple is served as stated
+    links = "".join(f"<urn:n:b{i}> {eq} <urn:n:a{i}> .\n" for i in range(5))
+    store.load_pack(links + links, "links")
+    assert len(rebuilds) == 1
+    served = store.match(TriplePattern(Variable("s"), Iri("urn:p:1"), Variable("o")))
+    assert [r.triple.subject for r in served] == [Iri(f"urn:n:a{i}") for i in range(5)]
+    store.load_pack(links + f"<urn:n:a0> {eq} <urn:n:a0> .\n", "again")  # no new class
+    assert len(rebuilds) == 1
+    store.insert(Triple(Iri("urn:n:b5"), make_iri("m3:equivalentTo"), Iri("urn:n:a5")), Loaded("one"))
+    assert len(rebuilds) == 2
+    store.retract(Loaded("data"))  # with aliases every retract rebuilds
+    assert len(rebuilds) == 3
+    store.retract(Loaded)
+    assert len(rebuilds) == 4 and len(store) == 0
+    store.retract(Loaded)  # nothing left to retract
+    assert len(rebuilds) == 4
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_served_view_is_independent_of_statement_order(seed):
+    # random interleavings of load_pack, insert, retract and equivalence
+    # statements; the model is the stated triples in statement order
+    rng = random.Random(seed)
+    vocab = Vocab(rng)
+    eq = make_iri("m3:equivalentTo")
+    nodes = vocab.subjects + [o for o in vocab.objects if isinstance(o, Iri)]
+    store = Store()
+    stated: dict[Triple, object] = {}
+
+    def link() -> Triple:
+        return Triple(rng.choice(nodes), eq, rng.choice(nodes))
+
+    for _ in range(rng.randint(1, 12)):
+        roll = rng.random()
+        if roll < 0.3:
+            pack_id = rng.choice(["p0", "p1"])
+            triples = vocab.graph(rng.randint(0, 8)) + [link() for _ in range(rng.randint(0, 2))]
+            rng.shuffle(triples)
+            store.load_pack(serialize_triples(triples), pack_id)
+            for t in triples:
+                stated.setdefault(t, Loaded(pack_id))
+        elif roll < 0.75:
+            t = link() if roll < 0.45 else vocab.triple()
+            prov = rng.choice([Asserted("urn:dev:x"), Loaded("p0"), Inferred("r1")])
+            store.insert(t, prov)
+            stated.setdefault(t, prov)
+        else:
+            selector = rng.choice([Loaded("p0"), Loaded("p1"), Asserted("urn:dev:x"), Inferred, Loaded])
+            store.retract(selector)
+            kind = selector if isinstance(selector, type) else None
+            stated = {t: p for t, p in stated.items() if not (isinstance(p, kind) if kind else p == selector)}
+        classes = oracle_alias_classes([(t.subject.value, t.object.value) for t in stated if t.predicate == eq])
+
+        def canon(term):
+            return Iri(classes.get(term.value, term.value)) if isinstance(term, Iri) else term
+
+        served: dict[Triple, object] = {}
+        for t, p in stated.items():  # equivalence statements stay verbatim
+            key = t if t.predicate == eq else Triple(canon(t.subject), canon(t.predicate), canon(t.object))
+            served.setdefault(key, p)
+        assert list(store.snapshot().items()) == list(served.items())
+        for _ in range(3):
+            query = rand_query(rng, vocab)
+            if any(isinstance(p.predicate, Variable) for p in query.patterns):
+                continue  # would bind the verbatim terms of equivalence statements
+            canonical = tuple(
+                TriplePattern(*(p if isinstance(p, Variable) else canon(p) for p in pattern.positions()))
+                for pattern in query.patterns
+            )
+            got = evaluate_query(Query(query.select, query.patterns, query.filters, None), store)
+            assert set(got.rows) == oracle_query(list(served), Query(query.select, canonical, query.filters, None))
+    shuffled = list(stated.items())
+    rng.shuffle(shuffled)
+    again = Store()
+    for t, p in shuffled:
+        again.insert(t, p)
+    assert set(again) == set(store)
 
 
 @given(st.sets(st.integers(min_value=0, max_value=30), max_size=30))
@@ -422,7 +514,7 @@ def test_match_probe_matches_linear_scan_oracle(seed):
         for _ in range(rng.randint(1, 4) if rng.random() < 0.5 else 0)
     ]
     store = Store()
-    for a, b in pairs:  # links first, so every later triple is stored canonical
+    for a, b in pairs:  # the view is canonical whether links come first or not
         store.insert(Triple(a, eq, b), Loaded("links"))
     for t in vocab.graph(rng.randint(0, 40)):
         store.insert(t, Loaded("seed"))
