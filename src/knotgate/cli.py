@@ -131,6 +131,9 @@ def cmd_serve(args: argparse.Namespace) -> int:
     except (ConfigError, GrammarError, TripleParseError, RuleSafetyError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # handle SIGTERM before announcing the listeners: a client may stop us at once
+    stop = threading.Event()
+    signal.signal(signal.SIGTERM, lambda *_: stop.set())
     try:
         runtime.start()
     except OSError as exc:
@@ -141,8 +144,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         print(f"http listening on {host}:{port}", flush=True)
     if runtime.coap_server is not None:
         print(f"coap listening on {runtime.coap_server.host}:{runtime.coap_server.port}", flush=True)
-    stop = threading.Event()
-    signal.signal(signal.SIGTERM, lambda *_: stop.set())
     try:
         stop.wait()
     except KeyboardInterrupt:

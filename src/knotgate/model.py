@@ -14,6 +14,7 @@ import re
 from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from functools import cached_property
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 XSD_NS = "http://www.w3.org/2001/XMLSchema#"
@@ -98,6 +99,13 @@ class Literal:
                 raise InvalidTerm(f"non-finite lexical {self.lexical!r}")
             if self.datatype == XSD_LONG and d != d.to_integral_value():
                 raise InvalidTerm(f"non-integral lexical {self.lexical!r} for long")
+
+    @cached_property
+    def number(self) -> Fraction | None:
+        """Exact value of a numeric literal, else None; computed on first use."""
+        if self.datatype in NUMERIC_DATATYPES:
+            return Fraction(Decimal(self.lexical))
+        return None
 
 
 @dataclass(frozen=True)
@@ -193,9 +201,7 @@ def make_numeric(value: float | int, datatype: str = XSD_DOUBLE) -> Literal:
 
 def numeric_value(term: Term) -> Fraction | None:
     """Exact numeric value of a numeric literal, None for everything else."""
-    if isinstance(term, Literal) and term.datatype in NUMERIC_DATATYPES:
-        return Fraction(Decimal(term.lexical))
-    return None
+    return term.number if isinstance(term, Literal) else None
 
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}

@@ -3,18 +3,20 @@
 Grammar: ``SELECT ?v+ WHERE { pattern (. pattern)* } (FILTER guard)* (LIMIT n)?``
 with the same term and guard lexemes as the rule grammar.  Evaluation is
 one Store.join over the patterns, cheapest index bucket first, so a query
-reads one store snapshot; rows are distinct and deterministically ordered
-by the serialized terms.
+reads one store snapshot; the finished bindings pass the guard filter rules
+use (rules.guard_filter).  Rows are distinct and deterministically ordered
+by the serialized terms; LIMIT n takes the n smallest from a heap, not a sort.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Mapping
 
 from .lexer import GrammarError, TokenCursor, read_pattern, tokenize
-from .model import Term, numeric_value, serialize_term
-from .rules import Guard, read_guard
+from .model import Term, serialize_term
+from .rules import Guard, guard_filter, read_guard
 from .store import Store, TriplePattern
 
 
@@ -121,25 +123,17 @@ def evaluate_query(
 ) -> ResultTable:
     """Distinct satisfying rows, sorted by serialized terms, then truncated.
 
-    Filters run after the join; a filter over a non-numeric binding
-    excludes that row.  `bindings` pre-binds variables before evaluation.
+    Filters run after the join, through the guard filter rules use
+    (rules.guard_filter); a filter over a non-numeric binding excludes
+    that row.  `bindings` pre-binds variables before evaluation.
     """
     seed: dict[str, Term] = dict(bindings) if bindings else {}
     patterns = list(query.patterns)
     # seed the join with the pattern whose index bucket is currently smallest
     costs = [store.candidate_count(p, seed) for p in patterns]
     patterns.insert(0, patterns.pop(costs.index(min(costs))))
-    rows: set[tuple[Term, ...]] = set()
-    for b in store.join(patterns, [seed]):
-        ok = True
-        for guard in query.filters:
-            value = numeric_value(b[guard.variable])
-            if value is None or not guard.holds(value):
-                ok = False
-                break
-        if ok:
-            rows.add(tuple(b[name] for name in query.select))
-    ordered = sorted(rows, key=_row_key)
-    if query.limit is not None:
-        ordered = ordered[: query.limit]
-    return ResultTable(tuple(query.select), ordered)
+    passed = guard_filter(query.filters, store.join(patterns, [seed]))
+    rows = {tuple(b[name] for name in query.select) for b in passed}
+    if query.limit is None:
+        return ResultTable(tuple(query.select), sorted(rows, key=_row_key))
+    return ResultTable(tuple(query.select), heapq.nsmallest(query.limit, rows, key=_row_key))

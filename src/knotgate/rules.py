@@ -26,7 +26,7 @@ import logging
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from typing import AbstractSet
+from typing import AbstractSet, Sequence
 
 from .lexer import GrammarError, TokenCursor, read_pattern, tokenize
 from .model import InvalidTriple, Term, Triple, numeric_value, serialize_term
@@ -270,6 +270,25 @@ def _join_delta(rule: Rule, store: Store, delta: AbstractSet[Triple]) -> list[di
     return out
 
 
+def guard_filter(guards: Sequence[Guard], bindings: list[dict], skips: set | None = None) -> list[dict]:
+    """The bindings passing every guard, for rules and queries alike; the
+    first failing guard drops a binding.  A guard on a non-numeric term
+    fails, and adds the binding's items to skips when given."""
+    if not guards:
+        return bindings
+    out = []
+    for b in bindings:
+        for guard in guards:
+            value = numeric_value(b[guard.variable])
+            if value is None or not guard.holds(value):
+                if value is None and skips is not None:
+                    skips.add(frozenset(b.items()))
+                break
+        else:
+            out.append(b)
+    return out
+
+
 def evaluate_rule(rule: Rule, store: Store, delta: AbstractSet[Triple] | None = None) -> RuleFire:
     """Ground head instantiations for every body match passing all guards.
 
@@ -282,26 +301,18 @@ def evaluate_rule(rule: Rule, store: Store, delta: AbstractSet[Triple] | None = 
     skips that one binding and records it in guard_skips.  A head
     instantiation that cannot form a triple (a literal in the subject or
     predicate slot) is skipped.
+
+    Guards filter finished bindings (guard_filter), not the join step that
+    binds their variable: in every shipped rule, benchmark query and delta
+    seeding that is the last step producing rows, so pruning there saves
+    nothing, and guard_skips would count partial bindings, not whole ones.
     """
     fire = RuleFire(set())
     if delta is None:
         bindings = store.join(rule.body, [{}])
     else:
         bindings = _join_delta(rule, store, delta)
-    for binding in bindings:
-        ok = True
-        for guard in rule.guards:
-            value = numeric_value(binding[guard.variable])
-            if value is None:
-                fire.guard_skips.add(frozenset(binding.items()))
-                log.debug("rule %s: guard on non-numeric binding skipped", rule.id)
-                ok = False
-                break
-            if not guard.holds(value):
-                ok = False
-                break
-        if not ok:
-            continue
+    for binding in guard_filter(rule.guards, bindings, fire.guard_skips):
         for template in rule.head:
             # safety binds every head variable
             terms = [binding[p.name] if isinstance(p, Variable) else p for p in template.positions()]
@@ -337,7 +348,9 @@ def forward_chain(
     order and sorted within a rule.  per_rule counts the triples each rule
     newly added (first producer wins when two rules derive the same triple
     in one round); every rule id appears in the map.  committed lists the
-    added triples in commit order, as served when committed.  rounds
+    added triples in commit order, each once, as served when the chain
+    ends: an alias committed later renames triples committed before it, so
+    every entry is in the store.  rounds
     includes the final empty round, so rounds <= derived + 1.
     guard_type_errors counts each guard-skipped binding once, in the round
     where it first forms: a delta round sees only bindings that use a delta
@@ -374,6 +387,8 @@ def forward_chain(
             break
         stats.committed.extend(committed)
         delta = set(committed)
+    if whole_store_only:  # a later commit may have aliased an earlier one
+        stats.committed = list(dict.fromkeys(map(store.canonical, stats.committed)))
     stats.derived = len(stats.committed)
     stats.guard_type_errors = len(skipped)
     return stats

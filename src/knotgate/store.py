@@ -8,17 +8,17 @@ m3:equivalentTo triples (served verbatim) define.  That view is a pure
 function of the stated triples, whatever their order, and every read
 serves it, so matching never chases aliases.
 
-Reads are index probes (Store.match): each pattern position is a constant,
-a value the caller's bindings give its variable, or a free variable.  A
-probe scans the smallest subject, predicate or object bucket its bound
-positions key and checks each candidate only on the positions that bucket
-leaves open; every bucket keeps insertion order, so the rows come in the
-same order whichever bucket is scanned.  Given among (stored triples such
-as a chaining round's delta or one derived fact), a probe scans those
-instead and checks every bound position.  match is the only pattern
-matcher: Store.join, the one join behind rules and queries, makes one
-probe per binding per pattern, and delta seeding, subscriptions and
-composition triggers probe with among, so all of them see aliases alike.
+Reads are index probes, each a step compiled from a pattern (Store._step,
+the one probe routine): every position is a constant, a variable the
+bindings bind, or a free variable.  A step scans the smallest subject,
+predicate or object bucket its bound positions key and checks each
+candidate only on the positions that bucket leaves open; every bucket keeps
+insertion order, so the rows come in the same order whichever bucket is
+scanned.  Given among (stored triples such as a chaining round's delta or
+one derived fact), a step scans those instead.  Store.join, the one join of
+rules and queries, compiles each pattern once per step, not per binding.
+Store.match runs the same step on one binding, for delta seeding,
+subscriptions and composition triggers, so all see aliases alike.
 
 Concurrency: single writer, any number of readers.  A re-entrant lock
 guards every operation, so each call reads one snapshot: a join (every
@@ -29,9 +29,11 @@ between them.
 
 from __future__ import annotations
 
+import itertools
 import re
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 from typing import AbstractSet, Collection, Iterator, NamedTuple, Sequence, Union
 
 from .model import (
@@ -127,6 +129,11 @@ class TriplePattern:
     def concrete_count(self) -> int:
         return sum(1 for p in self.positions() if not isinstance(p, Variable))
 
+    @cached_property
+    def layout(self) -> tuple[tuple[int, str | None, PatternTerm], ...]:
+        """(position, variable name or None, term) per position, found once."""
+        return tuple((i, p.name if isinstance(p, Variable) else None, p) for i, p in enumerate(self.positions()))
+
 
 def _link(t: Triple) -> bool:
     """Whether t is an equivalence statement between two IRIs."""
@@ -136,6 +143,9 @@ def _link(t: Triple) -> bool:
 class MatchResult(NamedTuple):
     triple: Triple
     bindings: dict[str, Term]
+
+
+_NONE: dict[Triple, None] = {}
 
 
 class Store:
@@ -298,44 +308,24 @@ class Store:
         """Stored triples matching the pattern under bindings, with the
         bindings of the pattern's free variables.
 
-        The only pattern matcher: rules, queries, subscriptions and
-        composition triggers all match through it.  Each position is a
-        constant, a value bindings gives its variable, or a free variable.
+        The join's step (see the module docstring) run on one binding.
         Constants and bound values are alias-canonicalized first (as the
         view is), except on equivalence-statement lookups which match the
         verbatim served form; a non-IRI bound into the predicate slot
-        matches nothing.  Without among, the probe scans the smallest index
-        bucket among the bound positions and checks each candidate only on
-        the other bound positions; every bucket keeps insertion order, so
-        rows follow the insertion order of the matching triples, whichever
-        bucket is scanned.  among (stored triples, e.g. a round's delta or
-        one derived fact) is scanned in its own order instead, each triple
-        checked on every bound position.  Either way the free variables are
-        bound, and a repeated one must meet the same term twice.
+        matches nothing.  Rows follow the insertion order of the matching
+        triples, or among's own order when among is given.  A repeated
+        free variable must meet the same term twice.
         """
         with self._lock:
-            bucket, fixed, free = self._probe(pattern, bindings, among)
-            out: list[MatchResult] = []
-            for t in bucket:
-                terms = (t.subject, t.predicate, t.object)
-                for i, term in fixed:
-                    if terms[i] is not term and terms[i] != term:
-                        break
-                else:
-                    b: dict[str, Term] = {}
-                    for i, name in free:
-                        if b.setdefault(name, terms[i]) != terms[i]:
-                            break
-                    else:
-                        out.append(MatchResult(t, b))
-            return out
+            step = self._step(pattern, bindings or {}, among)
+            return [MatchResult(t, b) for t, b in self._scan(step, {})]
 
     def candidate_count(
         self, pattern: TriplePattern, bindings: dict[str, Term] | None = None
     ) -> int:
         """Size of the index bucket match scans: an upper bound on its rows."""
         with self._lock:
-            return len(self._probe(pattern, bindings)[0])
+            return len(self._step(pattern, bindings or {})[0])
 
     def join(
         self,
@@ -346,56 +336,88 @@ class Store:
         """Extend each seed binding through the patterns, in the order given.
 
         The whole join holds the lock, so every binding it returns reads
-        the same store state.  Each binding makes one match probe per
-        pattern, so a binding that puts a literal in the predicate slot
-        matches nothing; triples in exclude are skipped.
+        the same store state.  Seeds that bind different variables extend
+        in runs that bind the same ones, so the bindings entering a step all
+        bind alike and the step compiles once for them.  A binding that
+        puts a literal in the predicate slot matches nothing; triples in
+        exclude are skipped.
         """
         bindings = seeds
         with self._lock:
+            if len(seeds) > 1 and any(s.keys() != seeds[0].keys() for s in seeds):
+                groups = (list(g) for _, g in itertools.groupby(seeds, dict.keys))
+                return [b for g in groups for b in self.join(patterns, g, exclude)]
             for pattern in patterns:
                 if not bindings:
                     break
+                step = self._step(pattern, bindings[0], None, len(bindings) > 1)
                 extended: list[dict[str, Term]] = []
                 for b in bindings:
-                    for t, mb in self.match(pattern, b):
+                    for t, row in self._scan(step or self._step(pattern, b), b):
                         if exclude is None or t not in exclude:
-                            extended.append({**b, **mb})
+                            extended.append(row)
                 bindings = extended
         return bindings
 
-    def _probe(
-        self,
-        pattern: TriplePattern,
-        bindings: dict[str, Term] | None,
-        among: Collection[Triple] | None = None,
-    ) -> tuple[Collection[Triple], list[tuple[int, Term]], list[tuple[int, str]]]:
-        """The bucket a probe scans (among, when given), the bound
-        (position, term) pairs left to check, and the free (position, name)
-        pairs.
+    def _step(self, pattern: TriplePattern, b: dict[str, Term],
+              among: Collection[Triple] | None = None, shared: bool = False) -> tuple | None:
+        """Compile the pattern for bindings that bind what b binds: (bucket, its
+        key position or -1, constants, those left to check, slots, free name
+        -> position, repeated free positions, whether slots canonicalize).
+        Only a shared step keeps b's variables as slots; with aliases, one whose
+        predicate is a slot cannot tell equivalence lookups apart: None."""
+        consts, slots, free, repeats = [], [], {}, []
+        for i, name, p in pattern.layout:
+            if name is not None:
+                if name not in b:
+                    if name in free:
+                        repeats.append((free[name], i))
+                    free.setdefault(name, i)
+                    continue
+                if shared:
+                    slots.append((i, name))
+                    continue
+                p = b[name]
+            consts.append((i, p))
+        root = self._alias_root
+        canon = bool(root) and (1, M3_EQUIVALENT_TO) not in consts
+        if canon:
+            if any(i == 1 for i, _ in slots):
+                return None
+            consts = [(i, root.get(t, t)) for i, t in consts]
+        bucket: Collection[Triple] = self._triples if among is None else among
+        key = k = -1
+        for n, (i, t) in enumerate(consts if among is None else ()):
+            candidates = self._indexes[i].get(t, _NONE)
+            if key < 0 or len(candidates) < len(bucket):
+                bucket, key, k = candidates, i, n
+        checks = consts[:k] + consts[k + 1:] if k >= 0 else consts
+        return bucket, key, consts, checks, slots, free, repeats, canon
 
-        A non-IRI bound into the predicate slot keys the predicate index,
-        which holds none, so that empty bucket is the smallest; under among
-        it fails the predicate check instead."""
-        values: list[Term | None] = []
-        free: list[tuple[int, str]] = []
-        for i, p in enumerate(pattern.positions()):
-            term = p
-            if isinstance(p, Variable):
-                term = bindings.get(p.name) if bindings else None
-                if term is None:
-                    free.append((i, p.name))
-            values.append(term)
-        if self._alias_root and values[1] != M3_EQUIVALENT_TO:
-            values = [v if v is None else self.resolve_alias(v) for v in values]
-        key = -1
-        if among is not None:
-            bucket: Collection[Triple] = among
-        else:
-            bucket = self._triples
-            for i, index in enumerate(self._indexes):
-                if values[i] is not None:
-                    candidates = index.get(values[i], {})
-                    if key < 0 or len(candidates) < len(bucket):
-                        bucket, key = candidates, i
-        fixed = [(i, v) for i, v in enumerate(values) if v is not None and i != key]
-        return bucket, fixed, free
+    def _scan(self, step: tuple, b: dict[str, Term]) -> list[tuple[Triple, dict[str, Term]]]:
+        """Each triple the step matches under b, with a copy of b binding its
+        free variables; a shared step first reads and canonicalizes b's slot
+        values and lets them pick a smaller bucket."""
+        bucket, key, consts, checks, slots, free, repeats, canon = step
+        if slots:
+            root = self._alias_root
+            bound = [(i, root.get(b[n], b[n]) if canon else b[n]) for i, n in slots]
+            for i, t in bound:
+                candidates = self._indexes[i].get(t, _NONE)
+                if key < 0 or len(candidates) < len(bucket):
+                    bucket, key = candidates, i
+            checks = [c for c in consts + bound if c[0] != key]
+        out: list[tuple[Triple, dict[str, Term]]] = []
+        for t in bucket:
+            terms = (t.subject, t.predicate, t.object)
+            for i, term in checks:
+                if terms[i] is not term and terms[i] != term:
+                    break
+            else:
+                if repeats and any(terms[i] != terms[j] for i, j in repeats):
+                    continue
+                row = b.copy()
+                for name, i in free.items():
+                    row[name] = terms[i]
+                out.append((t, row))
+        return out

@@ -1,9 +1,11 @@
 import json
 import os
+import queue
 import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 import urllib.request
 from pathlib import Path
@@ -207,12 +209,33 @@ def child_env() -> dict[str, str]:
 
 
 def _wait_for_line(proc, needle: str, timeout: float = 10.0) -> str:
+    """The first line of the child's output that holds needle.
+
+    A reader thread hands the lines over, so the deadline holds while the
+    child prints nothing; output that ends fails at once with the child's
+    exit code.  Both failures show the lines read so far.
+    """
+    lines: queue.Queue[str] = queue.Queue()
+
+    def read() -> None:
+        for line in proc.stdout:
+            lines.put(line)
+        lines.put("")  # end of output
+
+    threading.Thread(target=read, daemon=True).start()
     deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        line = proc.stdout.readline()
+    seen: list[str] = []
+    while True:
+        try:
+            line = lines.get(timeout=max(deadline - time.monotonic(), 0))
+        except queue.Empty:
+            raise AssertionError(f"no {needle!r} within {timeout} s; output so far: {seen}") from None
+        if not line:
+            code = proc.wait(timeout=5)
+            raise AssertionError(f"output ended (exit code {code}) before {needle!r}: {seen}")
         if needle in line:
             return line
-    raise AssertionError(f"did not see {needle!r} in server output")
+        seen.append(line)
 
 
 def test_serve_minimal_config_answers_stats(tmp_path):

@@ -2,6 +2,7 @@ import random
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from knotgate.model import Iri, Literal, Triple, XSD_DOUBLE, XSD_STRING, make_iri, serialize_term
 from knotgate.query import (
@@ -14,7 +15,7 @@ from knotgate.query import (
 from knotgate.store import Asserted, Loaded, Store, TriplePattern, Variable
 
 from generators import Vocab, rand_query
-from oracles import oracle_query
+from oracles import oracle_alias_classes, oracle_query
 
 
 def test_parse_remedy_query():
@@ -166,6 +167,34 @@ def test_limit_is_prefix_of_sorted_result():
         assert limited.rows == full.rows[:k]
 
 
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), alias=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_limit_rows_are_the_sorted_oracle_rows_cut(seed, alias):
+    rng = random.Random(seed)
+    vocab = Vocab(rng)
+    store, _ = vocab.store(rng.randint(0, 60))
+    query = rand_query(rng, vocab)
+    classes: dict[str, str] = {}
+    if alias:
+        if any(isinstance(p.predicate, Variable) for p in query.patterns):
+            return  # would bind the verbatim terms of the equivalence statement
+        a, b = rng.sample(vocab.subjects, 2)
+        store.insert(Triple(a, make_iri("m3:equivalentTo"), b), Loaded("alias"))
+        classes = oracle_alias_classes([(a.value, b.value)])
+
+    def canon(term):
+        return Iri(classes.get(term.value, term.value)) if isinstance(term, Iri) else term
+
+    patterns = tuple(
+        TriplePattern(*(p if isinstance(p, Variable) else canon(p) for p in pattern.positions()))
+        for pattern in query.patterns
+    )
+    full = oracle_query(list(store), Query(query.select, patterns, query.filters, None))
+    k = rng.randint(1, 8)
+    got = evaluate_query(Query(query.select, query.patterns, query.filters, k), store)
+    assert got.rows == sorted(full, key=lambda row: tuple(serialize_term(t) for t in row))[:k]
+
+
 def test_rows_sorted_by_serialized_terms():
     rng = random.Random(19)
     vocab = Vocab(rng)
@@ -216,19 +245,20 @@ def test_query_reads_one_snapshot_while_writer_commits(monkeypatch):
         store.insert(Triple(o1, b, six), Asserted("urn:dev:1"))
 
     writer = threading.Thread(target=write)
-    original = Store.match
+    original = Store._scan
 
-    def match(self, pattern, bindings=None):
-        # the join's second step, the probe binding ?o to o1: let the writer
-        # commit between the two patterns
-        if bindings and bindings.get("o") == o1 and writer.ident is None:
+    def scan(self, step, b):
+        # the join's second step, run on the binding of ?o to o1: let the
+        # writer commit between the two patterns
+        if b.get("o") == o1 and writer.ident is None:
             writer.start()
             writer.join(timeout=0.2)
-        return original(self, pattern, bindings)
+        return original(self, step, b)
 
-    monkeypatch.setattr(Store, "match", match)
+    monkeypatch.setattr(Store, "_scan", scan)
     q = parse_query("SELECT ?o ?v WHERE { ?o <urn:t:a> <urn:t:X> . ?o <urn:t:b> ?v }")
     rows = evaluate_query(q, store).rows
+    assert writer.ident is not None  # the writer ran mid-join
     writer.join(timeout=5)
     assert not writer.is_alive()
     # the state before the writer ran, or the state after it: never a mix

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -9,11 +10,14 @@ from knotgate.model import (
     Literal,
     Triple,
     XSD_DOUBLE,
+    XSD_LONG,
     XSD_STRING,
     make_iri,
+    numeric_value,
     serialize_term,
 )
 from knotgate.rules import (
+    GUARD_OPS,
     ChainStats,
     Guard,
     Rule,
@@ -23,6 +27,7 @@ from knotgate.rules import (
     check_safety,
     evaluate_rule,
     forward_chain,
+    guard_filter,
     parse_pattern,
     parse_rulepack,
 )
@@ -37,7 +42,7 @@ from knotgate.store import (
 )
 
 from generators import Vocab, rand_rulepack, rand_safe_rule
-from oracles import oracle_alias_classes, oracle_closure, oracle_rule_fire
+from oracles import _guard_holds, oracle_alias_classes, oracle_closure, oracle_rule_fire
 
 CHAINED_PACK = """
 PACK slor-health DOMAIN health
@@ -236,6 +241,42 @@ def test_guard_on_non_numeric_binding_skips_and_counts(fever_pack_text):
     fire = evaluate_rule(rule, store)
     assert fire.triples == set()
     assert fire.guard_type_errors == 1
+
+
+_SIGNS = st.sampled_from(["", "-", "+"])
+#: numeric lexical forms: signs, long integers, trailing zeros, -0, exponents
+NUMERIC_LEXICALS = st.builds(
+    lambda sign, whole, frac, exp: sign + whole + frac + exp,
+    _SIGNS,
+    st.one_of(st.just("0"), st.integers(min_value=0, max_value=10**30).map(str)),
+    st.one_of(st.just(""), st.text("0123456789", min_size=1, max_size=8).map(lambda d: "." + d)),
+    st.one_of(
+        st.just(""),
+        st.builds(lambda e, sign, n: f"{e}{sign}{n}", st.sampled_from("eE"), _SIGNS, st.integers(0, 30)),
+    ),
+)
+
+
+@given(lexical=NUMERIC_LEXICALS, constant=NUMERIC_LEXICALS, op=st.sampled_from(GUARD_OPS))
+@settings(max_examples=300, deadline=None)
+def test_cached_number_and_guard_filter_match_the_oracle(lexical, constant, op):
+    exact = Fraction(Decimal(lexical))
+    literals = [Literal(lexical, XSD_DOUBLE)]
+    if exact.denominator == 1:
+        literals.append(Literal(lexical, XSD_LONG))
+    guard = Guard("v", op, Fraction(Decimal(constant)))
+    for lit in literals:
+        assert lit.number == exact
+        assert numeric_value(lit) is lit.number  # computed once, then read
+        passed = [{"v": lit}] if _guard_holds(guard, exact) else []
+        skips: set = set()
+        assert guard_filter([guard], [{"v": lit}], skips) == passed
+        assert skips == set()
+    text = Literal(lexical, XSD_STRING)
+    assert text.number is None
+    skips = set()
+    assert guard_filter([guard], [{"v": text}], skips) == []
+    assert skips == {frozenset({("v", text)})}
 
 
 def test_guard_type_error_counted_once_in_its_first_round():
@@ -443,6 +484,25 @@ def test_rule_deriving_an_alias_chains_whole_store_rounds():
     assert set(alias_first) == set(by_delta)
 
 
+def test_committed_names_served_triples_when_a_later_commit_aliases_them():
+    # "copy" commits (b q2 c) before "merge" commits (a = b) in the same
+    # round, so the store serves it as (a q2 c) once the round is in
+    a, b, c = Iri("urn:a"), Iri("urn:b"), Iri("urn:c")
+    q, q2, r = Iri("urn:q"), Iri("urn:q2"), Iri("urn:r")
+    x, y = Variable("x"), Variable("y")
+    pack = RulePack("p", (), (
+        Rule("copy", (TriplePattern(x, q, y),), (), (TriplePattern(x, q2, y),)),
+        Rule("merge", (TriplePattern(x, r, y),), (), (TriplePattern(x, M3_EQUIVALENT_TO, y),)),
+    ))
+    store = store_with([Triple(b, q, c), Triple(a, r, b)])
+    stats = forward_chain(store, [pack])
+    assert Triple(a, q2, c) in stats.committed
+    assert len(set(stats.committed)) == len(stats.committed) == stats.derived
+    for t in stats.committed:
+        assert t in store
+        assert store.provenance(t) == Inferred("merge" if t.predicate == M3_EQUIVALENT_TO else "copy")
+
+
 def test_alias_in_store_chains_by_delta():
     # the rule names <b>, which the store aliases to <a>, as an object or as
     # a predicate: the delta round canonicalizes the atom before comparing
@@ -485,6 +545,8 @@ def whole_store_rounds(store: Store, packs: list[RulePack]) -> ChainStats:
                 stats.committed.append(store.canonical(t))
                 committed += 1
         if not committed:
+            # as served once every commit is in: a later one may alias an earlier one
+            stats.committed = list(dict.fromkeys(map(store.canonical, stats.committed)))
             return stats
 
 

@@ -476,6 +476,18 @@ def test_join_matches_nested_loop_oracle(seed):
     )
 
 
+def test_join_step_with_a_bound_predicate_reads_equivalence_statements_verbatim():
+    # two bindings enter the second step, one binding ?p to m3:equivalentTo
+    # (a verbatim lookup of <b>) and one to <q> (a lookup of <b>'s class, <a>)
+    eq, sel = make_iri("m3:equivalentTo"), Iri("urn:p:sel")
+    a, b, c, q = Iri("urn:a"), Iri("urn:b"), Iri("urn:c"), Iri("urn:q")
+    store = Store()
+    for t in (Triple(b, eq, a), Triple(b, q, c), Triple(a, sel, eq), Triple(a, sel, q)):
+        store.insert(t, Loaded("seed"))
+    patterns = [TriplePattern(a, sel, Variable("p")), TriplePattern(b, Variable("p"), Variable("o"))]
+    assert store.join(patterns, [{}]) == [{"p": eq, "o": a}, {"p": q, "o": c}]
+
+
 def test_candidate_count_reads_the_bucket_match_scans():
     rng = random.Random(21)
     for _ in range(50):
