@@ -128,7 +128,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         cfg, base = load_config(path)
         runtime = Runtime.from_config(cfg, base)
-    except (ConfigError, GrammarError, TripleParseError, RuleSafetyError, ValueError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     # handle SIGTERM before announcing the listeners: a client may stop us at once
@@ -156,7 +156,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     started = time.monotonic()
     try:
         runtime = _build_runtime(args.config)
-    except (ConfigError, GrammarError, TripleParseError, RuleSafetyError, ValueError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -178,7 +178,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 def cmd_query(args: argparse.Namespace) -> int:
     try:
         runtime = _build_runtime(args.config)
-    except (ConfigError, GrammarError, TripleParseError, RuleSafetyError, ValueError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
@@ -227,7 +227,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
 def cmd_export(args: argparse.Namespace) -> int:
     try:
         runtime = _build_runtime(args.config)
-    except (ConfigError, GrammarError, TripleParseError, RuleSafetyError, ValueError) as exc:
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:

@@ -2,25 +2,37 @@
 
 Both grammars use the same term lexemes: ``<absolute-iri>``, ``prefix:name``
 (registered prefixes only), ``?var``, ``"lexical"^^datatype`` and bare
-numbers.  Positions are tracked as (line, column), 1-based.
+numbers.  tokenize is one master regex with a named group per token kind.
+Its IRI, blank-node, string and number groups are model's lexeme table,
+the one parse_triples is built from, so the two readers cannot disagree on
+a lexeme or an escape.  A blank node lexes but is no term of either
+grammar.  Positions are (line, column), 1-based.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 from .model import (
+    BLANK_LEXEME,
+    IRI_LEXEME,
+    NUMBER_LEXEME,
+    STRING_LEXEME,
+    BadEscape,
     Literal,
-    MalformedIri,
     PREFIXES,
     Term,
-    UNESCAPES,
     XSD_LONG,
     XSD_STRING,
     make_iri,
     make_numeric,
+    unescape,
 )
 from .store import PatternTerm, TriplePattern, Variable
+
+_T = TypeVar("_T")
 
 
 class GrammarError(ValueError):
@@ -35,170 +47,78 @@ class GrammarError(ValueError):
 
 @dataclass(frozen=True)
 class Token:
-    kind: str  # NAME PNAME IRI VAR NUMBER STRING HATHAT DOT COLON LBRACE RBRACE OP EOF
+    kind: str  # NAME PNAME IRI BLANK VAR NUMBER STRING HATHAT DOT COLON LBRACE RBRACE OP EOF
     text: str
     line: int
     col: int
 
 
-_OP_CHARS = {"<", ">", "=", "!"}
-_WORD_CHARS = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-:")
+_PUNCT = {"{": "LBRACE", "}": "RBRACE", ".": "DOT", ":": "COLON", "^^": "HATHAT"}
+
+#: the first alternative that matches wins; "<=" is an operator even where
+#: an IRI could start
+_TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
+    ("SKIP", r"\s+|\#[^\n]*"),
+    ("IRI", rf"(?!<=){IRI_LEXEME}"),
+    ("OP", r"[<>!]=|[<>=]"),
+    ("PUNCT", r"[{}.:]|\^\^"),
+    ("VAR", r"\?\w+"),
+    ("STRING", STRING_LEXEME),
+    # a number run on by an exponent without digits or a non-ASCII digit
+    ("BADNUMBER", rf"(?>{NUMBER_LEXEME})(?:[eE][+-]?|[^\W_A-Za-z]+)"),
+    ("NUMBER", NUMBER_LEXEME),
+    ("BLANK", BLANK_LEXEME),
+    ("WORD", r"[A-Za-z0-9_:-]+"),
+    ("ERROR", r"."),
+)))
+
+
+def _where(text: str, offset: int) -> tuple[int, int]:
+    """1-based (line, column) of a character offset."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _string_body(text: str, start: int, end: int) -> str:
+    try:
+        return unescape(text[start:end])
+    except BadEscape as exc:
+        raise GrammarError(*_where(text, start + exc.offset), str(exc)) from None
 
 
 def tokenize(text: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    col = 1
-    n = len(text)
-
-    def advance(k: int = 1) -> None:
-        nonlocal i, line, col
-        for _ in range(k):
-            if i < n and text[i] == "\n":
-                line += 1
-                col = 1
-            else:
-                col += 1
-            i += 1
-
-    def err(reason: str) -> GrammarError:
-        return GrammarError(line, col, reason)
-
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            advance()
+    line, line_start, last = 1, 0, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind, lexeme, start = m.lastgroup, m.group(), m.start()
+        if kind == "SKIP":
             continue
-        if c == "#":
-            while i < n and text[i] != "\n":
-                advance()
-            continue
-        tline, tcol = line, col
-        if c == "{":
-            tokens.append(Token("LBRACE", "{", tline, tcol))
-            advance()
-            continue
-        if c == "}":
-            tokens.append(Token("RBRACE", "}", tline, tcol))
-            advance()
-            continue
-        if c == "<":
-            if i + 1 < n and text[i + 1] == "=":
-                tokens.append(Token("OP", "<=", tline, tcol))
-                advance(2)
-                continue
-            # an IRI iff a '>' closes it before any whitespace
-            j = i + 1
-            while j < n and not text[j].isspace() and text[j] != ">":
-                j += 1
-            if j < n and text[j] == ">":
-                tokens.append(Token("IRI", text[i + 1 : j], tline, tcol))
-                advance(j - i + 1)
-                continue
-            tokens.append(Token("OP", "<", tline, tcol))
-            advance()
-            continue
-        if c == ">":
-            if i + 1 < n and text[i + 1] == "=":
-                tokens.append(Token("OP", ">=", tline, tcol))
-                advance(2)
-                continue
-            tokens.append(Token("OP", ">", tline, tcol))
-            advance()
-            continue
-        if c == "=":
-            tokens.append(Token("OP", "=", tline, tcol))
-            advance()
-            continue
-        if c == "!":
-            if i + 1 < n and text[i + 1] == "=":
-                tokens.append(Token("OP", "!=", tline, tcol))
-                advance(2)
-                continue
-            raise err("lone '!'")
-        if c == "?":
-            advance()
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            if j == i:
-                raise err("empty variable name")
-            tokens.append(Token("VAR", text[i:j], tline, tcol))
-            advance(j - i)
-            continue
-        if c == '"':
-            advance()
-            out: list[str] = []
-            while True:
-                if i >= n:
-                    raise err("unterminated string literal")
-                ch = text[i]
-                if ch == "\\":
-                    if i + 1 >= n:
-                        raise err("dangling escape")
-                    esc = text[i + 1]
-                    mapped = UNESCAPES.get(esc)
-                    if mapped is None:
-                        raise err(f"unknown escape \\{esc}")
-                    out.append(mapped)
-                    advance(2)
-                    continue
-                if ch == '"':
-                    advance()
-                    break
-                out.append(ch)
-                advance()
-            tokens.append(Token("STRING", "".join(out), tline, tcol))
-            continue
-        if c == "^":
-            if i + 1 < n and text[i + 1] == "^":
-                tokens.append(Token("HATHAT", "^^", tline, tcol))
-                advance(2)
-                continue
-            raise err("lone '^'")
-        if c.isdigit() or (c == "-" and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            seen_dot = False
-            seen_exp = False
-            while j < n:
-                ch = text[j]
-                if ch.isdigit():
-                    j += 1
-                elif ch == "." and not seen_dot and not seen_exp and j + 1 < n and text[j + 1].isdigit():
-                    seen_dot = True
-                    j += 1
-                elif ch in "eE" and not seen_exp and j + 1 < n and (
-                    text[j + 1].isdigit() or text[j + 1] in "+-"
-                ):
-                    seen_exp = True
-                    j += 1
-                    if text[j] in "+-":
-                        j += 1
-                else:
-                    break
-            tokens.append(Token("NUMBER", text[i:j], tline, tcol))
-            advance(j - i)
-            continue
-        if c == ".":
-            tokens.append(Token("DOT", ".", tline, tcol))
-            advance()
-            continue
-        if c == ":":
-            tokens.append(Token("COLON", ":", tline, tcol))
-            advance()
-            continue
-        if c in _WORD_CHARS:
-            j = i
-            while j < n and text[j] in _WORD_CHARS:
-                j += 1
-            word = text[i:j]
-            kind = "PNAME" if ":" in word else "NAME"
-            tokens.append(Token(kind, word, tline, tcol))
-            advance(j - i)
-            continue
-        raise err(f"unexpected character {c!r}")
-    tokens.append(Token("EOF", "", line, col))
+        newlines = text.count("\n", last, start)
+        if newlines:
+            line += newlines
+            line_start = text.rfind("\n", last, start) + 1
+        last = start
+        col = start - line_start + 1
+        if kind == "WORD":
+            kind = "PNAME" if ":" in lexeme else "NAME"
+        elif kind == "PUNCT":
+            kind = _PUNCT[lexeme]
+        elif kind == "IRI":
+            lexeme = lexeme[1:-1]
+        elif kind == "VAR":
+            lexeme = lexeme[1:]
+        elif kind == "STRING":
+            lexeme = _string_body(text, start + 1, m.end() - 1)
+        elif kind == "BADNUMBER":
+            raise GrammarError(line, col, f"malformed number {lexeme!r}")
+        elif kind == "ERROR":
+            if lexeme == "?":
+                raise GrammarError(line, col + 1, "empty variable name")
+            if lexeme != '"':
+                raise GrammarError(line, col, f"unexpected character {lexeme!r}")
+            _string_body(text, start + 1, len(text))  # an escape error comes first
+            raise GrammarError(*_where(text, len(text)), "unterminated string literal")
+        tokens.append(Token(kind, lexeme, line, col))
+    tokens.append(Token("EOF", "", *_where(text, len(text))))
     return tokens
 
 
@@ -221,11 +141,10 @@ class TokenCursor:
     def error(self, tok: Token, reason: str) -> GrammarError:
         return GrammarError(tok.line, tok.col, reason)
 
-    def expect(self, kind: str, text: str | None = None) -> Token:
+    def expect(self, kind: str) -> Token:
         tok = self.peek()
-        if tok.kind != kind or (text is not None and tok.text != text):
-            want = text if text is not None else kind
-            raise self.error(tok, f"expected {want}, found {tok.text or tok.kind!r}")
+        if tok.kind != kind:
+            raise self.error(tok, f"expected {kind}, found {tok.text or tok.kind!r}")
         return self.next()
 
     def expect_keyword(self, word: str) -> Token:
@@ -243,43 +162,48 @@ def _iri_from_pname(cursor: TokenCursor, tok: Token) -> Term:
     prefix, _, _rest = tok.text.partition(":")
     if prefix not in PREFIXES:
         raise cursor.error(tok, f"unknown prefix {prefix!r}")
-    try:
-        return make_iri(tok.text)
-    except MalformedIri as exc:
-        raise cursor.error(tok, str(exc)) from None
+    return make_iri(tok.text)
+
+
+def _datatype(cursor: TokenCursor) -> str:
+    """The datatype after a string literal's ``^^``, else xsd:string."""
+    if cursor.peek().kind != "HATHAT":
+        return XSD_STRING
+    cursor.next()
+    dtok = cursor.next()
+    if dtok.kind == "IRI":
+        return make_iri(dtok.text).value
+    if dtok.kind == "PNAME":
+        return _iri_from_pname(cursor, dtok).value
+    raise cursor.error(dtok, "expected datatype after ^^")
 
 
 def read_term(cursor: TokenCursor) -> PatternTerm:
-    """One term: IRI, prefixed name, variable, typed string, or number."""
+    """One term: IRI, prefixed name, variable, typed string, or number.
+
+    A term the lexeme spells but the model rejects (a malformed IRI, a
+    number out of range) is a syntax error at the term.
+    """
     tok = cursor.next()
-    if tok.kind == "IRI":
-        try:
+    try:
+        if tok.kind == "IRI":
             return make_iri(tok.text)
-        except MalformedIri as exc:
-            raise cursor.error(tok, str(exc)) from None
-    if tok.kind == "PNAME":
-        return _iri_from_pname(cursor, tok)
-    if tok.kind == "VAR":
-        return Variable(tok.text)
-    if tok.kind == "NUMBER":
-        if "." in tok.text or "e" in tok.text or "E" in tok.text:
-            return make_numeric(float(tok.text))
-        return make_numeric(int(tok.text), datatype=XSD_LONG)
-    if tok.kind == "STRING":
-        if cursor.peek().kind == "HATHAT":
-            cursor.next()
-            dtok = cursor.next()
-            if dtok.kind == "IRI":
-                datatype = make_iri(dtok.text).value
-            elif dtok.kind == "PNAME":
-                datatype = _iri_from_pname(cursor, dtok).value
-            else:
-                raise cursor.error(dtok, "expected datatype after ^^")
-            try:
-                return Literal(tok.text, datatype)
-            except ValueError as exc:
-                raise cursor.error(tok, str(exc)) from None
-        return Literal(tok.text, XSD_STRING)
+        if tok.kind == "PNAME":
+            return _iri_from_pname(cursor, tok)
+        if tok.kind == "VAR":
+            return Variable(tok.text)
+        if tok.kind == "NUMBER":
+            if "." in tok.text or "e" in tok.text or "E" in tok.text:
+                return make_numeric(float(tok.text))
+            return make_numeric(int(tok.text), datatype=XSD_LONG)
+        if tok.kind == "STRING":
+            return Literal(tok.text, _datatype(cursor))
+    except GrammarError:
+        raise
+    except ValueError as exc:
+        raise cursor.error(tok, str(exc)) from None
+    if tok.kind == "BLANK":
+        raise cursor.error(tok, f"blank node {tok.text} in a rule or query")
     raise cursor.error(tok, f"expected a term, found {tok.text or tok.kind!r}")
 
 
@@ -292,3 +216,16 @@ def read_pattern(cursor: TokenCursor) -> TriplePattern:
         return TriplePattern(s, p, o)
     except ValueError as exc:
         raise cursor.error(cursor.peek(), str(exc)) from None
+
+
+def parse_text(text: str, read: Callable[[TokenCursor], _T], error: type[GrammarError]) -> _T:
+    """read over all of text's tokens; every syntax error is raised as error."""
+    try:
+        cursor = TokenCursor(tokenize(text))
+        result = read(cursor)
+        eof = cursor.peek()
+        if eof.kind != "EOF":
+            raise cursor.error(eof, f"unexpected {eof.text!r}")
+        return result
+    except GrammarError as exc:
+        raise error(exc.line, exc.col, exc.reason) from None

@@ -1,10 +1,16 @@
-"""Terms, triples, the fixed prefix table, and the line-oriented triple format.
+"""Terms, triples, the fixed prefix table, the lexeme table, and the triple format.
 
 Every file format in the system (knowledge packs, store exports, delivery
 envelopes) is built on the serialization defined here: one
 ``<subj> <pred> obj .`` line per triple, UTF-8, LF line endings, ``#``
 comment lines allowed.  The grammar is deliberately strict so that
 serialize -> parse is an exact identity on term values.
+
+The term lexemes (IRI, blank node, escaped string literal, number) and
+``unescape`` are defined once, here, as regex fragments.  Both readers are
+built from them: parse_triples matches each line whole against three terms
+and a ``.``, and lexer.tokenize folds them into the master regex of the
+rule and query grammars.
 """
 
 from __future__ import annotations
@@ -37,7 +43,8 @@ XSD_STRING = XSD_NS + "string"
 
 NUMERIC_DATATYPES = frozenset({XSD_DOUBLE, XSD_LONG})
 
-_BLANK_LABEL_RE = re.compile(r"[A-Za-z0-9_]+\Z")
+_BLANK_LABEL = r"[A-Za-z0-9_]+"
+_BLANK_LABEL_RE = re.compile(_BLANK_LABEL + r"\Z")
 
 
 class MalformedIri(ValueError):
@@ -204,16 +211,43 @@ def numeric_value(term: Term) -> Fraction | None:
     return term.number if isinstance(term, Literal) else None
 
 
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-#: string-literal escapes, shared by the line format and the rule lexer
+# -- the lexeme table ----------------------------------------------------------
+# Each fragment captures its payload in one group.
+
+#: ``<text>``: no whitespace or ``>`` inside; the Iri constructor checks the rest
+IRI_LEXEME = r"<([^\s>]*)>"
+#: ``_:label``, matched possessively (the second ``+``), so a label never hands
+#: characters on to a next term
+BLANK_LEXEME = rf"_:({_BLANK_LABEL}+)"
+#: ``"body"``: takes any backslash pair, and unescape() decides whether it is one
+STRING_LEXEME = r'"([^"\\]*(?:\\[\s\S][^"\\]*)*)"'
+#: a bare decimal number; only rules and queries spell numbers bare
+NUMBER_LEXEME = r"-?[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?"
+
+#: string-literal escapes: escape letter -> the character it stands for
 UNESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
+_ESCAPES = str.maketrans({c: "\\" + e for e, c in UNESCAPES.items()})
+_ESCAPE_RE = re.compile(r"\\([\s\S]?)")
 
 
-def _escape_lexical(text: str) -> str:
-    out = []
-    for c in text:
-        out.append(_ESCAPES.get(c, c))
-    return "".join(out)
+class BadEscape(ValueError):
+    """A string body holds an escape UNESCAPES does not name, at offset."""
+
+    def __init__(self, offset: int, reason: str):
+        super().__init__(reason)
+        self.offset = offset
+
+
+def _unescape_one(m: re.Match) -> str:
+    esc = m.group(1)
+    if esc not in UNESCAPES:
+        raise BadEscape(m.start(), f"unknown escape \\{esc}" if esc else "dangling escape")
+    return UNESCAPES[esc]
+
+
+def unescape(body: str) -> str:
+    """The lexical form a string lexeme's body spells; raises BadEscape."""
+    return _ESCAPE_RE.sub(_unescape_one, body) if "\\" in body else body
 
 
 def serialize_term(term: Term) -> str:
@@ -222,7 +256,7 @@ def serialize_term(term: Term) -> str:
         return f"<{term.value}>"
     if isinstance(term, Blank):
         return f"_:{term.label}"
-    return f'"{_escape_lexical(term.lexical)}"^^<{term.datatype}>'
+    return f'"{term.lexical.translate(_ESCAPES)}"^^<{term.datatype}>'
 
 
 def triple_to_line(triple: Triple) -> str:
@@ -239,91 +273,31 @@ def serialize_triples(triples: list[Triple]) -> str:
     return "".join(triple_to_line(t) + "\n" for t in triples)
 
 
-class _LineScanner:
-    """Parses the three terms and terminator of one triple line."""
+#: a literal's datatype is always an absolute IRI in the line format
+_TERM = rf"(?:{IRI_LEXEME}|{BLANK_LEXEME}|{STRING_LEXEME}\^\^{IRI_LEXEME})"
+_TRIPLE_LINE = re.compile(rf"{_TERM}[ \t]*{_TERM}[ \t]*{_TERM}[ \t]*\.")
+_TERM_AT = re.compile(rf"{_TERM}[ \t]*")
 
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
 
-    def skip_ws(self) -> None:
-        while self.pos < len(self.text) and self.text[self.pos] in " \t":
-            self.pos += 1
+def _term(iri: str | None, label: str | None, body: str | None, datatype: str | None) -> Term:
+    if iri is not None:
+        return Iri(iri)
+    if label is not None:
+        return Blank(label)
+    return Literal(unescape(body), datatype)
 
-    def expect(self, ch: str) -> None:
-        if self.pos >= len(self.text) or self.text[self.pos] != ch:
-            raise ValueError(f"expected {ch!r} at column {self.pos + 1}")
-        self.pos += 1
 
-    def scan_iri(self) -> Iri:
-        self.expect("<")
-        end = self.text.find(">", self.pos)
-        if end < 0:
-            raise ValueError("unterminated IRI")
-        value = self.text[self.pos : end]
-        self.pos = end + 1
-        return Iri(value)
-
-    def scan_blank(self) -> Blank:
-        self.expect("_")
-        self.expect(":")
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-        ):
-            self.pos += 1
-        return Blank(self.text[start : self.pos])
-
-    def scan_literal(self) -> Literal:
-        self.expect('"')
-        out: list[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                raise ValueError("unterminated literal")
-            c = self.text[self.pos]
-            self.pos += 1
-            if c == "\\":
-                if self.pos >= len(self.text):
-                    raise ValueError("dangling escape")
-                esc = self.text[self.pos]
-                self.pos += 1
-                if esc not in UNESCAPES:
-                    raise ValueError(f"unknown escape \\{esc}")
-                out.append(UNESCAPES[esc])
-            elif c == '"':
-                break
-            else:
-                out.append(c)
-        self.expect("^")
-        self.expect("^")
-        datatype = self.scan_iri()
-        return Literal("".join(out), datatype.value)
-
-    def scan_term(self) -> Term:
-        if self.pos >= len(self.text):
-            raise ValueError("missing term")
-        c = self.text[self.pos]
-        if c == "<":
-            return self.scan_iri()
-        if c == "_":
-            return self.scan_blank()
-        if c == '"':
-            return self.scan_literal()
-        raise ValueError(f"unexpected character {c!r} at column {self.pos + 1}")
-
-    def parse(self) -> Triple:
-        self.skip_ws()
-        subject = self.scan_term()
-        self.skip_ws()
-        predicate = self.scan_term()
-        self.skip_ws()
-        obj = self.scan_term()
-        self.skip_ws()
-        self.expect(".")
-        self.skip_ws()
-        if self.pos != len(self.text):
-            raise ValueError("trailing characters after terminator")
-        return Triple(subject, predicate, obj)
+def _line_fault(line: str) -> str:
+    """Where a stripped line that is not a triple line goes wrong."""
+    pos = 0
+    for slot in ("subject", "predicate", "object"):
+        m = _TERM_AT.match(line, pos)
+        if m is None:
+            return f"expected {slot} term at column {pos + 1}"
+        pos = m.end()
+    if line[pos:pos + 1] != ".":
+        return f"expected '.' at column {pos + 1}"
+    return "trailing characters after terminator"
 
 
 def parse_triples(document: str) -> list[Triple]:
@@ -336,8 +310,12 @@ def parse_triples(document: str) -> list[Triple]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
+        m = _TRIPLE_LINE.fullmatch(line)
         try:
-            triples.append(_LineScanner(line).parse())
+            if m is None:
+                raise ValueError(_line_fault(line))
+            g = m.groups()
+            triples.append(Triple(_term(*g[:4]), _term(*g[4:8]), _term(*g[8:])))
         except ValueError as exc:
             raise TripleParseError(lineno, str(exc)) from None
     return triples

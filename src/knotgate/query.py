@@ -14,7 +14,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Mapping
 
-from .lexer import GrammarError, TokenCursor, read_pattern, tokenize
+from .lexer import GrammarError, TokenCursor, parse_text, read_pattern
 from .model import Term, serialize_term
 from .rules import Guard, guard_filter, read_guard
 from .store import Store, TriplePattern
@@ -69,6 +69,32 @@ def check_query_safety(query: Query, presumed_bound: frozenset[str] = frozenset(
             raise UnsafeQuery(guard.variable)
 
 
+def _read_query(cursor: TokenCursor) -> Query:
+    cursor.expect_keyword("SELECT")
+    select = [cursor.expect("VAR").text]
+    while cursor.peek().kind == "VAR":
+        select.append(cursor.next().text)
+    cursor.expect_keyword("WHERE")
+    cursor.expect("LBRACE")
+    patterns = [read_pattern(cursor)]
+    while cursor.peek().kind == "DOT":
+        cursor.next()
+        patterns.append(read_pattern(cursor))
+    cursor.expect("RBRACE")
+    filters = []
+    while cursor.at_keyword("FILTER"):
+        cursor.next()
+        filters.append(read_guard(cursor))
+    limit = None
+    if cursor.at_keyword("LIMIT"):
+        cursor.next()
+        num = cursor.expect("NUMBER")
+        if not num.text.isdigit() or int(num.text) <= 0:
+            raise cursor.error(num, "LIMIT must be a positive integer")
+        limit = int(num.text)
+    return Query(tuple(select), tuple(patterns), tuple(filters), limit)
+
+
 def parse_query(text: str, presumed_bound: frozenset[str] = frozenset()) -> Query:
     """Parse and safety-check a query.
 
@@ -76,38 +102,7 @@ def parse_query(text: str, presumed_bound: frozenset[str] = frozenset()) -> Quer
     (composition pipelines bind trigger variables this way); they count as
     bound for the safety check.
     """
-    try:
-        cursor = TokenCursor(tokenize(text))
-        cursor.expect_keyword("SELECT")
-        select = [cursor.expect("VAR").text]
-        while cursor.peek().kind == "VAR":
-            select.append(cursor.next().text)
-        cursor.expect_keyword("WHERE")
-        cursor.expect("LBRACE")
-        patterns = [read_pattern(cursor)]
-        while cursor.peek().kind == "DOT":
-            cursor.next()
-            patterns.append(read_pattern(cursor))
-        cursor.expect("RBRACE")
-        filters = []
-        while cursor.at_keyword("FILTER"):
-            cursor.next()
-            filters.append(read_guard(cursor))
-        limit = None
-        if cursor.at_keyword("LIMIT"):
-            cursor.next()
-            num = cursor.expect("NUMBER")
-            if not num.text.isdigit() or int(num.text) <= 0:
-                raise cursor.error(num, "LIMIT must be a positive integer")
-            limit = int(num.text)
-        eof = cursor.peek()
-        if eof.kind != "EOF":
-            raise cursor.error(eof, f"unexpected {eof.text!r}")
-    except QuerySyntaxError:
-        raise
-    except GrammarError as exc:
-        raise QuerySyntaxError(exc.line, exc.col, exc.reason) from None
-    query = Query(tuple(select), tuple(patterns), tuple(filters), limit)
+    query = parse_text(text, _read_query, QuerySyntaxError)
     check_query_safety(query, presumed_bound)
     return query
 

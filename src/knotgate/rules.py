@@ -23,18 +23,23 @@ brute-force closure.
 from __future__ import annotations
 
 import logging
+import operator
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
 from typing import AbstractSet, Sequence
 
-from .lexer import GrammarError, TokenCursor, read_pattern, tokenize
+from .lexer import GrammarError, TokenCursor, parse_text, read_pattern
 from .model import InvalidTriple, Term, Triple, numeric_value, serialize_term
 from .store import M3_EQUIVALENT_TO, Inferred, Store, TriplePattern, Variable
 
 log = logging.getLogger(__name__)
 
-GUARD_OPS = ("<", "<=", ">", ">=", "=", "!=")
+_COMPARE = {
+    "<": operator.lt, "<=": operator.le, ">": operator.gt,
+    ">=": operator.ge, "=": operator.eq, "!=": operator.ne,
+}
+GUARD_OPS = tuple(_COMPARE)
 
 
 class RuleSyntaxError(GrammarError):
@@ -59,21 +64,11 @@ class Guard:
     constant: Fraction
 
     def __post_init__(self) -> None:
-        if self.op not in GUARD_OPS:
+        if self.op not in _COMPARE:
             raise ValueError(f"bad guard operator {self.op!r}")
 
     def holds(self, value: Fraction) -> bool:
-        if self.op == "<":
-            return value < self.constant
-        if self.op == "<=":
-            return value <= self.constant
-        if self.op == ">":
-            return value > self.constant
-        if self.op == ">=":
-            return value >= self.constant
-        if self.op == "=":
-            return value == self.constant
-        return value != self.constant
+        return _COMPARE[self.op](value, self.constant)
 
 
 @dataclass(frozen=True)
@@ -144,11 +139,6 @@ def check_safety(rule: Rule) -> list[str]:
 # -- parsing ----------------------------------------------------------------
 
 
-def _wrap_grammar_error(exc: GrammarError) -> RuleSyntaxError:
-    err = RuleSyntaxError(exc.line, exc.col, exc.reason)
-    return err
-
-
 def read_guard(cursor: TokenCursor) -> Guard:
     """One ``?var op number`` guard; the FILTER keyword is already consumed."""
     var = cursor.expect("VAR")
@@ -187,49 +177,34 @@ def _read_rule(cursor: TokenCursor) -> Rule:
     return Rule(rid.text, tuple(body), tuple(guards), tuple(head))
 
 
+def _read_pack(cursor: TokenCursor) -> RulePack:
+    cursor.expect_keyword("PACK")
+    pack_tok = cursor.peek()
+    if pack_tok.kind != "NAME":
+        raise cursor.error(pack_tok, "expected pack id")
+    pack_id = cursor.next().text
+    domains = []
+    while cursor.at_keyword("DOMAIN"):
+        cursor.next()
+        domains.append(cursor.expect("NAME").text)
+    rules = []
+    while cursor.at_keyword("RULE"):
+        rules.append(_read_rule(cursor))
+    return RulePack(pack_id, tuple(domains), tuple(rules))
+
+
 def parse_rulepack(text: str) -> RulePack:
     """Parse a rule pack, expand prefixes; every rule is safe by construction.
 
     Raises RuleSyntaxError with a (line, column) position, or
     RuleSafetyError naming the offending rule and variables.
     """
-    try:
-        cursor = TokenCursor(tokenize(text))
-        cursor.expect_keyword("PACK")
-        pack_tok = cursor.peek()
-        if pack_tok.kind != "NAME":
-            raise cursor.error(pack_tok, "expected pack id")
-        pack_id = cursor.next().text
-        domains = []
-        while cursor.at_keyword("DOMAIN"):
-            cursor.next()
-            domains.append(cursor.expect("NAME").text)
-        rules = []
-        while cursor.at_keyword("RULE"):
-            rules.append(_read_rule(cursor))
-        eof = cursor.peek()
-        if eof.kind != "EOF":
-            raise cursor.error(eof, f"unexpected {eof.text!r}")
-    except RuleSyntaxError:
-        raise
-    except GrammarError as exc:
-        raise _wrap_grammar_error(exc) from None
-    return RulePack(pack_id, tuple(domains), tuple(rules))
+    return parse_text(text, _read_pack, RuleSyntaxError)
 
 
 def parse_pattern(text: str) -> TriplePattern:
     """One standalone triple pattern in the rule grammar's term syntax."""
-    try:
-        cursor = TokenCursor(tokenize(text))
-        pattern = read_pattern(cursor)
-        eof = cursor.peek()
-        if eof.kind != "EOF":
-            raise cursor.error(eof, f"unexpected {eof.text!r}")
-        return pattern
-    except RuleSyntaxError:
-        raise
-    except GrammarError as exc:
-        raise _wrap_grammar_error(exc) from None
+    return parse_text(text, read_pattern, RuleSyntaxError)
 
 
 # -- evaluation --------------------------------------------------------------
@@ -350,8 +325,10 @@ def forward_chain(
     in one round); every rule id appears in the map.  committed lists the
     added triples in commit order, each once, as served when the chain
     ends: an alias committed later renames triples committed before it, so
-    every entry is in the store.  rounds
-    includes the final empty round, so rounds <= derived + 1.
+    every entry is in the store.  An entry renamed onto a stated triple is
+    dropped (first write wins, so the store serves it as stated): every
+    entry has Inferred provenance.  rounds includes the final empty round,
+    so rounds <= derived + 1.
     guard_type_errors counts each guard-skipped binding once, in the round
     where it first forms: a delta round sees only bindings that use a delta
     triple, a whole-store round every binding in the store.  whole_store
@@ -387,8 +364,11 @@ def forward_chain(
             break
         stats.committed.extend(committed)
         delta = set(committed)
-    if whole_store_only:  # a later commit may have aliased an earlier one
-        stats.committed = list(dict.fromkeys(map(store.canonical, stats.committed)))
+    if whole_store_only:
+        # a later commit may have aliased an earlier one, even onto a
+        # stated triple: keep what the store serves as derived
+        served = dict.fromkeys(map(store.canonical, stats.committed))
+        stats.committed = [t for t in served if isinstance(store.provenance(t), Inferred)]
     stats.derived = len(stats.committed)
     stats.guard_type_errors = len(skipped)
     return stats

@@ -25,6 +25,7 @@ import urllib.parse
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from typing import Iterator
 
 from . import coap as coap_proto
 from .annotation import (
@@ -38,8 +39,6 @@ from .annotation import (
 )
 from .config import AppConfig, ConfigError
 from .gateway import (
-    BadTopic,
-    DecodeError,
     DerivedContext,
     Egress,
     EgressTarget,
@@ -56,8 +55,8 @@ from .gateway import (
 from .lexer import GrammarError
 from .model import Triple, TripleParseError, compact_term, serialize_term
 from .mqtt import MqttClient
-from .query import Query, UnsafeQuery, evaluate_query, parse_query
-from .rules import RuleSafetyError, parse_pattern, parse_rulepack
+from .query import Query, evaluate_query, parse_query
+from .rules import parse_pattern, parse_rulepack
 from .store import Store, TriplePattern
 
 log = logging.getLogger(__name__)
@@ -101,14 +100,15 @@ class CompositionPipeline:
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z0-9_]+)\}")
 
 
-def _template_placeholders(node: object) -> set[str]:
+def _template_strings(node: object) -> Iterator[str]:
+    """Every string leaf of a JSON template, in document order."""
     if isinstance(node, str):
-        return set(_PLACEHOLDER_RE.findall(node))
-    if isinstance(node, dict):
-        return set().union(*(_template_placeholders(v) for v in node.values()), set())
-    if isinstance(node, list):
-        return set().union(*(_template_placeholders(v) for v in node), set())
-    return set()
+        yield node
+    elif isinstance(node, dict):
+        yield from _template_strings(list(node.values()))
+    elif isinstance(node, list):
+        for v in node:
+            yield from _template_strings(v)
 
 
 def _fill_template(node: object, scalars: dict[str, str], arrays: dict[str, list[str]]) -> object:
@@ -186,15 +186,22 @@ class CompositionManager:
         """
         trigger_vars = trigger.variables()
         lookup = parse_query(lookup_text, presumed_bound=trigger_vars)
-        allowed = trigger_vars | set(lookup.select)
-        for name in sorted(_template_placeholders(response_template)):
-            if name not in allowed:
-                raise TemplateError(f"placeholder {{{name}}} is not a trigger or lookup variable")
+        leaves = list(_template_strings(response_template))
+        named = {n for leaf in leaves for n in _PLACEHOLDER_RE.findall(leaf)}
+        unknown = sorted(named - trigger_vars - set(lookup.select))
+        if unknown:
+            raise TemplateError(f"placeholder {{{unknown[0]}}} is not a trigger or lookup variable")
         array_vars = set(lookup.select) - trigger_vars
-        bad = _embedded_array_placeholders(response_template, array_vars)
-        if bad:
+        embedded = [
+            n
+            for leaf in leaves
+            if not _PLACEHOLDER_RE.fullmatch(leaf)
+            for n in _PLACEHOLDER_RE.findall(leaf)
+            if n in array_vars
+        ]
+        if embedded:
             raise TemplateError(
-                f"list placeholder {{{bad[0]}}} must be the entire string value"
+                f"list placeholder {{{embedded[0]}}} must be the entire string value"
             )
         with self._lock:
             pid = pipeline_id or f"comp-{next(self._ids)}"
@@ -232,20 +239,6 @@ class CompositionManager:
         return fired
 
 
-def _embedded_array_placeholders(node: object, array_vars: set[str]) -> list[str]:
-    out: list[str] = []
-    if isinstance(node, str):
-        if not _PLACEHOLDER_RE.fullmatch(node):
-            out.extend(n for n in _PLACEHOLDER_RE.findall(node) if n in array_vars)
-    elif isinstance(node, dict):
-        for v in node.values():
-            out.extend(_embedded_array_placeholders(v, array_vars))
-    elif isinstance(node, list):
-        for v in node:
-            out.extend(_embedded_array_placeholders(v, array_vars))
-    return out
-
-
 def parse_endpoint(obj: object) -> EgressTarget:
     """Wire format: {"kind": "webhook", "url": ...} or {"kind": "mqtt", "topic": ...}."""
     if not isinstance(obj, dict) or "kind" not in obj:
@@ -259,19 +252,11 @@ def parse_endpoint(obj: object) -> EgressTarget:
 
 # -- HTTP API ----------------------------------------------------------------
 
+#: first match wins; every other ValueError (a syntax or validation error) is a 400
 _ERROR_STATUS: list[tuple[type, int]] = [
     (UnregisteredDevice, 404),
     (UnknownUnit, 422),
     (UnsupportedConversion, 422),
-    (DecodeError, 400),
-    (BadTopic, 400),
-    (GrammarError, 400),
-    (TripleParseError, 400),
-    (RuleSafetyError, 400),
-    (UnsafeQuery, 400),
-    (InvalidRegistration, 400),
-    (TemplateError, 400),
-    (InvalidSubscription, 400),
     (BodyTooLarge, 413),
     (ValueError, 400),
 ]
@@ -561,7 +546,7 @@ class Runtime:
             reading = decode_reading(
                 payload, sniff_format(payload), received_at=message.received_at, route_hint=hint
             )
-        except (BadTopic, DecodeError, ValueError) as exc:
+        except ValueError as exc:
             log.warning("dropping mqtt message on %s: %s", topic, exc)
             return
         self.gateway.submit(reading)

@@ -145,6 +145,26 @@ def test_validate_syntax_error(tmp_path, capsys):
     assert run_cli("validate", str(pack)) == 1
 
 
+def test_validate_malformed_number_is_a_syntax_error(tmp_path, capsys):
+    pack = tmp_path / "number.rules"
+    pack.write_text(
+        "PACK p RULE r : IF ?o ssn:observationResult ?v FILTER ?v > 1e- THEN ?o m3:a m3:b .",
+        encoding="utf-8",
+    )
+    assert run_cli("validate", str(pack)) == 1
+    assert capsys.readouterr().out.startswith("syntax error: malformed number '1e-'")
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((FIXTURES / "rules").iterdir()) + sorted((FIXTURES / "packs").iterdir()),
+    ids=lambda p: f"{p.parent.name}/{p.name}",
+)
+def test_validate_every_fixture(path, capsys):
+    assert run_cli("validate", str(path)) == 0
+    assert capsys.readouterr().out.startswith("ok: ")
+
+
 def test_validate_triple_file(capsys):
     assert run_cli("validate", str(FIXTURES / "packs" / "remedies.nt")) == 0
     assert "3 triple(s)" in capsys.readouterr().out
@@ -167,6 +187,13 @@ def test_query_command_prints_aligned_table(config_path, capsys):
 
 def test_query_command_syntax_error(config_path, capsys):
     assert run_cli("query", "SELECT nope", "--config", str(config_path)) == 1
+
+
+@pytest.mark.parametrize("number", ["1e+", "2²"])
+def test_query_command_malformed_number(config_path, capsys, number):
+    text = f"SELECT ?v WHERE {{ ?o ssn:observationResult ?v }} FILTER ?v > {number}"
+    assert run_cli("query", text, "--config", str(config_path)) == 1
+    assert capsys.readouterr().err.startswith("query error: malformed number")
 
 
 # -- export -----------------------------------------------------------------------

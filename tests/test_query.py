@@ -47,6 +47,20 @@ def test_parse_syntax_error_position():
     assert err.value.line == 1
 
 
+@pytest.mark.parametrize("number", ["1e+", "1e-", "2²", "7E"])
+def test_malformed_number_is_a_positioned_syntax_error(number):
+    text = f"SELECT ?v WHERE {{ ?o ssn:observationResult ?v }}\nFILTER ?v > {number}"
+    with pytest.raises(QuerySyntaxError) as err:
+        parse_query(text)
+    assert (err.value.line, err.value.col) == (2, len("FILTER ?v > ") + 1)
+
+
+def test_number_out_of_range_is_a_positioned_syntax_error():
+    with pytest.raises(QuerySyntaxError) as err:
+        parse_query("SELECT ?o WHERE { ?o ssn:observationResult 1e999 }")
+    assert (err.value.line, err.value.col) == (1, 44)
+
+
 def test_parse_unsafe_filter_variable():
     with pytest.raises(UnsafeQuery):
         parse_query("SELECT ?o WHERE { ?o rdf:type ssn:Sensor } FILTER ?v > 1")

@@ -4,18 +4,27 @@ import time
 import pytest
 import requests
 
-from knotgate.annotation import RawReading
+from knotgate.annotation import (
+    InvalidRegistration,
+    RawReading,
+    UnknownUnit,
+    UnregisteredDevice,
+    UnsupportedConversion,
+)
 from knotgate.config import AppConfig, load_config
-from knotgate.gateway import MqttTopic, Webhook
-from knotgate.model import Iri, Triple, make_iri, parse_triples
-from knotgate.query import evaluate_query, parse_query
-from knotgate.rules import parse_pattern, parse_rulepack
+from knotgate.gateway import BadTopic, DecodeError, MqttTopic, Webhook
+from knotgate.lexer import GrammarError
+from knotgate.model import Iri, Triple, TripleParseError, make_iri, parse_triples
+from knotgate.query import UnsafeQuery, evaluate_query, parse_query
+from knotgate.rules import RuleSafetyError, parse_pattern, parse_rulepack
 from knotgate.services import (
     MAX_BODY_BYTES,
+    BodyTooLarge,
     InvalidSubscription,
     Runtime,
     Subscription,
     TemplateError,
+    error_body,
     parse_endpoint,
 )
 from knotgate.store import TriplePattern, Variable
@@ -151,6 +160,33 @@ def test_query_endpoint_unsafe_variable(base_url):
     assert resp.json()["error"] == "UnsafeQuery"
 
 
+@pytest.mark.parametrize(
+    "exc, status",
+    [
+        (UnregisteredDevice("d"), 404),
+        (UnknownUnit("u"), 422),
+        (UnsupportedConversion("u"), 422),
+        (DecodeError("d"), 400),
+        (BadTopic("t"), 400),
+        (GrammarError(1, 2, "r"), 400),
+        (TripleParseError(3, "r"), 400),
+        (RuleSafetyError("r", ["x"]), 400),
+        (UnsafeQuery("x"), 400),
+        (InvalidRegistration("r"), 400),
+        (TemplateError("t"), 400),
+        (InvalidSubscription("s"), 400),
+        (BodyTooLarge("b"), 413),
+        (ValueError("v"), 400),
+        (RuntimeError("bug"), 500),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_error_body_status_per_exception(exc, status):
+    code, body = error_body(exc)
+    assert code == status
+    assert body["error"] == type(exc).__name__
+
+
 # -- admin endpoints -------------------------------------------------------------
 
 
@@ -218,6 +254,15 @@ def test_rulepack_post_syntax_error(base_url):
     resp = requests.post(f"{base_url}/api/v1/rulepacks", data="PACK broken RULE x IF")
     assert resp.status_code == 400
     assert "position" in resp.json()
+
+
+def test_rulepack_post_malformed_number_is_a_syntax_error(base_url):
+    bad = "PACK p RULE r : IF ?o ssn:observationResult ?v FILTER ?v > 1e- THEN ?o m3:a m3:b ."
+    resp = requests.post(f"{base_url}/api/v1/rulepacks", data=bad)
+    assert resp.status_code == 400
+    body = resp.json()
+    assert body["error"] == "RuleSyntaxError"
+    assert body["position"] == {"line": 1, "column": bad.index("1e-") + 1}
 
 
 def test_rulepack_post_safety_error(base_url):
