@@ -64,8 +64,10 @@ _TOKEN_RE = re.compile("|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
     ("PUNCT", r"[{}.:]|\^\^"),
     ("VAR", r"\?\w+"),
     ("STRING", STRING_LEXEME),
-    # a number run on by an exponent without digits or a non-ASCII digit
-    ("BADNUMBER", rf"(?>{NUMBER_LEXEME})(?:[eE][+-]?|[^\W_A-Za-z]+)"),
+    # a number run on by an exponent without digits or a non-ASCII digit; the
+    # lookahead and backreference match the number atomically, so 1e5 is
+    # never cut back to 1 and an "e"
+    ("BADNUMBER", rf"(?=(?P<_number>{NUMBER_LEXEME}))(?P=_number)(?:[eE][+-]?|[^\W_A-Za-z]+)"),
     ("NUMBER", NUMBER_LEXEME),
     ("BLANK", BLANK_LEXEME),
     ("WORD", r"[A-Za-z0-9_:-]+"),

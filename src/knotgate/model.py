@@ -216,9 +216,9 @@ def numeric_value(term: Term) -> Fraction | None:
 
 #: ``<text>``: no whitespace or ``>`` inside; the Iri constructor checks the rest
 IRI_LEXEME = r"<([^\s>]*)>"
-#: ``_:label``, matched possessively (the second ``+``), so a label never hands
-#: characters on to a next term
-BLANK_LEXEME = rf"_:({_BLANK_LABEL}+)"
+#: ``_:label``, the whole run of label characters: a label never hands its
+#: tail on to a next term, so ``_:a_:b`` is no two blank nodes
+BLANK_LEXEME = rf"_:({_BLANK_LABEL})(?![A-Za-z0-9_])"
 #: ``"body"``: takes any backslash pair, and unescape() decides whether it is one
 STRING_LEXEME = r'"([^"\\]*(?:\\[\s\S][^"\\]*)*)"'
 #: a bare decimal number; only rules and queries spell numbers bare

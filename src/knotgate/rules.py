@@ -328,7 +328,9 @@ def forward_chain(
     every entry is in the store.  An entry renamed onto a stated triple is
     dropped (first write wins, so the store serves it as stated): every
     entry has Inferred provenance.  rounds includes the final empty round,
-    so rounds <= derived + 1.
+    and every other round commits, so rounds <= sum(per_rule.values()) + 1.
+    While no rule derives an m3:equivalentTo statement the alias map stays
+    fixed, committed keeps every commit, and so rounds <= derived + 1.
     guard_type_errors counts each guard-skipped binding once, in the round
     where it first forms: a delta round sees only bindings that use a delta
     triple, a whole-store round every binding in the store.  whole_store

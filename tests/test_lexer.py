@@ -5,11 +5,15 @@ token, with random whitespace and ``#`` comment lines between the tokens;
 parsing the text must give the same pack or query.
 """
 
+import importlib
+import pkgutil
 import random
+import re
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import knotgate
 from knotgate.lexer import GrammarError, tokenize
 from knotgate.model import Blank, Literal, XSD_DOUBLE, XSD_LONG, serialize_term
 from knotgate.query import parse_query
@@ -114,3 +118,31 @@ def test_lexer_errors_are_positioned(text, position):
     with pytest.raises(GrammarError) as err:
         tokenize(text)
     assert (err.value.line, err.value.col) == position
+
+
+def _opcodes(node):
+    """Every opcode name in a parsed pattern, nested groups included."""
+    if hasattr(node, "data"):  # a parsed (sub)pattern: (opcode, argument) pairs
+        for op, arg in node.data:
+            yield str(op)
+            yield from _opcodes(arg)
+    elif isinstance(node, (list, tuple)):
+        for part in node:
+            yield from _opcodes(part)
+
+
+def test_patterns_use_no_regex_syntax_newer_than_python_3_10():
+    # pyproject allows Python 3.10, whose re module has no atomic groups or
+    # possessive quantifiers: a pattern with either fails at import there
+    parser = pytest.importorskip("re._parser")
+    patterns = [
+        value
+        for info in pkgutil.iter_modules(knotgate.__path__)
+        if info.name != "__main__"  # importing it runs the CLI
+        for value in vars(importlib.import_module(f"knotgate.{info.name}")).values()
+        if isinstance(value, re.Pattern)
+    ]
+    assert patterns
+    for pattern in patterns:
+        found = set(_opcodes(parser.parse(pattern.pattern, pattern.flags)))
+        assert not found & {"ATOMIC_GROUP", "POSSESSIVE_REPEAT"}, pattern.pattern

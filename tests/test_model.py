@@ -141,6 +141,14 @@ def test_parse_error_reports_first_bad_line():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("line, column", [("_:a_:b <urn:o:1> .", 5), ("<urn:s:1> _:a_:b .", 15)])
+def test_parse_blank_label_takes_every_label_character(line, column):
+    # "_:a_" is one label, so the ":b" after it is where the line goes wrong;
+    # a label that gave back its "_" would read a blank node predicate instead
+    with pytest.raises(TripleParseError, match=f"at column {column}$"):
+        parse_triples(line)
+
+
 def test_parse_rejects_literal_subject():
     with pytest.raises(TripleParseError):
         parse_triples('"lex"^^<urn:knotgate:x#t> <urn:p:1> <urn:o:1> .')

@@ -621,6 +621,7 @@ def test_delta_chain_equals_whole_store_chain(seed, aliases):
         assert (stats.rounds, stats.per_rule, stats.committed) == (
             ref.rounds, ref.per_rule, ref.committed
         )
+        assert stats.rounds <= sum(stats.per_rule.values()) + 1
     closure = oracle_closure(set(facts), [r for p in packs for r in p.rules])
     links = [
         (t.subject.value, t.object.value)
