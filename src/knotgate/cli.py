@@ -204,7 +204,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"cannot read {args.pack}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    if text.lstrip().startswith("PACK"):
+    # a rule pack opens with PACK, after any blank and comment lines
+    lines = (line.strip() for line in text.split("\n"))
+    if next((line for line in lines if line and not line.startswith("#")), "").startswith("PACK"):
         try:
             pack = parse_rulepack(text)
         except RuleSafetyError as exc:

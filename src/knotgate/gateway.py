@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import logging
 import queue
+import re
 import threading
 import time
 import urllib.request
@@ -33,6 +34,9 @@ TRANSPORTS = frozenset({"mqtt", "coap", "http"})
 
 RETRY_ATTEMPTS = 3
 RETRY_SPACING_S = 0.2
+
+#: an MQTT topic may hold any character but whitespace
+_WHITESPACE_RE = re.compile(r"\s")
 
 
 class DecodeError(ValueError):
@@ -66,7 +70,7 @@ class MqttTopic:
     topic: str
 
     def __post_init__(self) -> None:
-        if not self.topic or any(c.isspace() for c in self.topic):
+        if not self.topic or _WHITESPACE_RE.search(self.topic):
             raise InvalidTarget(f"bad MQTT topic {self.topic!r}")
 
 

@@ -11,16 +11,27 @@ The term lexemes (IRI, blank node, escaped string literal, number) and
 built from them: parse_triples matches each line whole against three terms
 and a ``.``, and lexer.tokenize folds them into the master regex of the
 rule and query grammars.
+
+Terms are hash-consed (Filliatre & Conchon, "Type-safe modular
+hash-consing", ML 2006): building an Iri, Literal or Blank returns the one
+live object of that value, so term equality is identity, term hashing is
+object's own, and the object serves as its own dictionary id.  Each term
+keeps its lexeme (its line-format spelling, which is also the canonical
+sort key of terms) in a slot, made once when the term is first built.
+The intern tables are per process and hold terms weakly: a term no one
+references leaves its table.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+import threading
+import weakref
+from dataclasses import FrozenInstanceError, dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
-from functools import cached_property
+from typing import TypeVar
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 XSD_NS = "http://www.w3.org/2001/XMLSchema#"
@@ -45,6 +56,10 @@ NUMERIC_DATATYPES = frozenset({XSD_DOUBLE, XSD_LONG})
 
 _BLANK_LABEL = r"[A-Za-z0-9_]+"
 _BLANK_LABEL_RE = re.compile(_BLANK_LABEL + r"\Z")
+#: the characters IRI text may not hold, found by one search
+_IRI_FAULT_RE = re.compile(r"[\s<>]")
+
+_TermT = TypeVar("_TermT", bound="_Term")
 
 
 class MalformedIri(ValueError):
@@ -72,64 +87,154 @@ class TripleParseError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class Iri:
-    """An absolute IRI."""
+# -- hash-consing ---------------------------------------------------------------
+# Per term class, a table from a term value to a weak reference to its one
+# live object.  The miss path validates, mints and tables under one lock, so
+# two threads never mint two objects for one value; the hit path reads the
+# table without it.  An entry leaves its table when its object dies.
 
+_INTERN_LOCK = threading.RLock()
+
+
+def _intern(cls: type[_TermT], key: object, *fields: str) -> _TermT:
+    """The live term of cls for key, minted from fields when there is none."""
+    with _INTERN_LOCK:
+        ref = cls._table.get(key)
+        term = ref() if ref is not None else None
+        if term is None:
+            lexeme = cls._lexeme(*fields)  # raises on an invalid value
+            term = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, fields):
+                object.__setattr__(term, name, value)
+            object.__setattr__(term, "lexeme", lexeme)
+            cls._table[key] = weakref.KeyedRef(term, cls._forget, key)
+        return term
+
+
+class _Term:
+    """What the hash-consed term classes share: they are immutable, a pickle
+    or copy of one is the one object of its value again, and lexeme is the
+    term's line-format spelling."""
+
+    __slots__ = ("__weakref__", "lexeme")
+    lexeme: str
+
+    def __init_subclass__(cls) -> None:
+        # the class's intern table, and the one callback by which a dying
+        # term's weak reference drops its entry
+        table: dict[object, weakref.KeyedRef] = {}
+
+        def forget(ref: weakref.KeyedRef) -> None:
+            with _INTERN_LOCK:
+                if table.get(ref.key) is ref:
+                    del table[ref.key]
+
+        cls._table, cls._forget = table, staticmethod(forget)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Iri(_Term):
+    """An absolute IRI, spelled ``<value>``."""
+
+    __slots__ = ("value",)
+    __match_args__ = ("value",)
     value: str
 
-    def __post_init__(self) -> None:
-        v = self.value
-        if ":" not in v:
-            raise MalformedIri(f"missing scheme separator in {v!r}")
-        if any(c.isspace() for c in v):
-            raise MalformedIri(f"whitespace in IRI {v!r}")
-        if "<" in v or ">" in v:
-            raise MalformedIri(f"angle bracket in IRI {v!r}")
+    def __new__(cls, value: str) -> Iri:
+        ref = _IRIS.get(value)
+        term = ref() if ref is not None else None
+        return term if term is not None else _intern(cls, value, value)
+
+    @staticmethod
+    def _lexeme(value: str) -> str:
+        if ":" not in value:
+            raise MalformedIri(f"missing scheme separator in {value!r}")
+        fault = _IRI_FAULT_RE.search(value)
+        if fault is not None:
+            what = "angle bracket" if fault.group() in "<>" else "whitespace"
+            raise MalformedIri(f"{what} in IRI {value!r}")
+        return f"<{value}>"
 
 
-@dataclass(frozen=True)
-class Literal:
-    """A typed literal; the datatype is carried as absolute IRI text."""
+class Literal(_Term):
+    """A typed literal; the datatype is carried as absolute IRI text.
 
+    number is the exact value of a numeric literal, else None; it is
+    computed on first read and then kept in its slot.
+    """
+
+    __slots__ = ("lexical", "datatype", "number")
+    __match_args__ = ("lexical", "datatype")
     lexical: str
-    datatype: str = XSD_STRING
+    datatype: str
+    number: Fraction | None
 
-    def __post_init__(self) -> None:
-        Iri(self.datatype)  # reuse the IRI checks
-        if self.datatype in NUMERIC_DATATYPES:
+    def __new__(cls, lexical: str, datatype: str = XSD_STRING) -> Literal:
+        ref = _LITERALS.get((lexical, datatype))
+        term = ref() if ref is not None else None
+        return term if term is not None else _intern(cls, (lexical, datatype), lexical, datatype)
+
+    @staticmethod
+    def _lexeme(lexical: str, datatype: str) -> str:
+        Iri._lexeme(datatype)  # reuse the IRI checks
+        if datatype in NUMERIC_DATATYPES:
             try:
-                d = Decimal(self.lexical)
+                d = Decimal(lexical)
             except InvalidOperation:
-                raise InvalidTerm(f"non-numeric lexical {self.lexical!r}") from None
+                raise InvalidTerm(f"non-numeric lexical {lexical!r}") from None
             if not d.is_finite():
-                raise InvalidTerm(f"non-finite lexical {self.lexical!r}")
-            if self.datatype == XSD_LONG and d != d.to_integral_value():
-                raise InvalidTerm(f"non-integral lexical {self.lexical!r} for long")
+                raise InvalidTerm(f"non-finite lexical {lexical!r}")
+            if datatype == XSD_LONG and d != d.to_integral_value():
+                raise InvalidTerm(f"non-integral lexical {lexical!r} for long")
+        return f'"{lexical.translate(_ESCAPES)}"^^<{datatype}>'
 
-    @cached_property
-    def number(self) -> Fraction | None:
-        """Exact value of a numeric literal, else None; computed on first use."""
-        if self.datatype in NUMERIC_DATATYPES:
-            return Fraction(Decimal(self.lexical))
-        return None
+    def __getattr__(self, name: str) -> object:
+        # reached only while the number slot is unset
+        if name != "number":
+            raise AttributeError(f"'Literal' object has no attribute {name!r}")
+        number = Fraction(Decimal(self.lexical)) if self.datatype in NUMERIC_DATATYPES else None
+        object.__setattr__(self, "number", number)
+        return number
 
 
-@dataclass(frozen=True)
-class Blank:
-    """A blank node with a local label."""
+class Blank(_Term):
+    """A blank node with a local label, spelled ``_:label``."""
 
+    __slots__ = ("label",)
+    __match_args__ = ("label",)
     label: str
 
-    def __post_init__(self) -> None:
-        if not _BLANK_LABEL_RE.match(self.label):
-            raise InvalidTerm(f"bad blank node label {self.label!r}")
+    def __new__(cls, label: str) -> Blank:
+        ref = _BLANKS.get(label)
+        term = ref() if ref is not None else None
+        return term if term is not None else _intern(cls, label, label)
+
+    @staticmethod
+    def _lexeme(label: str) -> str:
+        if not _BLANK_LABEL_RE.match(label):
+            raise InvalidTerm(f"bad blank node label {label!r}")
+        return f"_:{label}"
 
 
 Term = Iri | Literal | Blank
 
+# the intern tables, read by the constructors' hit paths
+_IRIS, _LITERALS, _BLANKS = Iri._table, Literal._table, Blank._table
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class Triple:
     subject: Term
     predicate: Term
@@ -252,20 +357,12 @@ def unescape(body: str) -> str:
 
 def serialize_term(term: Term) -> str:
     """The term's line-format lexeme; also the canonical sort key for terms."""
-    if isinstance(term, Iri):
-        return f"<{term.value}>"
-    if isinstance(term, Blank):
-        return f"_:{term.label}"
-    return f'"{term.lexical.translate(_ESCAPES)}"^^<{term.datatype}>'
+    return term.lexeme
 
 
 def triple_to_line(triple: Triple) -> str:
     """One unterminated line, ``<subj> <pred> obj .`` with single spaces."""
-    return (
-        f"{serialize_term(triple.subject)} "
-        f"{serialize_term(triple.predicate)} "
-        f"{serialize_term(triple.object)} ."
-    )
+    return f"{triple.subject.lexeme} {triple.predicate.lexeme} {triple.object.lexeme} ."
 
 
 def serialize_triples(triples: list[Triple]) -> str:

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping
 
 from .lexer import GrammarError, TokenCursor, parse_text, read_pattern
-from .model import Term, serialize_term
+from .model import Term
 from .rules import Guard, guard_filter, read_guard
 from .store import Store, TriplePattern
 
@@ -107,8 +108,8 @@ def parse_query(text: str, presumed_bound: frozenset[str] = frozenset()) -> Quer
     return query
 
 
-def _row_key(row: tuple[Term, ...]) -> tuple[str, ...]:
-    return tuple(serialize_term(t) for t in row)
+def _row_key(row: tuple[Term, ...]) -> list[str]:
+    return [t.lexeme for t in row]
 
 
 def evaluate_query(
@@ -128,7 +129,9 @@ def evaluate_query(
     costs = [store.candidate_count(p, seed) for p in patterns]
     patterns.insert(0, patterns.pop(costs.index(min(costs))))
     passed = guard_filter(query.filters, store.join(patterns, [seed]))
-    rows = {tuple(b[name] for name in query.select) for b in passed}
+    rows = set(map(itemgetter(*query.select), passed))
+    if len(query.select) == 1:  # one name's itemgetter returns the term itself
+        rows = {(term,) for term in rows}
     if query.limit is None:
         return ResultTable(tuple(query.select), sorted(rows, key=_row_key))
     return ResultTable(tuple(query.select), heapq.nsmallest(query.limit, rows, key=_row_key))

@@ -30,7 +30,7 @@ from fractions import Fraction
 from typing import AbstractSet, Sequence
 
 from .lexer import GrammarError, TokenCursor, parse_text, read_pattern
-from .model import InvalidTriple, Term, Triple, numeric_value, serialize_term
+from .model import InvalidTriple, Term, Triple, numeric_value
 from .store import M3_EQUIVALENT_TO, Inferred, Store, TriplePattern, Variable
 
 log = logging.getLogger(__name__)
@@ -62,13 +62,19 @@ class Guard:
     variable: str
     op: str
     constant: Fraction
+    #: the comparison and the constant's numerator and denominator, found once
+    _test: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.op not in _COMPARE:
             raise ValueError(f"bad guard operator {self.op!r}")
+        object.__setattr__(self, "_test", (_COMPARE[self.op], *self.constant.as_integer_ratio()))
 
     def holds(self, value: Fraction) -> bool:
-        return _COMPARE[self.op](value, self.constant)
+        # n/d op c/e  <=>  n*e op c*d, as both denominators are positive
+        compare, c, e = self._test
+        n, d = value.as_integer_ratio()
+        return compare(n * e, c * d)
 
 
 @dataclass(frozen=True)
@@ -299,7 +305,7 @@ def evaluate_rule(rule: Rule, store: Store, delta: AbstractSet[Triple] | None = 
 
 
 def _triple_sort_key(t: Triple) -> tuple[str, str, str]:
-    return (serialize_term(t.subject), serialize_term(t.predicate), serialize_term(t.object))
+    return (t.subject.lexeme, t.predicate.lexeme, t.object.lexeme)
 
 
 def forward_chain(

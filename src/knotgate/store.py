@@ -397,7 +397,8 @@ class Store:
     def _scan(self, step: tuple, b: dict[str, Term]) -> list[tuple[Triple, dict[str, Term]]]:
         """Each triple the step matches under b, with a copy of b binding its
         free variables; a shared step first reads and canonicalizes b's slot
-        values and lets them pick a smaller bucket."""
+        values and lets them pick a smaller bucket.  Terms are hash-consed,
+        so each check is an identity test."""
         bucket, key, consts, checks, slots, free, repeats, canon = step
         if slots:
             root = self._alias_root
@@ -411,10 +412,10 @@ class Store:
         for t in bucket:
             terms = (t.subject, t.predicate, t.object)
             for i, term in checks:
-                if terms[i] is not term and terms[i] != term:
+                if terms[i] is not term:
                     break
             else:
-                if repeats and any(terms[i] != terms[j] for i, j in repeats):
+                if repeats and any(terms[i] is not terms[j] for i, j in repeats):
                     continue
                 row = b.copy()
                 for name, i in free.items():

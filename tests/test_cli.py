@@ -165,6 +165,24 @@ def test_validate_every_fixture(path, capsys):
     assert capsys.readouterr().out.startswith("ok: ")
 
 
+def test_validate_rule_pack_that_opens_with_comment_lines(tmp_path, capsys):
+    pack = tmp_path / "commented.rules"
+    pack.write_text(
+        "# fever rules\n\n  # one rule\n"
+        "PACK p RULE r : IF ?o ssn:observationResult ?v FILTER ?v > 38 THEN ?o m3:indicates m3:Fever .\n",
+        encoding="utf-8",
+    )
+    assert run_cli("validate", str(pack)) == 0
+    assert capsys.readouterr().out == "ok: rule pack p, 1 rule(s)\n"
+
+
+def test_validate_triple_file_that_opens_with_comment_lines(tmp_path, capsys):
+    doc = tmp_path / "commented.nt"
+    doc.write_text("# PACK is no triple\n\n<urn:a> <urn:b> <urn:c> .\n", encoding="utf-8")
+    assert run_cli("validate", str(doc)) == 0
+    assert capsys.readouterr().out == "ok: triple file, 1 triple(s)\n"
+
+
 def test_validate_triple_file(capsys):
     assert run_cli("validate", str(FIXTURES / "packs" / "remedies.nt")) == 0
     assert "3 triple(s)" in capsys.readouterr().out

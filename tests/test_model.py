@@ -1,8 +1,19 @@
+import copy
+import gc
+import pickle
 import random
+import re
+import sys
+import threading
+import time
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, strategies as st
 
+from knotgate import model
+from knotgate.annotation import Annotator, RawReading, SensorRegistration, SensorRegistry
+from knotgate.gateway import InvalidTarget, MqttTopic
 from knotgate.lexer import GrammarError, tokenize
 from knotgate.model import (
     Blank,
@@ -27,6 +38,8 @@ from knotgate.model import (
     serialize_term,
     serialize_triples,
 )
+from knotgate.query import parse_query
+from knotgate.rules import parse_rulepack
 
 from generators import rand_graph
 
@@ -203,3 +216,185 @@ def test_sort_key_is_serialized_term():
     terms = [Iri("urn:b:1"), Literal("1", XSD_DOUBLE), Blank("z")]
     keys = [serialize_term(t) for t in terms]
     assert sorted(keys) == sorted(keys)  # comparable strings, no raise
+
+
+# -- hash-consing ------------------------------------------------------------------
+
+_IRI_CHARS = st.characters(blacklist_categories=("Cs", "Cc", "Zs", "Zl", "Zp"), blacklist_characters="<>")
+IRI_VALUES = st.text(_IRI_CHARS, max_size=12).map(lambda s: "urn:" + s)
+LABELS = st.text("abcXYZ019_", min_size=1, max_size=6)
+LEXICALS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+NUMBERS = st.one_of(st.integers(-10**6, 10**6), st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _fresh(text: str) -> str:
+    """An equal string that is, where CPython allows, another object."""
+    return (text + "!")[:-1]
+
+
+def _routes(term) -> list:
+    """The term rebuilt from its value by every route that builds terms."""
+    out = [copy.copy(term), copy.deepcopy(term)]
+    out += [pickle.loads(pickle.dumps(term, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    if isinstance(term, Iri):
+        out += [Iri(_fresh(term.value)), make_iri(_fresh(term.value))]
+    elif isinstance(term, Literal):
+        out.append(Literal(_fresh(term.lexical), _fresh(term.datatype)))
+    else:
+        out.append(Blank(_fresh(term.label)))
+    subject = term if not isinstance(term, Literal) else Iri("urn:s")
+    predicate = term if isinstance(term, Iri) else Iri("urn:p")
+    triple = Triple(subject, predicate, term)
+    (parsed,) = parse_triples(serialize_triples([triple]))
+    out += [parsed.object, copy.deepcopy(triple).object, pickle.loads(pickle.dumps(triple)).object]
+    if not isinstance(term, Blank):
+        # the rule and query lexer spells every IRI and literal as the line format does
+        atom = f"?s {serialize_term(predicate)} {serialize_term(term)}"
+        rule = parse_rulepack(f"PACK p RULE r : IF {atom} THEN {atom} .").rules[0]
+        out += [parse_query(f"SELECT ?s WHERE {{ {atom} }}").patterns[0].object, rule.head[0].object]
+    return out
+
+
+@given(st.one_of(
+    IRI_VALUES.map(Iri),
+    st.builds(Literal, LEXICALS, st.sampled_from([XSD_STRING, "urn:dt"])),
+    NUMBERS.map(make_numeric),
+    st.integers(-10**6, 10**6).map(lambda n: make_numeric(n, XSD_LONG)),
+    LABELS.map(Blank),
+))
+def test_equal_values_give_the_same_object_on_every_route(term):
+    for other in _routes(term):
+        assert other is term
+        assert other == term and hash(other) == hash(term)
+
+
+@given(NUMBERS, st.integers(0, 10**9))
+def test_make_numeric_and_the_lexer_share_literals(value, seq):
+    lit = make_numeric(value)
+    assert lit is Literal(_fresh(lit.lexical), XSD_DOUBLE)
+    spelled = lit.lexical if "." in lit.lexical or "e" in lit.lexical else lit.lexical + ".0"
+    query = parse_query(f"SELECT ?o WHERE {{ ?o <urn:p> {spelled} }}")
+    assert query.patterns[0].object is lit
+    long = make_numeric(seq, XSD_LONG)
+    assert parse_query(f"SELECT ?o WHERE {{ ?o <urn:p> {seq} }}").patterns[0].object is long
+
+
+def test_annotated_observations_share_terms_with_every_other_route():
+    registry = SensorRegistry()
+    registry.register(SensorRegistration.from_strings("t1", "m3:BodyTemperature", "m3:Patient", "unit:DegreeCelsius"))
+    reading = RawReading("t1", "temperature", 38.5, "cel", 1000)
+    first, again = Annotator(registry).annotate(reading), Annotator(registry).annotate(reading)
+    assert first.observation_iri is again.observation_iri is Iri(_fresh("urn:obs:t1:1"))
+    for mine, other in zip(first.triples, again.triples):
+        assert (mine.subject, mine.predicate, mine.object) == (other.subject, other.predicate, other.object)
+        assert all(a is b for a, b in zip(
+            (mine.subject, mine.predicate, mine.object), (other.subject, other.predicate, other.object)))
+    assert first.triples[2].object is make_numeric(38.5)
+    assert first.triples[5].object is Literal("1000", XSD_LONG)
+    assert first.triples[3].object is make_iri("unit:DegreeCelsius")
+
+
+def test_unequal_values_give_unequal_terms():
+    assert Literal("1", XSD_LONG) is not Literal("1", XSD_DOUBLE)
+    assert Literal("1.0", XSD_DOUBLE) != Literal("1", XSD_DOUBLE)
+    assert Iri("urn:a") != Iri("urn:A")
+    assert Blank("a") != Iri("urn:a")
+    assert Iri.__eq__ is object.__eq__ and Iri.__hash__ is object.__hash__
+
+
+def test_terms_are_immutable_and_keep_their_reprs():
+    lit = Literal("a\"b", XSD_STRING)
+    with pytest.raises(FrozenInstanceError):
+        lit.lexical = "c"
+    with pytest.raises(FrozenInstanceError):
+        del Iri("urn:a").value
+    assert repr(Iri("urn:a")) == "Iri(value='urn:a')"
+    assert repr(lit) == f"Literal(lexical='a\"b', datatype={XSD_STRING!r})"
+    assert repr(Blank("b")) == "Blank(label='b')"
+    assert lit.lexeme == serialize_term(lit) == f'"a\\"b"^^<{XSD_STRING}>'
+
+
+def _run_threads(target, n: int) -> None:
+    """n threads of target, more than this machine has cores, switching often."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=target) for _ in range(n)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_concurrent_first_builds_of_one_iri_give_one_object(monkeypatch):
+    # widen the miss path so that threads racing past the table lookup would
+    # each mint their own object, were the miss path not serialized
+    check = Iri._lexeme
+
+    def slow_check(value):
+        time.sleep(0.01)
+        return check(value)
+
+    monkeypatch.setattr(Iri, "_lexeme", staticmethod(slow_check))
+    value = f"urn:race:{time.monotonic_ns()}"
+    start = threading.Barrier(8)
+    built: list = []
+
+    def build():
+        start.wait(timeout=10)
+        built.append(Iri(_fresh(value)))
+
+    _run_threads(build, 8)
+    assert len(built) == 8 and all(term is built[0] for term in built)
+
+
+def test_terms_built_and_dropped_across_threads_stay_one_per_value(monkeypatch):
+    # a dying term's entry leaves its table after a pause here, so that other
+    # threads mint the value again meanwhile; a removal that took their entry
+    # with it would leave two live objects for one value
+    forget = Literal._forget
+
+    def slow_forget(ref):
+        time.sleep(0.0001)
+        forget(ref)
+
+    monkeypatch.setattr(Literal, "_forget", staticmethod(slow_forget))
+    values = [f"urn:churn:{time.monotonic_ns()}:{i}" for i in range(4)]
+    split: list = []
+
+    def churn():
+        for i in range(400):
+            held = Literal(values[i % 4], XSD_STRING)  # the others drop theirs meanwhile
+            if Literal(_fresh(values[i % 4]), XSD_STRING) is not held:
+                split.append(values[i % 4])
+
+    _run_threads(churn, 8)
+    assert split == []
+
+
+def test_an_unreferenced_term_leaves_its_table():
+    value = f"urn:gc:{time.monotonic_ns()}"
+    term = Iri(value)
+    lit = Literal(value, XSD_STRING)
+    assert value in model._IRIS and (value, XSD_STRING) in model._LITERALS
+    del term, lit
+    gc.collect()
+    assert value not in model._IRIS and (value, XSD_STRING) not in model._LITERALS
+    assert Iri(value).value == value  # and a later build mints it afresh
+
+
+def test_whitespace_search_agrees_with_isspace_on_every_code_point():
+    whitespace = re.compile(r"\s")
+    disagree = [cp for cp in range(sys.maxunicode + 1) if bool(whitespace.match(chr(cp))) != chr(cp).isspace()]
+    assert disagree == []
+    for c in filter(str.isspace, map(chr, range(sys.maxunicode + 1))):
+        with pytest.raises(MalformedIri, match="whitespace"):
+            Iri(f"urn:a{c}b")
+        with pytest.raises(InvalidTarget):
+            MqttTopic(f"a{c}b")
+    with pytest.raises(MalformedIri, match="angle bracket"):
+        Iri("urn:a>b")
+    assert MqttTopic("a<b>").topic == "a<b>"

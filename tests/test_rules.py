@@ -292,6 +292,16 @@ def test_cached_number_and_guard_filter_match_the_oracle(lexical, constant, op):
     assert skips == {frozenset({("v", text)})}
 
 
+@given(value=st.fractions(), constant=st.fractions())
+@settings(max_examples=300)
+def test_guard_holds_agrees_with_fraction_comparison(value, constant):
+    plain = {"<": value < constant, "<=": value <= constant, ">": value > constant,
+             ">=": value >= constant, "=": value == constant, "!=": value != constant}
+    assert sorted(plain) == sorted(GUARD_OPS)
+    for op, expected in plain.items():
+        assert Guard("v", op, constant).holds(value) is expected
+
+
 def test_guard_type_error_counted_once_in_its_first_round():
     pack = parse_rulepack(CHAINED_PACK)
     high = Iri("urn:obs:thermo1:9")
