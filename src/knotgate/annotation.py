@@ -9,6 +9,7 @@ with exact rational arithmetic so fixture values stay bit-stable.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
@@ -35,13 +36,18 @@ UNIT_CELSIUS = make_iri("unit:DegreeCelsius")
 UNIT_FAHRENHEIT = make_iri("unit:DegreeFahrenheit")
 UNIT_MMHG = make_iri("unit:MmHg")
 
+
+def _same(v: Fraction) -> Fraction:
+    return v
+
+
 #: Closed conversion table: (unit code, target unit IRI) -> exact function.
 _CONVERSIONS: dict[tuple[str, Iri], object] = {
-    ("cel", UNIT_CELSIUS): lambda v: v,
+    ("cel", UNIT_CELSIUS): _same,
     ("far", UNIT_CELSIUS): lambda v: (v - 32) * 5 / 9,
     ("cel", UNIT_FAHRENHEIT): lambda v: v * 9 / 5 + 32,
-    ("far", UNIT_FAHRENHEIT): lambda v: v,
-    ("mmhg", UNIT_MMHG): lambda v: v,
+    ("far", UNIT_FAHRENHEIT): _same,
+    ("mmhg", UNIT_MMHG): _same,
 }
 
 _KNOWN_CODES = frozenset(code for code, _ in _CONVERSIONS)
@@ -141,6 +147,11 @@ def normalize_unit(value: float, from_code: str, to_unit: Iri) -> float:
     fn = _CONVERSIONS.get((from_code, to_unit))
     if fn is None:
         raise UnsupportedConversion(f"no conversion {from_code!r} -> {to_unit.value!r}")
+    # an identity conversion of a finite float or int gives back its float,
+    # as the exact path does (every such float is its shortest repr's
+    # nearest float); + 0.0 turns -0.0 into 0.0, as Fraction does
+    if fn is _same and type(value) in (float, int) and -sys.float_info.max <= value <= sys.float_info.max:
+        return float(value) + 0.0
     exact = fn(Fraction(str(value)))
     return float(exact)
 

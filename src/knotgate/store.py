@@ -8,17 +8,22 @@ m3:equivalentTo triples (served verbatim) define.  That view is a pure
 function of the stated triples, whatever their order, and every read
 serves it, so matching never chases aliases.
 
-Reads are index probes, each a step compiled from a pattern (Store._step,
-the one probe routine): every position is a constant, a variable the
-bindings bind, or a free variable.  A step scans the smallest subject,
-predicate or object bucket its bound positions key and checks each
-candidate only on the positions that bucket leaves open; every bucket keeps
-insertion order, so the rows come in the same order whichever bucket is
-scanned.  Given among (stored triples such as a chaining round's delta or
-one derived fact), a step scans those instead.  Store.join, the one join of
-rules and queries, compiles each pattern once per step, not per binding.
-Store.match runs the same step on one binding, for delta seeding,
-subscriptions and composition triggers, so all see aliases alike.
+Reads are index probes, each a compiled step (_step, the one probe
+routine).  A step's shape says what each position is: a constant, a
+variable the incoming bindings bind, a free variable, or a repeat of an
+earlier free one.  Each shape is generated once into straight-line code,
+and a pattern keeps its steps, that code closed over its own constants and
+names.  A step runs over a whole batch of bindings: it canonicalizes the
+constants and picks their smallest subject, predicate or object bucket
+once, then per binding reads the bound values, lets them pick a smaller
+bucket, and builds the rows in one comprehension of identity checks.
+Every bucket keeps insertion order, so the rows come in the same order
+whichever bucket is scanned.  Given among (stored triples such as a
+chaining round's delta or one derived fact), a step scans those instead.
+Store.join, the one join of rules and queries, runs each pattern's step
+once over all the bindings that reach it.  Store.match runs the same step
+on one binding, for delta seeding, subscriptions and composition triggers,
+so all see aliases alike.
 
 Concurrency: single writer, any number of readers.  A re-entrant lock
 guards every operation, so each call reads one snapshot: a join (every
@@ -33,8 +38,7 @@ import itertools
 import re
 import threading
 from dataclasses import dataclass
-from functools import cached_property
-from typing import AbstractSet, Collection, Iterator, NamedTuple, Sequence, Union
+from typing import AbstractSet, Callable, Collection, Iterator, NamedTuple, Sequence, Union
 
 from .model import (
     Iri,
@@ -117,6 +121,12 @@ class TriplePattern:
     def __post_init__(self) -> None:
         if not isinstance(self.predicate, (Variable, Iri)):
             raise InvalidPattern("concrete predicate must be an IRI")
+        # the variable names, each once in position order, and the pattern's
+        # compiled steps, keyed as _step keys them: set here, not lazily, as
+        # a query's patterns are built and compiled once per query
+        names = [p.name for p in (self.subject, self.predicate, self.object) if isinstance(p, Variable)]
+        object.__setattr__(self, "names", tuple(dict.fromkeys(names)))
+        object.__setattr__(self, "steps", {})
 
     def positions(self) -> tuple[PatternTerm, PatternTerm, PatternTerm]:
         return (self.subject, self.predicate, self.object)
@@ -128,11 +138,6 @@ class TriplePattern:
 
     def concrete_count(self) -> int:
         return sum(1 for p in self.positions() if not isinstance(p, Variable))
-
-    @cached_property
-    def layout(self) -> tuple[tuple[int, str | None, PatternTerm], ...]:
-        """(position, variable name or None, term) per position, found once."""
-        return tuple((i, p.name if isinstance(p, Variable) else None, p) for i, p in enumerate(self.positions()))
 
 
 def _link(t: Triple) -> bool:
@@ -316,16 +321,17 @@ class Store:
         triples, or among's own order when among is given.  A repeated
         free variable must meet the same term twice.
         """
+        b = bindings or {}
         with self._lock:
-            step = self._step(pattern, bindings or {}, among)
-            return [MatchResult(t, b) for t, b in self._scan(step, {})]
+            return _step(pattern, "match" if among is None else "among", b)(self, (b,), among, None)
 
     def candidate_count(
         self, pattern: TriplePattern, bindings: dict[str, Term] | None = None
     ) -> int:
         """Size of the index bucket match scans: an upper bound on its rows."""
+        b = bindings or {}
         with self._lock:
-            return len(self._step(pattern, bindings or {})[0])
+            return _step(pattern, "count", b)(self, (b,), None, None)[0]
 
     def join(
         self,
@@ -338,87 +344,118 @@ class Store:
         The whole join holds the lock, so every binding it returns reads
         the same store state.  Seeds that bind different variables extend
         in runs that bind the same ones, so the bindings entering a step all
-        bind alike and the step compiles once for them.  A binding that
-        puts a literal in the predicate slot matches nothing; triples in
-        exclude are skipped.
+        bind alike and one compiled step runs over all of them.  A binding
+        that puts a literal in the predicate slot matches nothing; triples
+        in exclude are skipped.
         """
         bindings = seeds
         with self._lock:
             if len(seeds) > 1 and any(s.keys() != seeds[0].keys() for s in seeds):
                 groups = (list(g) for _, g in itertools.groupby(seeds, dict.keys))
                 return [b for g in groups for b in self.join(patterns, g, exclude)]
+            kind = "join" if exclude is None else "exclude"
             for pattern in patterns:
                 if not bindings:
                     break
-                step = self._step(pattern, bindings[0], None, len(bindings) > 1)
-                extended: list[dict[str, Term]] = []
-                for b in bindings:
-                    for t, row in self._scan(step or self._step(pattern, b), b):
-                        if exclude is None or t not in exclude:
-                            extended.append(row)
-                bindings = extended
+                bindings = _step(pattern, kind, bindings[0])(self, bindings, None, exclude)
         return bindings
 
-    def _step(self, pattern: TriplePattern, b: dict[str, Term],
-              among: Collection[Triple] | None = None, shared: bool = False) -> tuple | None:
-        """Compile the pattern for bindings that bind what b binds: (bucket, its
-        key position or -1, constants, those left to check, slots, free name
-        -> position, repeated free positions, whether slots canonicalize).
-        Only a shared step keeps b's variables as slots; with aliases, one whose
-        predicate is a slot cannot tell equivalence lookups apart: None."""
-        consts, slots, free, repeats = [], [], {}, []
-        for i, name, p in pattern.layout:
-            if name is not None:
-                if name not in b:
-                    if name in free:
-                        repeats.append((free[name], i))
-                    free.setdefault(name, i)
-                    continue
-                if shared:
-                    slots.append((i, name))
-                    continue
-                p = b[name]
-            consts.append((i, p))
-        root = self._alias_root
-        canon = bool(root) and (1, M3_EQUIVALENT_TO) not in consts
-        if canon:
-            if any(i == 1 for i, _ in slots):
-                return None
-            consts = [(i, root.get(t, t)) for i, t in consts]
-        bucket: Collection[Triple] = self._triples if among is None else among
-        key = k = -1
-        for n, (i, t) in enumerate(consts if among is None else ()):
-            candidates = self._indexes[i].get(t, _NONE)
-            if key < 0 or len(candidates) < len(bucket):
-                bucket, key, k = candidates, i, n
-        checks = consts[:k] + consts[k + 1:] if k >= 0 else consts
-        return bucket, key, consts, checks, slots, free, repeats, canon
 
-    def _scan(self, step: tuple, b: dict[str, Term]) -> list[tuple[Triple, dict[str, Term]]]:
-        """Each triple the step matches under b, with a copy of b binding its
-        free variables; a shared step first reads and canonicalizes b's slot
-        values and lets them pick a smaller bucket.  Terms are hash-consed,
-        so each check is an identity test."""
-        bucket, key, consts, checks, slots, free, repeats, canon = step
-        if slots:
-            root = self._alias_root
-            bound = [(i, root.get(b[n], b[n]) if canon else b[n]) for i, n in slots]
-            for i, t in bound:
-                candidates = self._indexes[i].get(t, _NONE)
-                if key < 0 or len(candidates) < len(bucket):
-                    bucket, key = candidates, i
-            checks = [c for c in consts + bound if c[0] != key]
-        out: list[tuple[Triple, dict[str, Term]]] = []
-        for t in bucket:
-            terms = (t.subject, t.predicate, t.object)
-            for i, term in checks:
-                if terms[i] is not term:
-                    break
+#: run(store, bindings, among, exclude) -> the rows of every binding
+_Step = Callable[..., list]
+
+#: step factory per shape: (kind, what each position is).  A shape holds no
+#: term or name, and there are finitely many, so this never needs evicting.
+_FACTORIES: dict[tuple[str, ...], Callable[..., _Step]] = {}
+
+
+def _step(pattern: TriplePattern, kind: str, b: dict[str, Term]) -> _Step:
+    """The pattern's step for bindings that bind what b binds.
+
+    kind is what the step returns: "join" rows (b extended by the free
+    variables), "exclude" the same skipping the exclude set, "match" or
+    "among" MatchResults of the free variables alone (among: scanning the
+    given triples), or "count" the size of the bucket it would scan.
+    """
+    key = (kind, *map(b.__contains__, pattern.names))
+    run = pattern.steps.get(key)
+    if run is None:
+        terms: list[PatternTerm | None] = [None, None, None]
+        names: list[str | None] = [None, None, None]
+        shape: list[str] = []
+        for i, p in enumerate((pattern.subject, pattern.predicate, pattern.object)):
+            if not isinstance(p, Variable):
+                shape.append("c")
+                terms[i] = p
+            elif p.name in b:
+                shape.append("b")
+                names[i] = p.name
+            elif p.name in names:
+                shape.append(str(names.index(p.name)))
             else:
-                if repeats and any(terms[i] is not terms[j] for i, j in repeats):
-                    continue
-                row = b.copy()
-                for name, i in free.items():
-                    row[name] = terms[i]
-                out.append((t, row))
-        return out
+                shape.append("f")
+                names[i] = p.name
+        factory = _FACTORIES.get((kind, *shape))
+        if factory is None:
+            factory = _FACTORIES[(kind, *shape)] = _compile(kind, tuple(shape))
+        run = pattern.steps[key] = factory(*terms, *names)
+    return run
+
+
+_FIELDS = ("subject", "predicate", "object")
+
+
+def _compile(kind: str, shape: tuple[str, ...]) -> Callable[..., _Step]:
+    """Generate the factory of one step shape.  Each position is "c" (a
+    constant), "b" (bound by the incoming bindings), "f" (free) or the
+    digit of the earlier free position it repeats.  The factory takes the
+    constants c0-c2 and the variable names n0-n2 and returns
+    run(store, bindings, among, exclude), straight-line code that picks the
+    smallest bucket once per binding and builds its rows in one
+    comprehension.  Terms are hash-consed, so each check is an identity test.
+    """
+    known = [i for i, s in enumerate(shape) if s in "cb"]
+    # read once per binding: bound values, and with a bound predicate the
+    # constants too, as whether to canonicalize depends on the binding
+    loose = [i for i in known if shape[i] == "b" or shape[1] == "b"]
+    fixed = [i for i in known if i not in loose]
+
+    def pick(indent: str, bucket: str, positions: list[int]) -> list[str]:
+        return [
+            line
+            for i in positions
+            for line in (f"{indent}x = index[{i}].get(k{i}, _NONE)", f"{indent}if len(x) < len({bucket}): {bucket} = x")
+        ]
+
+    lines = [
+        "def factory(c0, c1, c2, n0, n1, n2):",
+        " def run(store, bindings, among, exclude):",
+        "  root = store._alias_root",
+        "  index = store._indexes",
+        "  canon = root and c1 is not M3_EQUIVALENT_TO",
+        *(f"  k{i} = root.get(c{i}, c{i}) if canon else c{i}" for i in fixed),
+        f"  base = {'among' if kind == 'among' else 'store._triples'}",
+        *(pick("  ", "base", fixed) if kind != "among" else []),
+        "  out = []",
+        "  for b in bindings:",
+        *(f"   k{i} = b[n{i}]" if shape[i] == "b" else f"   k{i} = c{i}" for i in loose),
+        *(["   canon = root and k1 is not M3_EQUIVALENT_TO"] if shape[1] == "b" else []),
+        *(f"   if canon: k{i} = root.get(k{i}, k{i})" for i in loose),
+        "   bucket = base",
+        *(pick("   ", "bucket", loose) if kind != "among" else []),
+    ]
+    checks = [f"t.{_FIELDS[i]} is k{i}" for i in known]
+    checks += [f"t.{_FIELDS[i]} is t.{_FIELDS[int(s)]}" for i, s in enumerate(shape) if s.isdigit()]
+    if kind == "exclude":
+        checks.append("t not in exclude")
+    cond = f" if {' and '.join(checks)}" if checks else ""
+    free = [f"n{i}: t.{_FIELDS[i]}" for i, s in enumerate(shape) if s == "f"]
+    if kind == "count":
+        lines.append("   out.append(len(bucket))")
+    else:
+        row = f"MatchResult(t, {{{', '.join(free)}}})" if kind in ("match", "among") else f"{{{', '.join(['**b', *free])}}}"
+        lines.append(f"   out += [{row} for t in bucket{cond}]")
+    lines += ["  return out", " return run"]
+    namespace: dict[str, Callable[..., _Step]] = {}
+    exec("\n".join(lines), globals(), namespace)
+    return namespace["factory"]

@@ -2,7 +2,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from knotgate.annotation import (
     Annotator,
@@ -82,6 +82,31 @@ def test_registry_csv_loader_reports_line():
 def test_normalize_identity():
     assert normalize_unit(38, "cel", UNIT_CELSIUS) == 38
     assert normalize_unit(120, "mmhg", UNIT_MMHG) == 120
+
+
+def _outcome(convert) -> tuple:
+    try:
+        value = convert()
+    except Exception as exc:  # the exception class is part of the contract
+        return ("raises", type(exc))
+    return ("returns", type(value), repr(value))  # repr tells -0.0 from 0.0
+
+
+@given(
+    value=st.one_of(
+        st.floats(),
+        st.integers(),
+        st.integers(min_value=-(2**1030), max_value=2**1030),  # around the float range's ends
+        st.sampled_from([True, 2**1024 - 2**970, 2**1024 - 2**970 - 1, 10**5000]),
+    )
+)
+@example(value=-0.0)
+@settings(max_examples=500)
+def test_identity_conversions_match_the_exact_path(value):
+    # reference: the exact path every conversion took before identities had a fast path
+    expected = _outcome(lambda: float(Fraction(str(value))))
+    for code, unit in (("cel", UNIT_CELSIUS), ("far", UNIT_FAHRENHEIT), ("mmhg", UNIT_MMHG)):
+        assert _outcome(lambda: normalize_unit(value, code, unit)) == expected
 
 
 def test_normalize_fahrenheit_to_celsius():

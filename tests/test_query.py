@@ -12,6 +12,7 @@ from knotgate.query import (
     evaluate_query,
     parse_query,
 )
+import knotgate.store as store_module
 from knotgate.store import Asserted, Loaded, Store, TriplePattern, Variable
 
 from generators import Vocab, rand_query
@@ -259,17 +260,22 @@ def test_query_reads_one_snapshot_while_writer_commits(monkeypatch):
         store.insert(Triple(o1, b, six), Asserted("urn:dev:1"))
 
     writer = threading.Thread(target=write)
-    original = Store._scan
+    original = store_module._step
 
-    def scan(self, step, b):
-        # the join's second step, run on the binding of ?o to o1: let the
-        # writer commit between the two patterns
-        if b.get("o") == o1 and writer.ident is None:
-            writer.start()
-            writer.join(timeout=0.2)
-        return original(self, step, b)
+    def step(pattern, kind, b):
+        run = original(pattern, kind, b)
 
-    monkeypatch.setattr(Store, "_scan", scan)
+        def hooked(store, bindings, among, exclude):
+            # the join's second step, run on the binding of ?o to o1: let
+            # the writer commit between the two patterns
+            if any(x.get("o") == o1 for x in bindings) and writer.ident is None:
+                writer.start()
+                writer.join(timeout=0.2)
+            return run(store, bindings, among, exclude)
+
+        return hooked
+
+    monkeypatch.setattr(store_module, "_step", step)
     q = parse_query("SELECT ?o ?v WHERE { ?o <urn:t:a> <urn:t:X> . ?o <urn:t:b> ?v }")
     rows = evaluate_query(q, store).rows
     assert writer.ident is not None  # the writer ran mid-join

@@ -1,10 +1,13 @@
+import gc
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from knotgate.model import Blank, Iri, Literal, Triple, make_iri, serialize_term, serialize_triples
+from knotgate.model import Blank, Iri, Literal, Triple, XSD_DOUBLE, make_iri, serialize_term, serialize_triples
 from knotgate.query import Query, evaluate_query
+import knotgate.store as store_module
 from knotgate.store import (
     Asserted,
     Inferred,
@@ -443,6 +446,39 @@ def _row_key(row) -> tuple[str, ...]:
     return tuple(serialize_term(t) for t in row)
 
 
+EQ = make_iri("m3:equivalentTo")
+
+
+def _served_match(stored: list[Triple], pattern: TriplePattern, b: dict, classes: dict) -> list:
+    """oracle_match of the pattern under b on the served triples, as the store
+    reads it: constants and bound values alias-canonicalized unless the
+    predicate is the equivalence predicate, and nothing for a non-IRI in the
+    predicate slot."""
+    values = [b.get(p.name, p) if isinstance(p, Variable) else p for p in pattern.positions()]
+    if not isinstance(values[1], (Iri, Variable)):
+        return []
+    if values[1] != EQ:  # equivalence lookups read the verbatim stored form
+        values = [Iri(classes.get(v.value, v.value)) if isinstance(v, Iri) else v for v in values]
+    return oracle_match(stored, TriplePattern(*values))
+
+
+def _oracle_join(stored: list[Triple], patterns, seeds: list[dict], exclude, classes: dict) -> list[dict]:
+    """Each seed extended through the patterns by nested loops over the
+    served triples in store order: the rows, in the order the join gives them."""
+    rows = []
+    for seed in seeds:
+        partial = [seed]
+        for pattern in patterns:
+            partial = [
+                {**b, **found}
+                for b in partial
+                for t, found in _served_match(stored, pattern, b, classes)
+                if not exclude or t not in exclude
+            ]
+        rows += partial
+    return rows
+
+
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=300, deadline=None)
 def test_join_matches_nested_loop_oracle(seed):
@@ -474,6 +510,25 @@ def test_join_matches_nested_loop_oracle(seed):
     assert sorted(_row_key(tuple(b[n] for n in names)) for b in got) == sorted(
         _row_key(row) for row in expected
     )
+    # the same rows in the order of nested loops over the store
+    assert got == _oracle_join(stored, patterns, seeds, exclude, {})
+
+    # the alias variant: equivalence links among the vocabulary and fresh
+    # IRIs, and seeds that bind a predicate variable, the equivalence
+    # predicate included, in runs that share one step
+    alts = [Iri(f"urn:alt:{i}") for i in range(3)]
+    iris = vocab.subjects + vocab.predicates + alts
+    pairs = [(rng.choice(iris), rng.choice(iris)) for _ in range(rng.randint(1, 4))]
+    for a, b in pairs:
+        store.insert(Triple(a, EQ, b), Loaded("links"))
+    classes = oracle_alias_classes([(a.value, b.value) for a, b in pairs])
+    stored = list(store)
+    predicate_names = sorted({p.predicate.name for p in patterns if isinstance(p.predicate, Variable)})
+    for name in predicate_names[:1]:
+        values = [EQ, rng.choice(vocab.predicates), rng.choice(alts), rng.choice(vocab.objects)]
+        seeds += [{name: v} for v in rng.sample(values, len(values))]
+    exclude = set(rng.sample(stored, rng.randint(0, len(stored) // 2))) if exclude is not None else None
+    assert store.join(patterns, seeds, exclude=exclude) == _oracle_join(stored, patterns, seeds, exclude, classes)
 
 
 def test_join_step_with_a_bound_predicate_reads_equivalence_statements_verbatim():
@@ -564,3 +619,94 @@ def test_match_probe_matches_linear_scan_oracle(seed):
             if not isinstance(v, Variable)
         ]
         assert count == min(buckets, default=len(stored)) >= len(got)
+
+
+def _shape_store(aliased: bool) -> tuple[Store, dict]:
+    """A small store where every position kind meets matches: repeated terms
+    (so repeats match), a literal object and, when aliased, equivalence links
+    whose classes rename subjects, a predicate and an object."""
+    s, t, u, alt = (Iri(f"urn:shape:{n}") for n in ("s", "t", "u", "alt"))
+    p, q = Iri("urn:shape:p"), Iri("urn:shape:q")
+    store = Store()
+    for triple_ in (
+        Triple(s, p, s), Triple(s, p, t), Triple(t, q, s), Triple(u, p, Literal("5", XSD_DOUBLE)),
+        Triple(p, p, p), Triple(alt, q, u), Triple(t, p, alt),
+    ):
+        store.insert(triple_, Loaded("seed"))
+    pairs = [(alt, s), (q, Iri("urn:shape:q2"))] if aliased else []
+    for a, b in pairs:
+        store.insert(Triple(a, EQ, b), Loaded("links"))
+    return store, oracle_alias_classes([(a.value, b.value) for a, b in pairs])
+
+
+def test_every_step_shape_matches_the_oracle():
+    # every shape: each position a constant or one of three variables (so
+    # repeats of free and of bound variables occur), every subset of the
+    # variables bound, with and without among, on a store with and without
+    # aliases; constants and bound values range over aliases, the
+    # equivalence predicate and a literal (a non-IRI in the predicate slot)
+    rng = random.Random(11)
+    for aliased in (False, True):
+        store, classes = _shape_store(aliased)
+        stored = list(store)
+        terms = sorted({x for t in stored for x in (t.subject, t.predicate, t.object)}, key=serialize_term)
+        terms += [Iri("urn:shape:alt"), Iri("urn:shape:q2")]
+        predicates = [x for x in terms if isinstance(x, Iri)]
+        for layout in itertools.product("cxyz", repeat=3):
+            names = sorted(set(layout) - {"c"})
+            for bound in itertools.chain.from_iterable(itertools.combinations(names, k) for k in range(len(names) + 1)):
+                for _ in range(4):
+                    pattern = TriplePattern(*(
+                        Variable(kind) if kind != "c" else rng.choice(predicates if i == 1 else terms)
+                        for i, kind in enumerate(layout)
+                    ))
+                    seeds = [{name: rng.choice(terms) for name in bound} for _ in range(3)]
+                    b = seeds[0]
+                    expected = _served_match(stored, pattern, b, classes)
+                    assert [tuple(r) for r in store.match(pattern, b)] == expected
+                    subset = rng.sample(stored, rng.randint(0, len(stored)))
+                    assert [tuple(r) for r in store.match(pattern, b, among=subset)] == _served_match(
+                        subset, pattern, b, classes
+                    )
+                    assert store.candidate_count(pattern, b) >= len(expected)
+                    for exclude in (None, set(rng.sample(stored, 3))):
+                        assert store.join([pattern], seeds, exclude=exclude) == _oracle_join(
+                            stored, [pattern], seeds, exclude, classes
+                        )
+
+
+def test_step_shapes_are_bounded_and_hold_no_term():
+    store, _ = _shape_store(True)
+    terms = [x for t in store for x in (t.subject, t.predicate, t.object)]
+    rng = random.Random(12)
+
+    def run(pattern: TriplePattern, bound: list[str]) -> None:
+        b = {name: rng.choice(terms) for name in bound}
+        store.match(pattern, b)
+        store.match(pattern, b, among=list(store))
+        store.candidate_count(pattern, b)
+        store.join([pattern], [b])
+        store.join([pattern], [b], exclude=set())
+
+    def position(i: int, names: list[str]) -> object:
+        return Variable(rng.choice(names)) if rng.random() < 0.6 else rng.choice(terms if i != 1 else [EQ, P])
+
+    for layout in itertools.product("cxyz", repeat=3):  # every shape, once
+        names = sorted(set(layout) - {"c"})
+        for bound in itertools.chain.from_iterable(itertools.combinations(names, k) for k in range(len(names) + 1)):
+            run(TriplePattern(*(Variable(x) if x != "c" else P for x in layout)), list(bound))
+    shapes = len(store_module._FACTORIES)
+    for n in range(1000):  # fresh names, so a cache keyed by names would grow
+        names = [f"v{n}_{i}" for i in range(3)]
+        pattern = TriplePattern(*(position(i, names) for i in range(3)))
+        run(pattern, [x for x in names if rng.random() < 0.5])
+    assert len(store_module._FACTORIES) == shapes
+    # compiled steps live on their pattern: a constant only a dropped pattern
+    # used leaves the intern table
+    value = f"urn:shape:dropped:{rng.random()}"
+    pattern = TriplePattern(Variable("s"), P, Iri(value))
+    run(pattern, ["s"])
+    assert pattern.steps and value in Iri._table
+    del pattern
+    gc.collect()
+    assert value not in Iri._table
