@@ -4,8 +4,9 @@ Grammar: ``SELECT ?v+ WHERE { pattern (. pattern)* } (FILTER guard)* (LIMIT n)?`
 with the same term and guard lexemes as the rule grammar.  Evaluation is
 one Store.join over the patterns, cheapest index bucket first, so a query
 reads one store snapshot; the finished bindings pass the guard filter rules
-use (rules.guard_filter).  Rows are distinct and deterministically ordered
-by the serialized terms; LIMIT n takes the n smallest from a heap, not a sort.
+use (rules.guard_filter).  Rows are distinct and ordered by their terms'
+lexemes (the serialized terms), compared column by column from the first
+select variable; LIMIT n takes the n smallest from a heap, not a sort.
 """
 
 from __future__ import annotations
@@ -108,8 +109,8 @@ def parse_query(text: str, presumed_bound: frozenset[str] = frozenset()) -> Quer
     return query
 
 
-def _row_key(row: tuple[Term, ...]) -> list[str]:
-    return [t.lexeme for t in row]
+_KEY = itemgetter(0)  # compare keys only: a Term defines no order
+_ROW = itemgetter(1)
 
 
 def evaluate_query(
@@ -129,9 +130,15 @@ def evaluate_query(
     costs = [store.candidate_count(p, seed) for p in patterns]
     patterns.insert(0, patterns.pop(costs.index(min(costs))))
     passed = guard_filter(query.filters, store.join(patterns, [seed]))
-    rows = set(map(itemgetter(*query.select), passed))
+    found = set(map(itemgetter(*query.select), passed))
+    # (key, row) pairs: one comprehension per column, zipped in C, so no
+    # Python call runs per row
     if len(query.select) == 1:  # one name's itemgetter returns the term itself
-        rows = {(term,) for term in rows}
+        keyed = zip([t.lexeme for t in found], zip(found))
+    else:
+        keyed = zip(zip(*([t.lexeme for t in column] for column in zip(*found))), found)
     if query.limit is None:
-        return ResultTable(tuple(query.select), sorted(rows, key=_row_key))
-    return ResultTable(tuple(query.select), heapq.nsmallest(query.limit, rows, key=_row_key))
+        ordered = sorted(keyed, key=_KEY)
+    else:
+        ordered = heapq.nsmallest(query.limit, keyed, key=_KEY)
+    return ResultTable(tuple(query.select), list(map(_ROW, ordered)))

@@ -16,7 +16,7 @@ and a pattern keeps its steps, that code closed over its own constants and
 names.  A step runs over a whole batch of bindings: it canonicalizes the
 constants and picks their smallest subject, predicate or object bucket
 once, then per binding reads the bound values, lets them pick a smaller
-bucket, and builds the rows in one comprehension of identity checks.
+bucket, and appends the rows from one plain loop of identity checks over it.
 Every bucket keeps insertion order, so the rows come in the same order
 whichever bucket is scanned.  Given among (stored triples such as a
 chaining round's delta or one derived fact), a step scans those instead.
@@ -411,8 +411,10 @@ def _compile(kind: str, shape: tuple[str, ...]) -> Callable[..., _Step]:
     digit of the earlier free position it repeats.  The factory takes the
     constants c0-c2 and the variable names n0-n2 and returns
     run(store, bindings, among, exclude), straight-line code that picks the
-    smallest bucket once per binding and builds its rows in one
-    comprehension.  Terms are hash-consed, so each check is an identity test.
+    smallest bucket once per binding and appends its rows from one loop over
+    it.  A loop, not a comprehension: on Python 3.11 a comprehension is a
+    function call, paid per binding.  Terms are hash-consed, so each check
+    is an identity test.
     """
     known = [i for i, s in enumerate(shape) if s in "cb"]
     # read once per binding: bound values, and with a bound predicate the
@@ -437,6 +439,7 @@ def _compile(kind: str, shape: tuple[str, ...]) -> Callable[..., _Step]:
         f"  base = {'among' if kind == 'among' else 'store._triples'}",
         *(pick("  ", "base", fixed) if kind != "among" else []),
         "  out = []",
+        "  append = out.append",
         "  for b in bindings:",
         *(f"   k{i} = b[n{i}]" if shape[i] == "b" else f"   k{i} = c{i}" for i in loose),
         *(["   canon = root and k1 is not M3_EQUIVALENT_TO"] if shape[1] == "b" else []),
@@ -448,13 +451,13 @@ def _compile(kind: str, shape: tuple[str, ...]) -> Callable[..., _Step]:
     checks += [f"t.{_FIELDS[i]} is t.{_FIELDS[int(s)]}" for i, s in enumerate(shape) if s.isdigit()]
     if kind == "exclude":
         checks.append("t not in exclude")
-    cond = f" if {' and '.join(checks)}" if checks else ""
     free = [f"n{i}: t.{_FIELDS[i]}" for i, s in enumerate(shape) if s == "f"]
     if kind == "count":
-        lines.append("   out.append(len(bucket))")
+        lines.append("   append(len(bucket))")
     else:
         row = f"MatchResult(t, {{{', '.join(free)}}})" if kind in ("match", "among") else f"{{{', '.join(['**b', *free])}}}"
-        lines.append(f"   out += [{row} for t in bucket{cond}]")
+        keep = f"if {' and '.join(checks)}: " if checks else ""
+        lines += ["   for t in bucket:", f"    {keep}append({row})"]
     lines += ["  return out", " return run"]
     namespace: dict[str, Callable[..., _Step]] = {}
     exec("\n".join(lines), globals(), namespace)

@@ -182,9 +182,15 @@ def test_limit_is_prefix_of_sorted_result():
         assert limited.rows == full.rows[:k]
 
 
-@given(seed=st.integers(min_value=0, max_value=2**32 - 1), alias=st.booleans())
-@settings(max_examples=300, deadline=None)
-def test_limit_rows_are_the_sorted_oracle_rows_cut(seed, alias):
+def _serialized(row: tuple) -> tuple[str, ...]:
+    return tuple(serialize_term(t) for t in row)
+
+
+def _oracle_case(seed: int, alias: bool):
+    """A random store and query, with one m3:equivalentTo alias between two
+    subjects when alias is set, and the query's patterns in the canonical
+    form the store serves (what oracle_query must match against).  None when
+    a variable predicate would bind the equivalence statement's verbatim terms."""
     rng = random.Random(seed)
     vocab = Vocab(rng)
     store, _ = vocab.store(rng.randint(0, 60))
@@ -192,7 +198,7 @@ def test_limit_rows_are_the_sorted_oracle_rows_cut(seed, alias):
     classes: dict[str, str] = {}
     if alias:
         if any(isinstance(p.predicate, Variable) for p in query.patterns):
-            return  # would bind the verbatim terms of the equivalence statement
+            return None
         a, b = rng.sample(vocab.subjects, 2)
         store.insert(Triple(a, make_iri("m3:equivalentTo"), b), Loaded("alias"))
         classes = oracle_alias_classes([(a.value, b.value)])
@@ -204,10 +210,41 @@ def test_limit_rows_are_the_sorted_oracle_rows_cut(seed, alias):
         TriplePattern(*(p if isinstance(p, Variable) else canon(p) for p in pattern.positions()))
         for pattern in query.patterns
     )
+    return rng, store, query, patterns
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), alias=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_limit_rows_are_the_sorted_oracle_rows_cut(seed, alias):
+    case = _oracle_case(seed, alias)
+    if case is None:
+        return
+    rng, store, query, patterns = case
     full = oracle_query(list(store), Query(query.select, patterns, query.filters, None))
     k = rng.randint(1, 8)
     got = evaluate_query(Query(query.select, query.patterns, query.filters, k), store)
-    assert got.rows == sorted(full, key=lambda row: tuple(serialize_term(t) for t in row))[:k]
+    assert got.rows == sorted(full, key=_serialized)[:k]
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    alias=st.booleans(),
+    width=st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=300, deadline=None)
+def test_unlimited_rows_are_the_sorted_oracle_rows(seed, alias, width):
+    case = _oracle_case(seed, alias)
+    if case is None:
+        return
+    rng, store, query, patterns = case
+    # 1-3 columns: the pattern variables in random order, repeated when the
+    # width exceeds them (SELECT ?x ?x)
+    names = sorted(query.pattern_variables())
+    rng.shuffle(names)
+    select = tuple((names * 3)[:width])
+    full = oracle_query(list(store), Query(select, patterns, query.filters, None))
+    got = evaluate_query(Query(select, query.patterns, query.filters, None), store)
+    assert got.rows == sorted(full, key=_serialized)
 
 
 def test_rows_sorted_by_serialized_terms():

@@ -531,6 +531,29 @@ def test_join_matches_nested_loop_oracle(seed):
     assert store.join(patterns, seeds, exclude=exclude) == _oracle_join(stored, patterns, seeds, exclude, classes)
 
 
+@pytest.mark.parametrize("aliased", [False, True])
+def test_one_step_over_a_large_batch_matches_the_oracle(aliased):
+    # the shape test runs 3 bindings per step; a query step can run hundreds
+    # (780 in the benchmark's threshold query), so run 600 through the shapes
+    # ('b', 'c', 'f') and ('b', 'c', 'b') and compare rows and their order
+    rng = random.Random(21)
+    vocab = Vocab(rng)
+    store, _ = vocab.store(300)
+    pairs = [tuple(rng.sample(vocab.subjects, 2))] if aliased else []
+    for a, b in pairs:
+        store.insert(Triple(a, EQ, b), Loaded("alias"))
+    classes = oracle_alias_classes([(a.value, b.value) for a, b in pairs])
+    stored = list(store)
+    pools = {"s": vocab.subjects, "o": vocab.objects + vocab.subjects}
+    for bound in (("s",), ("s", "o")):
+        pattern = TriplePattern(Variable("s"), vocab.predicates[0], Variable("o"))
+        seeds = [{name: rng.choice(pools[name]) for name in bound} for _ in range(600)]
+        for exclude in (None, set(rng.sample(stored, 50))):
+            got = store.join([pattern], seeds, exclude=exclude)
+            assert got == _oracle_join(stored, [pattern], seeds, exclude, classes)
+            assert len(got) >= 100
+
+
 def test_join_step_with_a_bound_predicate_reads_equivalence_statements_verbatim():
     # two bindings enter the second step, one binding ?p to m3:equivalentTo
     # (a verbatim lookup of <b>) and one to <q> (a lookup of <b>'s class, <a>)
