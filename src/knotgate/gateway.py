@@ -1,10 +1,12 @@
 """Protocol-facing ingestion pipeline and egress bridging.
 
 Adapters (MQTT, CoAP, HTTP) decode device messages into readings and
-submit them to a single FIFO queue; one worker consumes it sequentially,
-so the store has exactly one writer and per-device observation sequences
-follow arrival order.  Each ingest runs annotate -> insert -> chain ->
-notify and either commits completely or leaves the store untouched.
+ingest each on the thread that received it.  Every gateway write (an
+ingest, a rule-pack install, a knowledge-pack load) holds one lock, so
+the store has one writer at a time, and per-device observation sequences
+follow the order in which the writes take that lock.  Each ingest runs
+annotate -> insert -> chain -> notify and either commits completely or
+leaves the store untouched.
 
 Egress delivers envelopes to MQTT topics or webhooks with a fixed retry
 budget; a failed delivery is recorded, never raised into the pipeline.
@@ -14,7 +16,6 @@ from __future__ import annotations
 
 import json
 import logging
-import queue
 import re
 import threading
 import time
@@ -29,8 +30,6 @@ from .rules import ChainStats, RulePack, forward_chain
 from .store import Asserted, Inferred, Store
 
 log = logging.getLogger(__name__)
-
-TRANSPORTS = frozenset({"mqtt", "coap", "http"})
 
 RETRY_ATTEMPTS = 3
 RETRY_SPACING_S = 0.2
@@ -49,20 +48,6 @@ class BadTopic(ValueError):
 
 class InvalidTarget(ValueError):
     """Egress target is empty or malformed."""
-
-
-@dataclass(frozen=True)
-class InboundMessage:
-    transport: str
-    route: str
-    payload: bytes
-    received_at: int
-
-    def __post_init__(self) -> None:
-        if self.transport not in TRANSPORTS:
-            raise ValueError(f"unknown transport {self.transport!r}")
-        if not self.payload:
-            raise ValueError("empty payload")
 
 
 @dataclass(frozen=True)
@@ -294,7 +279,12 @@ class Egress:
 
 
 class Gateway:
-    """Owns the store, the active rule packs, and the sequential pipeline.
+    """Owns the store, the active rule packs, and the pipeline.
+
+    Every write (submit/ingest, set_rulepack, load_knowledge_pack) runs on
+    the calling thread and holds one lock, so writes never interleave.
+    Derived-fact hooks run inside the write that derived the fact and must
+    not write to the gateway themselves: the lock is not re-entrant.
 
     Ingest chains only from the triples a reading inserted, which is exact
     while the store is a fixpoint of the active packs.  Installing a pack
@@ -304,18 +294,15 @@ class Gateway:
     follow them with set_rulepack(..., rechain=True).
     """
 
-    def __init__(self, store: Store, annotator: Annotator, egress: Egress | None = None):
+    def __init__(self, store: Store, annotator: Annotator):
         self.store = store
         self.annotator = annotator
-        self.egress = egress or Egress()
         self.rulepacks: dict[str, RulePack] = {}
         self.per_rule: dict[str, int] = {}
         self.guard_type_errors = 0
         self._stale = True  # the store is not known to be a fixpoint of the packs
         self._derived_hooks: list[DerivedHook] = []
-        self._queue: queue.Queue = queue.Queue()
-        self._worker = threading.Thread(target=self._run, name="ingest-pipeline", daemon=True)
-        self._worker.start()
+        self._write_lock = threading.Lock()
 
     # -- configuration -------------------------------------------------------
 
@@ -339,23 +326,24 @@ class Gateway:
         as if the new pack had been active from the start; cumulative
         per-rule counts are reset to that fresh run's counts.
         """
-        self.rulepacks[pack.pack_id] = pack
-        for rule in pack.rules:
-            self.per_rule.setdefault(rule.id, 0)
-        self._stale = True
-        if not rechain:
-            return None
-        self.store.retract(Inferred)
-        stats = self._chain(delta=None)
-        self.per_rule = dict(stats.per_rule)
-        self._notify(stats.committed, observation_iri="", timestamp=now_ms())
-        return stats
+        with self._write_lock:
+            self.rulepacks[pack.pack_id] = pack
+            for rule in pack.rules:
+                self.per_rule.setdefault(rule.id, 0)
+            self._stale = True
+            if not rechain:
+                return None
+            self.store.retract(Inferred)
+            stats = self._chain(delta=None)
+            self.per_rule = dict(stats.per_rule)
+            self._notify(stats.committed, observation_iri="", timestamp=now_ms())
+            return stats
 
     def load_knowledge_pack(self, document: str, pack_id: str) -> int:
-        loaded = self.store.load_pack(document, pack_id)
-        # marked after the load, so a chain running meanwhile cannot clear it
-        self._stale = True
-        return loaded
+        with self._write_lock:
+            loaded = self.store.load_pack(document, pack_id)
+            self._stale = True
+            return loaded
 
     def _chain(self, delta: list[Triple] | None) -> ChainStats:
         """Chain the active packs from delta, or from the whole store when
@@ -364,8 +352,7 @@ class Gateway:
         guard_type_errors keeps the count of guard-skipped bindings in the
         store: a chain that evaluated the whole store recounts them all, a
         delta chain adds the new ones.  The stale mark is cleared before the
-        chain starts, so a mark set by another thread while it runs survives
-        to the next chain; a chain that raises sets it again.
+        chain starts; a chain that raises sets it again.
         """
         whole = delta is None or self._stale
         self._stale = False
@@ -383,25 +370,21 @@ class Gateway:
     # -- pipeline ------------------------------------------------------------
 
     def submit(self, reading: RawReading) -> "Future[IngestReceipt]":
-        """Queue a reading; the returned future resolves to its receipt."""
+        """Ingest a reading; the returned future is already done, holding
+        the receipt or the error."""
         fut: Future = Future()
-        self._queue.put((reading, fut))
+        try:
+            with self._write_lock:
+                receipt = self._process(reading)
+        except Exception as exc:
+            fut.set_exception(exc)
+        else:
+            fut.set_result(receipt)
         return fut
 
-    def ingest(self, reading: RawReading, timeout: float = 30.0) -> IngestReceipt:
-        """Submit and wait; raises whatever the pipeline raised."""
-        return self.submit(reading).result(timeout=timeout)
-
-    def _run(self) -> None:
-        while True:
-            item = self._queue.get()
-            if item is None:
-                return
-            reading, fut = item
-            try:
-                fut.set_result(self._process(reading))
-            except Exception as exc:
-                fut.set_exception(exc)
+    def ingest(self, reading: RawReading) -> IngestReceipt:
+        """Ingest a reading; raises whatever the pipeline raised."""
+        return self.submit(reading).result()
 
     def _process(self, reading: RawReading) -> IngestReceipt:
         # annotate can fail; nothing is inserted until it has succeeded
@@ -441,5 +424,6 @@ class Gateway:
         }
 
     def shutdown(self) -> None:
-        self._queue.put(None)
-        self._worker.join(timeout=5)
+        """Return once the write under way, if any, has finished."""
+        with self._write_lock:
+            pass

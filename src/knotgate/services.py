@@ -43,7 +43,6 @@ from .gateway import (
     Egress,
     EgressTarget,
     Gateway,
-    InboundMessage,
     MqttTopic,
     Webhook,
     decode_reading,
@@ -451,7 +450,7 @@ class Runtime:
         self.registry = SensorRegistry()
         self.annotator = Annotator(self.registry)
         self.egress = Egress()
-        self.gateway = Gateway(self.store, self.annotator, self.egress)
+        self.gateway = Gateway(self.store, self.annotator)
         self.subscriptions = SubscriptionManager(self.store, self.egress)
         self.compositions = CompositionManager(self.store, self.egress)
         self.gateway.add_derived_hook(self.subscriptions.on_derived)
@@ -541,15 +540,11 @@ class Runtime:
 
     def _handle_mqtt(self, topic: str, payload: bytes) -> None:
         try:
-            message = InboundMessage("mqtt", topic, payload, now_ms())
-            hint = topic_to_route(message.route)
-            reading = decode_reading(
-                payload, sniff_format(payload), received_at=message.received_at, route_hint=hint
-            )
-        except ValueError as exc:
+            hint = topic_to_route(topic)
+            reading = decode_reading(payload, sniff_format(payload), received_at=now_ms(), route_hint=hint)
+            self.gateway.ingest(reading)
+        except (ValueError, UnregisteredDevice) as exc:
             log.warning("dropping mqtt message on %s: %s", topic, exc)
-            return
-        self.gateway.submit(reading)
 
     def _handle_coap(self, method: int, path: list[str], payload: bytes) -> tuple[int, bytes]:
         if path != ["ingest"]:
@@ -557,8 +552,7 @@ class Runtime:
         if method != coap_proto.POST:
             return coap_proto.METHOD_NOT_ALLOWED, b""
         try:
-            message = InboundMessage("coap", "/ingest", payload, now_ms())
-            reading = decode_reading(payload, "json", received_at=message.received_at)
+            reading = decode_reading(payload, "json", received_at=now_ms())
             receipt = self.gateway.ingest(reading)
         except Exception as exc:
             status, body = error_body(exc)

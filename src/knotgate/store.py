@@ -25,11 +25,12 @@ once over all the bindings that reach it.  Store.match runs the same step
 on one binding, for delta seeding, subscriptions and composition triggers,
 so all see aliases alike.
 
-Concurrency: single writer, any number of readers.  A re-entrant lock
-guards every operation, so each call reads one snapshot: a join (every
-binding of every pattern), a match, a snapshot copy or iteration.  Two
-separate calls may see different states, since the writer can commit
-between them.
+Concurrency: one writer at a time, any number of readers.  The gateway's
+write lock makes the writer single: every ingest, rule-pack install and
+knowledge-pack load holds it.  A re-entrant lock guards every store
+operation, so each call reads one snapshot: a join (every binding of
+every pattern), a match, a snapshot copy or iteration.  Two separate
+calls may see different states, since the writer can commit between them.
 """
 
 from __future__ import annotations

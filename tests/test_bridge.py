@@ -142,6 +142,33 @@ def test_undecodable_mqtt_message_is_dropped(broker, mqtt_runtime):
         device.disconnect()
 
 
+def test_mqtt_messages_failing_ingest_are_logged_and_dropped(broker, mqtt_runtime, caplog):
+    ghost = json.dumps(
+        {"device_id": "ghost", "sensor_kind": "t", "value": 1.0, "unit": "cel", "timestamp": 1}
+    ).encode()
+    device = MqttClient("127.0.0.1", broker.port, "device")
+    device.connect()
+    try:
+        with caplog.at_level("WARNING", logger="knotgate.services"):
+            device.publish("iot/ghost/t", ghost)
+            device.publish("iot/thermo1/temperature", b"")
+            # the reader thread takes messages in order, so once this one is
+            # stored the two before it have been handled
+            device.publish("iot/thermo1/temperature", reading_payload(36.5, 2))
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline and len(mqtt_runtime.store) < 6:
+                time.sleep(0.02)
+        assert len(mqtt_runtime.store) == 6
+        dropped = [r.getMessage() for r in caplog.records if "dropping mqtt" in r.getMessage()]
+        assert [m.split(":")[0] for m in dropped] == [
+            "dropping mqtt message on iot/ghost/t",
+            "dropping mqtt message on iot/thermo1/temperature",
+        ]
+        assert "ghost" in dropped[0].split(": ", 1)[1]
+    finally:
+        device.disconnect()
+
+
 # -- coap adapter ----------------------------------------------------------------
 
 
@@ -189,6 +216,8 @@ def test_coap_ingest_unknown_unit(coap_runtime):
 def test_coap_ingest_bad_payload(coap_runtime):
     port = coap_runtime.coap_server.port
     code, body = coap.request("127.0.0.1", port, coap.POST, ["ingest"], b"{nope")
+    assert code == coap.BAD_REQUEST
+    code, body = coap.request("127.0.0.1", port, coap.POST, ["ingest"], b"")
     assert code == coap.BAD_REQUEST
 
 

@@ -1,5 +1,7 @@
 import random
+import sys
 import threading
+import time
 
 import pytest
 
@@ -16,7 +18,6 @@ from knotgate.gateway import (
     DecodeError,
     Egress,
     Gateway,
-    InboundMessage,
     InvalidTarget,
     MqttTopic,
     Webhook,
@@ -34,7 +35,7 @@ from knotgate.model import (
     parse_triples,
     serialize_triples,
 )
-from knotgate.rules import parse_rulepack
+from knotgate.rules import forward_chain, parse_rulepack
 from knotgate.store import Inferred, Store
 
 from generators import Vocab
@@ -128,13 +129,6 @@ def test_topic_to_route_rejects(bad):
         topic_to_route(bad)
 
 
-def test_inbound_message_invariants():
-    with pytest.raises(ValueError):
-        InboundMessage("carrier-pigeon", "iot/a/b", b"x", 0)
-    with pytest.raises(ValueError):
-        InboundMessage("mqtt", "iot/a/b", b"", 0)
-
-
 # -- ingestion pipeline --------------------------------------------------------
 
 
@@ -183,21 +177,43 @@ def test_per_device_sequences_follow_arrival_order(fever_pack_text):
 
 
 def test_concurrent_submitters_all_complete(fever_pack_text):
-    gateway = make_gateway([parse_rulepack(fever_pack_text)])
+    # four submitters and a thread reinstalling the pack with rechain, with
+    # threads switching often: no reading is lost and the store ends as the
+    # from-scratch closure of what was stated
+    pack = parse_rulepack(fever_pack_text)
+    gateway = make_gateway([pack])
     futures = []
 
     def submit_batch(base: int):
         for i in range(10):
-            futures.append(gateway.submit(RawReading("thermo1", "temperature", 36.5, "cel", base + i)))
+            value = 39.5 if i % 2 else 36.5
+            futures.append(gateway.submit(RawReading("thermo1", "temperature", value, "cel", base + i)))
+
+    def rechain():
+        for _ in range(10):
+            gateway.set_rulepack(pack, rechain=True)
 
     threads = [threading.Thread(target=submit_batch, args=(100 * k,)) for k in range(4)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+    threads.append(threading.Thread(target=rechain))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
     receipts = [f.result(timeout=10) for f in futures]
     seqs = sorted(int(r.observation_iri.rsplit(":", 1)[1]) for r in receipts)
     assert seqs == list(range(1, 41))
+    live = set(gateway.store)
+    gateway.store.retract(Inferred)
+    forward_chain(gateway.store, gateway.active_packs())
+    assert set(gateway.store) == live
+    assert sum(t.predicate == make_iri("m3:indicates") for t in live) == 20
+    assert gateway.per_rule == {"fever": 20}
     gateway.shutdown()
 
 
@@ -216,8 +232,6 @@ def test_incremental_equals_from_scratch_rechain(fever_pack_text):
             gateway.ingest(RawReading(device, "temperature", rng.uniform(30, 90), "cel", i))
         live = gateway.store.snapshot()
         gateway.store.retract(Inferred)
-        from knotgate.rules import forward_chain
-
         forward_chain(gateway.store, gateway.active_packs())
         assert set(gateway.store) == set(live)
         gateway.shutdown()
@@ -274,26 +288,49 @@ SUGGEST_PACK = (
 )
 
 
-def test_knowledge_pack_loaded_during_a_chain_is_chained_next(
-    monkeypatch, fever_pack_text, remedies_pack_text
-):
-    # the load lands after the ingest chain has chosen its delta; the next
-    # ingest must still join the loaded pack with the earlier reading
-    gateway = make_gateway([parse_rulepack(fever_pack_text), parse_rulepack(SUGGEST_PACK)])
-    gateway.ingest(RawReading("thermo1", "temperature", 39.5, "cel", 1))
-    real = gateway_module.forward_chain
-
-    def load_mid_chain(store, packs, delta=None):
-        monkeypatch.setattr(gateway_module, "forward_chain", real)
+@pytest.mark.parametrize("write", ["load_knowledge_pack", "set_rulepack rechain"])
+def test_pack_writes_wait_for_the_ingest_under_way(write, fever_pack_text, remedies_pack_text):
+    # one writer: a pack write issued while an ingest is still notifying
+    # changes nothing until that ingest ends, and the next ingest chains it
+    gateway = make_gateway([parse_rulepack(fever_pack_text)])
+    if write == "load_knowledge_pack":
+        gateway.set_rulepack(parse_rulepack(SUGGEST_PACK))
+        def pack_write():
+            gateway.load_knowledge_pack(remedies_pack_text, "remedies")
+    else:
         gateway.load_knowledge_pack(remedies_pack_text, "remedies")
-        return real(store, packs, delta)
+        def pack_write():
+            gateway.set_rulepack(parse_rulepack(SUGGEST_PACK), rechain=True)
+    notifying, release = threading.Event(), threading.Event()
 
-    monkeypatch.setattr(gateway_module, "forward_chain", load_mid_chain)
-    assert gateway.ingest(RawReading("thermo1", "temperature", 36.0, "cel", 2)).derived == []
-    receipt = gateway.ingest(RawReading("thermo1", "temperature", 36.5, "cel", 3))
-    assert [(t.subject.value, t.predicate) for t in receipt.derived] == [
-        ("urn:obs:thermo1:1", make_iri("m3:suggests"))
-    ] * 3
+    def held(fact, ctx):
+        notifying.set()
+        release.wait(timeout=10)
+        return 0
+
+    gateway.add_derived_hook(held)
+    fever = RawReading("thermo1", "temperature", 39.5, "cel", 1)
+    threads = [threading.Thread(target=gateway.ingest, args=(fever,), daemon=True)]
+    threads[0].start()
+    try:
+        assert notifying.wait(timeout=5)
+        before = (gateway.store.snapshot(), dict(gateway.per_rule))
+        threads.append(threading.Thread(target=pack_write, daemon=True))
+        threads[1].start()
+        time.sleep(0.2)  # time enough for the write to land, were it not held
+        assert (gateway.store.snapshot(), dict(gateway.per_rule)) == before
+    finally:
+        release.set()
+    for t in threads:
+        t.join(timeout=5)
+        assert not t.is_alive()
+    gateway.ingest(RawReading("thermo1", "temperature", 36.0, "cel", 2))
+    suggests = {
+        Triple(Iri("urn:obs:thermo1:1"), make_iri("m3:suggests"), make_iri(f"m3:{remedy}"))
+        for remedy in ("ColdCompress", "GingerTea", "Hydration")
+    }
+    assert suggests <= set(gateway.store)
+    assert gateway.stats()["per_rule"] == {"fever": 1, "suggest": 3}
     gateway.shutdown()
 
 
@@ -394,9 +431,10 @@ def test_stats_expose_guard_type_errors():
 
 def test_webhook_delivery_success(capture_server, fever_pack_text):
     gateway = make_gateway([parse_rulepack(fever_pack_text)])
+    egress = Egress()
     records = []
     gateway.add_derived_hook(
-        lambda fact, ctx: records.append(gateway.egress.deliver(Webhook(capture_server.url), fact_envelope(fact, ctx)))
+        lambda fact, ctx: records.append(egress.deliver(Webhook(capture_server.url), fact_envelope(fact, ctx)))
         or 1
     )
     receipt = gateway.ingest(decode_reading(JSON_READING, "json"))
