@@ -16,14 +16,17 @@ corresponding module operation's result and nothing else.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import logging
 import re
+import socket
 import threading
+import time
 import urllib.parse
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 from typing import Iterator
 
@@ -62,6 +65,12 @@ log = logging.getLogger(__name__)
 
 #: largest HTTP request body read; a larger Content-Length gets 413 unread
 MAX_BODY_BYTES = 16 * 1024 * 1024
+#: HTTP worker threads; at most this many requests run at once
+HTTP_WORKERS = 8
+#: seconds a connection has to send its whole request before its worker closes it
+HTTP_READ_TIMEOUT_S = 5.0
+#: seconds a POST waits for one of the HTTP_WORKERS - 1 writer slots before a 503
+HTTP_WRITE_WAIT_S = 0.1
 
 
 class TemplateError(ValueError):
@@ -74,6 +83,10 @@ class InvalidSubscription(ValueError):
 
 class BodyTooLarge(ValueError):
     """The request's Content-Length exceeds MAX_BODY_BYTES."""
+
+
+class ServerBusy(RuntimeError):
+    """Every HTTP writer slot is taken, and none freed within HTTP_WRITE_WAIT_S."""
 
 
 @dataclass(frozen=True)
@@ -258,6 +271,7 @@ _ERROR_STATUS: list[tuple[type, int]] = [
     (UnsupportedConversion, 422),
     (BodyTooLarge, 413),
     (ValueError, 400),
+    (ServerBusy, 503),
 ]
 
 
@@ -367,12 +381,42 @@ class Api:
         return 201, {"id": comp_id}
 
 
+class _DeadlineReader(io.RawIOBase):
+    """A socket's reads, each allowed only what is left of one deadline, so that a
+    client trickling bytes cannot hold a worker longer than a silent one."""
+
+    def __init__(self, sock: socket.socket, seconds: float) -> None:
+        self._sock = sock
+        self._seconds = seconds
+        self._deadline = time.monotonic() + seconds
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        left = self._deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("request not received in time")
+        self._sock.settimeout(left)
+        try:
+            return self._sock.recv_into(buf)
+        finally:
+            self._sock.settimeout(self._seconds)  # the reply's writes get the full timeout
+
+
 class _ApiHandler(BaseHTTPRequestHandler):
     server_version = "knotgate/0.1"
+    timeout = HTTP_READ_TIMEOUT_S
+    server: _ApiServer
 
     @property
     def api(self) -> Api:
-        return self.server.api  # type: ignore[attr-defined]
+        return self.server.api
+
+    def setup(self) -> None:
+        super().setup()
+        self.rfile.close()
+        self.rfile = io.BufferedReader(_DeadlineReader(self.connection, self.timeout))
 
     def log_message(self, fmt: str, *args: object) -> None:
         log.debug("http: " + fmt, *args)
@@ -397,30 +441,41 @@ class _ApiHandler(BaseHTTPRequestHandler):
         parsed = urllib.parse.urlparse(self.path)
         params = urllib.parse.parse_qs(parsed.query)
         route = (method, parsed.path)
+        writing = False
         try:
+            data = b""
+            if method == "POST":
+                data = self._read_body()
+                # wait for a slot only while writes move; after one wait in vain, refuse at once
+                # until a slot frees, so that reads queued behind many POSTs are not held up
+                wait = 0.0 if self.server.writes_stalled else HTTP_WRITE_WAIT_S
+                writing = self.server.writers.acquire(timeout=wait)
+                self.server.writes_stalled = not writing
+                if not writing:
+                    raise ServerBusy(f"{HTTP_WORKERS - 1} HTTP writes already in progress")
             if route == ("POST", "/api/v1/observations"):
-                status, body = self.api.ingest(self._read_body())
+                status, body = self.api.ingest(data)
             elif route == ("GET", "/api/v1/query"):
                 q = params.get("q", [""])[0]
                 if not q:
                     raise ValueError("missing 'q' query parameter")
                 status, body = self.api.query(q)
             elif route == ("POST", "/api/v1/sensors"):
-                status, body = self.api.register_sensors(
-                    self._read_body(), self.headers.get("Content-Type", "")
-                )
+                status, body = self.api.register_sensors(data, self.headers.get("Content-Type", ""))
             elif route == ("POST", "/api/v1/rulepacks"):
-                status, body = self.api.put_rulepack(self._read_body())
+                status, body = self.api.put_rulepack(data)
             elif route == ("POST", "/api/v1/packs"):
-                status, body = self.api.put_pack(self._read_body(), params.get("id", [""])[0])
+                status, body = self.api.put_pack(data, params.get("id", [""])[0])
             elif route == ("GET", "/api/v1/stats"):
                 status, body = self.api.stats()
             elif route == ("POST", "/api/v1/subscriptions"):
-                status, body = self.api.subscribe(self._read_body())
+                status, body = self.api.subscribe(data)
             elif route == ("POST", "/api/v1/compositions"):
-                status, body = self.api.compose(self._read_body())
+                status, body = self.api.compose(data)
             else:
                 status, body = 404, {"error": "NotFound", "detail": parsed.path}
+        except TimeoutError:
+            raise  # the client stalled mid-body: handle_one_request drops the connection
         except json.JSONDecodeError as exc:
             status, body = 400, {"error": "DecodeError", "detail": f"bad JSON: {exc.msg}"}
         except KeyError as exc:
@@ -432,6 +487,9 @@ class _ApiHandler(BaseHTTPRequestHandler):
             status, body = error_body(exc)
             if status == 500:
                 log.exception("unhandled API error")
+        finally:
+            if writing:
+                self.server.writers.release()
         self._reply(status, body)
 
     def do_GET(self) -> None:
@@ -439,6 +497,38 @@ class _ApiHandler(BaseHTTPRequestHandler):
 
     def do_POST(self) -> None:
         self._dispatch("POST")
+
+
+class _ApiServer(HTTPServer):
+    """The HTTP API, served by threads that each accept and handle their own connections."""
+
+    request_queue_size = 64  # a burst beyond the workers waits in the kernel's backlog
+
+    def __init__(self, address: tuple[str, int], api: Api) -> None:
+        super().__init__(address, _ApiHandler)
+        self.api = api
+        self.stopping = threading.Event()
+        # POSTs in progress at once; one worker is always left to answer reads
+        self.writers = threading.BoundedSemaphore(HTTP_WORKERS - 1)
+        self.writes_stalled = False
+
+    def serve_worker(self) -> None:
+        """Accept and serve connections on the shared listening socket until stopping is set."""
+        while True:
+            try:
+                conn, addr = self.socket.accept()
+            except OSError as exc:
+                if self.stopping.is_set():
+                    return
+                log.warning("http accept failed, retrying: %s", exc)
+                time.sleep(0.1)  # ECONNABORTED passes at once; EMFILE only once a descriptor is freed
+                continue
+            try:
+                self.finish_request(conn, addr)
+            except Exception:  # noqa: BLE001 - one bad connection must not end the worker
+                self.handle_error(conn, addr)
+            finally:
+                self.shutdown_request(conn)
 
 
 class Runtime:
@@ -456,10 +546,10 @@ class Runtime:
         self.gateway.add_derived_hook(self.subscriptions.on_derived)
         self.gateway.add_derived_hook(self.compositions.on_derived)
         self.api = Api(self)
-        self.http_server: ThreadingHTTPServer | None = None
+        self.http_server: _ApiServer | None = None
         self.coap_server: coap_proto.CoapServer | None = None
         self.mqtt_client: MqttClient | None = None
-        self._http_thread: threading.Thread | None = None
+        self._http_workers: list[threading.Thread] = []
 
     # -- boot ------------------------------------------------------------
 
@@ -486,16 +576,14 @@ class Runtime:
 
     def start_http(self) -> int:
         cfg = self.config.http
-        server = ThreadingHTTPServer((cfg.host, cfg.port), _ApiHandler)
-        server.api = self.api  # type: ignore[attr-defined]
-        server.daemon_threads = True
+        server = _ApiServer((cfg.host, cfg.port), self.api)
         self.http_server = server
-        self._http_thread = threading.Thread(
-            target=lambda: server.serve_forever(poll_interval=0.05),
-            name="http-api",
-            daemon=True,
-        )
-        self._http_thread.start()
+        self._http_workers = [
+            threading.Thread(target=server.serve_worker, name=f"http-api-{i}", daemon=True)
+            for i in range(HTTP_WORKERS)
+        ]
+        for worker in self._http_workers:
+            worker.start()
         return server.server_address[1]
 
     def start_coap(self) -> int:
@@ -525,7 +613,14 @@ class Runtime:
 
     def stop(self) -> None:
         if self.http_server is not None:
-            self.http_server.shutdown()
+            self.http_server.stopping.set()
+            try:
+                self.http_server.socket.shutdown(socket.SHUT_RDWR)  # on Linux, fails every blocked accept()
+            except OSError as exc:  # other systems may refuse it; their idle workers stay blocked
+                log.warning("http listener shutdown failed: %s", exc)
+            deadline = time.monotonic() + HTTP_READ_TIMEOUT_S
+            for worker in self._http_workers:  # in-flight requests finish, within one shared deadline
+                worker.join(max(0.0, deadline - time.monotonic()))
             self.http_server.server_close()
             self.http_server = None
         if self.coap_server is not None:

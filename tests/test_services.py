@@ -1,5 +1,10 @@
+import errno
+import logging
 import socket
+import sys
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 import requests
@@ -17,13 +22,18 @@ from knotgate.lexer import GrammarError
 from knotgate.model import Iri, Triple, TripleParseError, make_iri, parse_triples
 from knotgate.query import UnsafeQuery, evaluate_query, parse_query
 from knotgate.rules import RuleSafetyError, parse_pattern, parse_rulepack
+from knotgate import services
 from knotgate.services import (
+    HTTP_READ_TIMEOUT_S,
+    HTTP_WORKERS,
     MAX_BODY_BYTES,
     BodyTooLarge,
     InvalidSubscription,
     Runtime,
     Subscription,
     TemplateError,
+    _ApiHandler,
+    _ApiServer,
     error_body,
     parse_endpoint,
 )
@@ -513,3 +523,279 @@ def test_cross_domain_composition_does_not_fire_for_other_domain(base_url, runti
     )
     assert len(capture_server.requests) == 1
     assert capture_server.requests[0]["alert"] == "fire"
+
+
+# -- HTTP worker pool -----------------------------------------------------------------
+
+
+def test_requests_start_no_thread(runtime, base_url, monkeypatch):
+    before = threading.active_count()
+    started = []
+    real_start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start", lambda t: (started.append(t.name), real_start(t)))
+    for i in range(50):
+        if i % 5 == 4:
+            resp = requests.get(f"{base_url}/api/v1/stats", timeout=5)
+            assert resp.status_code == 200
+        else:
+            resp = requests.post(f"{base_url}/api/v1/observations", json=ingest_body(36.0 + i % 4), timeout=5)
+            assert resp.status_code == 202
+    assert started == []
+    assert threading.active_count() == before
+
+
+def _stall_fever_deliveries(runtime):
+    """Make every fever webhook delivery wait, holding the write lock, until the returned event is set;
+    the first returned event is set once the first delivery has started."""
+    entered, release = threading.Event(), threading.Event()
+
+    def stalled_post(url, payload):
+        entered.set()
+        release.wait(10)
+        return 200
+
+    runtime.egress.http_post = stalled_post
+    runtime.subscriptions.register(parse_pattern("?o m3:indicates m3:Fever"), Webhook("http://127.0.0.1:9/hook"))
+    return entered, release
+
+
+def _post_observation(base_url, body):
+    return requests.post(f"{base_url}/api/v1/observations", json=body, timeout=10)
+
+
+def _timed_query(base_url):
+    t0 = time.perf_counter()
+    resp = requests.get(
+        f"{base_url}/api/v1/query",
+        params={"q": "SELECT ?o WHERE { ?o m3:indicates m3:Fever }"},
+        timeout=5,
+    )
+    return resp, time.perf_counter() - t0
+
+
+def test_query_answers_while_writers_wait_on_a_stalled_delivery(runtime, base_url):
+    entered, release = _stall_fever_deliveries(runtime)
+    # one writer stalls holding the write lock, HTTP_WORKERS - 2 more wait on it
+    with ThreadPoolExecutor(HTTP_WORKERS - 1) as pool:
+        writers = [pool.submit(_post_observation, base_url, ingest_body(39.0))]
+        try:
+            assert entered.wait(5)
+            writers += [
+                pool.submit(_post_observation, base_url, ingest_body(39.0 + i / 10))
+                for i in range(1, HTTP_WORKERS - 1)
+            ]
+            time.sleep(0.2)
+            resp, elapsed = _timed_query(base_url)
+            assert resp.status_code == 200
+            assert elapsed < 2.0
+            assert not any(w.done() for w in writers)
+        finally:
+            release.set()
+        assert [w.result().status_code for w in writers] == [202] * (HTTP_WORKERS - 1)
+
+
+def test_writes_past_the_writer_slots_get_503_and_reads_stay_live(runtime, base_url):
+    entered, release = _stall_fever_deliveries(runtime)
+    n = 3 * HTTP_WORKERS
+    with ThreadPoolExecutor(n) as pool:
+        writers = [pool.submit(_post_observation, base_url, ingest_body(39.0))]
+        try:
+            assert entered.wait(5)
+            writers += [pool.submit(_post_observation, base_url, ingest_body(39.0 + i / 100)) for i in range(1, n)]
+            time.sleep(0.2)  # every POST is in a worker or in the listen backlog, ahead of the GET
+            resp, elapsed = _timed_query(base_url)
+            assert resp.status_code == 200
+            assert elapsed < 1.0  # not one HTTP_WRITE_WAIT_S per POST ahead of it
+            busy = [w.result() for w in writers[HTTP_WORKERS - 1 :] if w.done()]
+        finally:
+            release.set()
+        statuses = sorted(w.result().status_code for w in writers)
+    assert statuses == [202] * (HTTP_WORKERS - 1) + [503] * (n - HTTP_WORKERS + 1)
+    assert busy and all(r.json()["error"] == "ServerBusy" for r in busy)
+    fevers = evaluate_query(parse_query("SELECT ?o WHERE { ?o m3:indicates m3:Fever }"), runtime.store)
+    assert len(fevers.rows) == HTTP_WORKERS - 1
+
+
+def test_trickling_clients_cannot_hold_the_workers(runtime, base_url, monkeypatch):
+    monkeypatch.setattr(_ApiHandler, "timeout", 0.3)
+    done = threading.Event()
+    closed = []
+
+    def trickle():
+        with socket.create_connection(("127.0.0.1", runtime.http_port), timeout=5) as sock:
+            sock.sendall(b"GET /api/v1/stats HTTP/1.1\r\n")
+            try:
+                while not done.wait(0.05):  # each header line well inside the per-read timeout
+                    sock.sendall(b"X-Slow: 1\r\n")
+            except OSError:
+                closed.append(True)  # the server closed the connection
+
+    clients = [threading.Thread(target=trickle) for _ in range(HTTP_WORKERS)]
+    for c in clients:
+        c.start()
+    try:
+        time.sleep(0.1)
+        t0 = time.perf_counter()
+        assert requests.get(f"{base_url}/api/v1/stats", timeout=5).status_code == 200
+        assert time.perf_counter() - t0 < 2.0
+    finally:
+        time.sleep(0.5)
+        done.set()
+        for c in clients:
+            c.join(5)
+    assert len(closed) == HTTP_WORKERS
+
+
+def test_idle_connections_time_out_and_free_their_workers(runtime, base_url, monkeypatch):
+    assert _ApiHandler.timeout == HTTP_READ_TIMEOUT_S
+    monkeypatch.setattr(_ApiHandler, "timeout", 0.2)
+    # every worker gets an idle connection and twice as many more wait in the listen backlog;
+    # a connect beyond the backlog would wait for a SYN retry, far past its 0.5 s timeout
+    idle = []
+    try:
+        for _ in range(3 * HTTP_WORKERS):
+            idle.append(socket.create_connection(("127.0.0.1", runtime.http_port), timeout=0.5))
+        for sock in idle:
+            sock.settimeout(5)
+        resp = requests.get(f"{base_url}/api/v1/stats", timeout=5)
+        assert resp.status_code == 200
+        for sock in idle:
+            assert sock.recv(1) == b""  # closed without a reply
+    finally:
+        for sock in idle:
+            sock.close()
+
+
+def test_stalled_body_is_dropped_without_reply_or_traceback(runtime, monkeypatch, caplog, capsys):
+    monkeypatch.setattr(_ApiHandler, "timeout", 0.2)
+    with socket.create_connection(("127.0.0.1", runtime.http_port), timeout=5) as sock:
+        sock.sendall(b"POST /api/v1/observations HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"device_id\"")
+        assert sock.recv(1024) == b""
+    assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_stop_joins_workers_and_start_stop_repeats(fixtures_dir):
+    cfg, base = load_config(fixtures_dir / "gateway.toml")
+    cfg.http.port = 0
+    rt = Runtime.from_config(cfg, base)
+    for _ in range(2):
+        port = rt.start_http()
+        assert requests.get(f"http://127.0.0.1:{port}/api/v1/stats", timeout=5).status_code == 200
+        t0 = time.perf_counter()
+        rt.stop()
+        assert time.perf_counter() - t0 < 1.0
+        assert [t.name for t in threading.enumerate() if t.name.startswith("http-api")] == []
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=1)
+
+
+def test_burst_of_concurrent_posts_is_exact(runtime, base_url, fixtures_dir):
+    n = 4 * HTTP_WORKERS
+    bodies = [ingest_body(35.0 + i, device=("thermo1", "ambient1")[i % 2], ts=1700000000000 + i) for i in range(n)]
+    start = threading.Barrier(n)
+
+    def post(body):
+        start.wait(10)
+        return requests.post(f"{base_url}/api/v1/observations", json=body, timeout=30)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(n) as pool:
+            responses = list(pool.map(post, bodies))
+    finally:
+        sys.setswitchinterval(interval)
+    assert [r.status_code for r in responses] == [202] * n
+    iris = {r.json()["observation_iri"] for r in responses}
+    assert iris == {f"urn:obs:{dev}:{k}" for dev in ("thermo1", "ambient1") for k in range(1, n // 2 + 1)}
+    cfg, base = load_config(fixtures_dir / "gateway.toml")
+    sequential = Runtime.from_config(cfg, base)
+    for body in bodies:
+        sequential.gateway.ingest(RawReading(**body))
+    assert len(runtime.store) == len(sequential.store)
+
+
+class _FlakyListener:
+    """A listening socket whose first accept fails as if the client had aborted."""
+
+    def __init__(self, sock):
+        self._sock = sock
+        self.failed = False
+
+    def accept(self):
+        if not self.failed:
+            self.failed = True
+            raise OSError(errno.ECONNABORTED, "Software caused connection abort")
+        return self._sock.accept()
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def test_worker_keeps_serving_after_accept_error(caplog):
+    server = _ApiServer(("127.0.0.1", 0), Runtime().api)
+    listener = server.socket
+    server.socket = _FlakyListener(listener)
+    worker = threading.Thread(target=server.serve_worker, daemon=True)
+    worker.start()
+    try:
+        for _ in range(2):
+            resp = requests.get(f"http://127.0.0.1:{server.server_address[1]}/api/v1/stats", timeout=5)
+            assert resp.status_code == 200
+        assert server.socket.failed
+        assert "accept failed" in caplog.text
+    finally:
+        server.stopping.set()
+        listener.shutdown(socket.SHUT_RDWR)
+        worker.join(5)
+        server.server_close()
+    assert not worker.is_alive()
+
+
+class _RefusingShutdownListener:
+    """A listening socket whose shutdown wakes the workers but then fails, as it may outside Linux."""
+
+    def __init__(self, sock):
+        self._sock = sock
+
+    def shutdown(self, how):
+        self._sock.shutdown(how)
+        raise OSError(errno.ENOTCONN, "Transport endpoint is not connected")
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def test_stop_finishes_when_listener_shutdown_fails(fixtures_dir, caplog):
+    cfg, base = load_config(fixtures_dir / "gateway.toml")
+    cfg.http.port = 0
+    rt = Runtime.from_config(cfg, base)
+    port = rt.start_http()
+    rt.http_server.socket = _RefusingShutdownListener(rt.http_server.socket)
+    rt.stop()
+    assert rt.http_server is None
+    assert "listener shutdown failed" in caplog.text
+    with pytest.raises(ConnectionRefusedError):
+        socket.create_connection(("127.0.0.1", port), timeout=1)
+
+
+class _StuckWorker:
+    """A worker thread that never finishes: each join waits out its whole timeout."""
+
+    def __init__(self):
+        self.timeouts = []
+
+    def join(self, timeout=None):
+        self.timeouts.append(timeout)
+        time.sleep(timeout)
+
+
+def test_stop_joins_workers_within_one_shared_deadline(runtime, monkeypatch):
+    monkeypatch.setattr(services, "HTTP_READ_TIMEOUT_S", 0.2)
+    stuck = [_StuckWorker() for _ in range(HTTP_WORKERS)]
+    runtime._http_workers += stuck
+    t0 = time.perf_counter()
+    runtime.stop()
+    assert time.perf_counter() - t0 < 0.2 * HTTP_WORKERS / 2
+    assert sum(t for w in stuck for t in w.timeouts) <= 0.2
