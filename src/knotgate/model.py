@@ -30,7 +30,6 @@ import threading
 import weakref
 from dataclasses import FrozenInstanceError, dataclass
 from decimal import Decimal, InvalidOperation
-from fractions import Fraction
 from typing import TypeVar
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
@@ -118,6 +117,8 @@ class _Term:
 
     __slots__ = ("__weakref__", "lexeme")
     lexeme: str
+    #: a numeric literal's value as (numerator, denominator); None elsewhere
+    ratio: tuple[int, int] | None = None
 
     def __init_subclass__(cls) -> None:
         # the class's intern table, and the one callback by which a dying
@@ -171,15 +172,15 @@ class Iri(_Term):
 class Literal(_Term):
     """A typed literal; the datatype is carried as absolute IRI text.
 
-    number is the exact value of a numeric literal, else None; it is
+    ratio is the exact value of a numeric literal as (numerator,
+    denominator) in lowest terms, the form guards compare, else None; it is
     computed on first read and then kept in its slot.
     """
 
-    __slots__ = ("lexical", "datatype", "number")
+    __slots__ = ("lexical", "datatype", "ratio")
     __match_args__ = ("lexical", "datatype")
     lexical: str
     datatype: str
-    number: Fraction | None
 
     def __new__(cls, lexical: str, datatype: str = XSD_STRING) -> Literal:
         ref = _LITERALS.get((lexical, datatype))
@@ -201,12 +202,12 @@ class Literal(_Term):
         return f'"{lexical.translate(_ESCAPES)}"^^<{datatype}>'
 
     def __getattr__(self, name: str) -> object:
-        # reached only while the number slot is unset
-        if name != "number":
+        # reached only while the ratio slot is unset
+        if name != "ratio":
             raise AttributeError(f"'Literal' object has no attribute {name!r}")
-        number = Fraction(Decimal(self.lexical)) if self.datatype in NUMERIC_DATATYPES else None
-        object.__setattr__(self, "number", number)
-        return number
+        ratio = Decimal(self.lexical).as_integer_ratio() if self.datatype in NUMERIC_DATATYPES else None
+        object.__setattr__(self, "ratio", ratio)
+        return ratio
 
 
 class Blank(_Term):
@@ -309,11 +310,6 @@ def make_numeric(value: float | int, datatype: str = XSD_DOUBLE) -> Literal:
     if datatype == XSD_DOUBLE:
         return Literal(_shortest_double(float(value)), XSD_DOUBLE)
     raise InvalidTerm(f"unsupported numeric datatype {datatype}")
-
-
-def numeric_value(term: Term) -> Fraction | None:
-    """Exact numeric value of a numeric literal, None for everything else."""
-    return term.number if isinstance(term, Literal) else None
 
 
 # -- the lexeme table ----------------------------------------------------------

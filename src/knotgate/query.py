@@ -3,23 +3,26 @@
 Grammar: ``SELECT ?v+ WHERE { pattern (. pattern)* } (FILTER guard)* (LIMIT n)?``
 with the same term and guard lexemes as the rule grammar.  Evaluation is
 one Store.join over the patterns, cheapest index bucket first, so a query
-reads one store snapshot; the finished bindings pass the guard filter rules
-use (rules.guard_filter).  Rows are distinct and ordered by their terms'
-lexemes (the serialized terms), compared column by column from the first
-select variable; LIMIT n takes the n smallest from a heap, not a sort.
+reads one store snapshot; the finished tuple rows pass the generated guard
+filter rules use (rules.compile_guards), and an itemgetter over their slots
+projects them.  Rows are distinct and ordered by their terms' lexemes (the
+serialized terms), compared column by column from the first select
+variable.  LIMIT n first keeps the rows whose first lexeme is at most the
+n-th smallest one, found by a C sort of those strings, and then sorts only
+those rows by the whole key.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
+from itertools import compress
 from operator import itemgetter
 from typing import Mapping
 
 from .lexer import GrammarError, TokenCursor, parse_text, read_pattern
 from .model import Term
-from .rules import Guard, guard_filter, read_guard
-from .store import Store, TriplePattern
+from .rules import Guard, compile_guards, read_guard
+from .store import Store, TriplePattern, layout
 
 
 class QuerySyntaxError(GrammarError):
@@ -121,7 +124,7 @@ def evaluate_query(
     """Distinct satisfying rows, sorted by serialized terms, then truncated.
 
     Filters run after the join, through the guard filter rules use
-    (rules.guard_filter); a filter over a non-numeric binding excludes
+    (rules.compile_guards); a filter over a non-numeric binding excludes
     that row.  `bindings` pre-binds variables before evaluation.
     """
     seed: dict[str, Term] = dict(bindings) if bindings else {}
@@ -129,16 +132,22 @@ def evaluate_query(
     # seed the join with the pattern whose index bucket is currently smallest
     costs = [store.candidate_count(p, seed) for p in patterns]
     patterns.insert(0, patterns.pop(costs.index(min(costs))))
-    passed = guard_filter(query.filters, store.join(patterns, [seed]))
-    found = set(map(itemgetter(*query.select), passed))
+    names = tuple(seed)
+    rows = store.join(patterns, [tuple(seed.values())], names)
+    names = layout(patterns, names)
+    rows = compile_guards(query.filters, names)(rows, [])
+    found = list(set(map(itemgetter(*map(names.index, query.select)), rows)))
+    if len(query.select) == 1:  # one slot's itemgetter returns the term itself
+        found = list(zip(found))
+    if query.limit is not None and query.limit < len(found):
+        # the rows whose first lexeme is at most the limit-th smallest one
+        # hold the limit smallest rows (ties included): a C sort of strings
+        firsts = [row[0].lexeme for row in found]
+        cut = sorted(firsts)[query.limit - 1]
+        found = list(compress(found, map(cut.__ge__, firsts)))
     # (key, row) pairs: one comprehension per column, zipped in C, so no
-    # Python call runs per row
-    if len(query.select) == 1:  # one name's itemgetter returns the term itself
-        keyed = zip([t.lexeme for t in found], zip(found))
-    else:
-        keyed = zip(zip(*([t.lexeme for t in column] for column in zip(*found))), found)
-    if query.limit is None:
-        ordered = sorted(keyed, key=_KEY)
-    else:
-        ordered = heapq.nsmallest(query.limit, keyed, key=_KEY)
+    # Python call runs per row; one column's key is its lexeme alone
+    columns = [[t.lexeme for t in column] for column in zip(*found)] or [[]]
+    keys = zip(*columns) if len(columns) > 1 else columns[0]
+    ordered = sorted(zip(keys, found), key=_KEY)[:query.limit]
     return ResultTable(tuple(query.select), list(map(_ROW, ordered)))

@@ -23,23 +23,21 @@ brute-force closure.
 from __future__ import annotations
 
 import logging
-import operator
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from typing import AbstractSet, Sequence
+from operator import itemgetter
+from typing import AbstractSet, Callable, NamedTuple, Sequence
 
 from .lexer import GrammarError, TokenCursor, parse_text, read_pattern
-from .model import InvalidTriple, Term, Triple, numeric_value
-from .store import M3_EQUIVALENT_TO, Inferred, Store, TriplePattern, Variable
+from .model import InvalidTriple, Term, Triple
+from .store import M3_EQUIVALENT_TO, Inferred, Store, TriplePattern, Variable, layout
 
 log = logging.getLogger(__name__)
 
-_COMPARE = {
-    "<": operator.lt, "<=": operator.le, ">": operator.gt,
-    ">=": operator.ge, "=": operator.eq, "!=": operator.ne,
-}
-GUARD_OPS = tuple(_COMPARE)
+#: guard operator -> its Python spelling
+_OPERATORS = {"<": "<", "<=": "<=", ">": ">", ">=": ">=", "=": "==", "!=": "!="}
+GUARD_OPS = tuple(_OPERATORS)
 
 
 class RuleSyntaxError(GrammarError):
@@ -62,19 +60,10 @@ class Guard:
     variable: str
     op: str
     constant: Fraction
-    #: the comparison and the constant's numerator and denominator, found once
-    _test: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.op not in _COMPARE:
+        if self.op not in _OPERATORS:
             raise ValueError(f"bad guard operator {self.op!r}")
-        object.__setattr__(self, "_test", (_COMPARE[self.op], *self.constant.as_integer_ratio()))
-
-    def holds(self, value: Fraction) -> bool:
-        # n/d op c/e  <=>  n*e op c*d, as both denominators are positive
-        compare, c, e = self._test
-        n, d = value.as_integer_ratio()
-        return compare(n * e, c * d)
 
 
 @dataclass(frozen=True)
@@ -94,6 +83,8 @@ class Rule:
         violations = check_safety(self)
         if violations:
             raise RuleSafetyError(self.id, violations)
+        # per seeding body atom, how the rule evaluates from it (_plan)
+        object.__setattr__(self, "plans", {})
 
     def body_variables(self) -> frozenset[str]:
         out: frozenset[str] = frozenset()
@@ -234,40 +225,131 @@ def _by_predicate(delta: AbstractSet[Triple]) -> dict[Term, list[Triple]]:
     return groups
 
 
-def _join_delta(rule: Rule, store: Store, delta: AbstractSet[Triple]) -> list[dict]:
+def _join_delta(rule: Rule, store: Store, delta: AbstractSet[Triple]) -> list[tuple[_Plan, list[tuple[Term, ...]]]]:
+    """The rows of every body match that uses a delta triple, with the plan
+    of each body atom that seeds some."""
     by_predicate = _by_predicate(delta)
-    out: list[dict] = []
+    out = []
     for k, atom in enumerate(rule.body):
         # an atom with a constant predicate can only match delta triples of
         # that predicate's canonical form
         key = store.resolve_alias(atom.predicate)
         tries = delta if isinstance(key, Variable) else by_predicate.get(key)
-        seeds = [b for _, b in store.match(atom, among=tries)] if tries else []
+        # a match binds the atom's variables, in atom.names order
+        seeds = [tuple(b.values()) for _, b in store.match(atom, among=tries)] if tries else []
         if seeds:
             # atoms before k match only non-delta triples, so each binding is
             # formed once: at the first of its atoms that matches the delta
-            early = store.join(rule.body[:k], seeds, exclude=delta)
-            out.extend(store.join(rule.body[k + 1:], early))
+            plan = _plan(rule, k)
+            early = store.join(plan.early, seeds, atom.names, exclude=delta)
+            out.append((plan, store.join(plan.late, early, plan.joined)))
     return out
 
 
-def guard_filter(guards: Sequence[Guard], bindings: list[dict], skips: set | None = None) -> list[dict]:
-    """The bindings passing every guard, for rules and queries alike; the
-    first failing guard drops a binding.  A guard on a non-numeric term
-    fails, and adds the binding's items to skips when given."""
-    if not guards:
-        return bindings
-    out = []
-    for b in bindings:
-        for guard in guards:
-            value = numeric_value(b[guard.variable])
-            if value is None or not guard.holds(value):
-                if value is None and skips is not None:
-                    skips.add(frozenset(b.items()))
-                break
+#: run(rows, skipped) -> the rows that pass every guard
+_Guards = Callable[[list, list], list]
+
+#: one guard's filter factory per operator, so six at most: a factory holds
+#: no slot, constant or name
+_GUARD_FACTORIES: dict[str, Callable[[int, int, int], _Guards]] = {}
+
+
+def _unguarded(rows: list, skipped: list) -> list:
+    return rows
+
+
+def compile_guards(guards: Sequence[Guard], names: tuple[str, ...]) -> _Guards:
+    """The filter of rows laid out as names through the guards, for rules
+    and queries alike: run(rows, skipped) returns the rows that pass every
+    guard.  The guards run in order, each over the rows the one before
+    kept, so the first failing guard drops a row; a guard on a non-numeric
+    term fails, and appends the row to skipped.
+
+    Each operator's filter is generated once (_guard_source), so per row
+    there is no Python call: a guard compares the term's cached ratio n/d
+    with its constant c/e exactly, as n*e op c*d (both denominators are
+    positive).
+    """
+    filters = [_guard(g, names.index(g.variable)) for g in guards]
+    if len(filters) < 2:
+        return filters[0] if filters else _unguarded
+
+    def run(rows: list, skipped: list) -> list:
+        for one in filters:
+            rows = one(rows, skipped)
+        return rows
+
+    return run
+
+
+def _guard(guard: Guard, slot: int) -> _Guards:
+    factory = _GUARD_FACTORIES.get(guard.op)
+    if factory is None:
+        namespace: dict[str, Callable[[int, int, int], _Guards]] = {}
+        exec(_guard_source(guard.op), {}, namespace)
+        factory = _GUARD_FACTORIES[guard.op] = namespace["factory"]
+    return factory(slot, *guard.constant.as_integer_ratio())
+
+
+def _guard_source(op: str) -> str:
+    """The source of one operator's filter factory, which takes the guard's
+    slot s and its constant's numerator c and denominator e."""
+    return "\n".join([
+        "def factory(s, c, e):",
+        " def run(rows, skipped):",
+        "  out = []",
+        "  append = out.append",
+        "  for row in rows:",
+        "   r = row[s].ratio",
+        "   if r is None:",
+        "    skipped.append(row)",
+        "    continue",
+        "   n, d = r",
+        f"   if n * e {_OPERATORS[op]} c * d:",
+        "    append(row)",
+        "  return out",
+        " return run",
+    ])
+
+
+class _Plan(NamedTuple):
+    """How a rule evaluates from the matches of one body atom, the seeding
+    one, or from the whole store: found once per rule and seeding atom."""
+
+    early: tuple[TriplePattern, ...]  # the atoms before it, joined off the delta
+    late: tuple[TriplePattern, ...]  # the atoms after it
+    joined: tuple[str, ...]  # the layout of the rows that reach late
+    names: tuple[str, ...]  # the layout of the finished rows
+    guards: _Guards
+    constants: tuple[Term, ...]  # the head constants
+    heads: list[itemgetter]  # per head template, its terms from a row + constants
+
+
+def _plan(rule: Rule, k: int | None) -> _Plan:
+    """The plan of the rule seeded by its body atom k, or by the whole store
+    when k is None."""
+    plan = rule.plans.get(k)
+    if plan is None:
+        if k is None:
+            early, seeded, late = (), (), rule.body
         else:
-            out.append(b)
-    return out
+            early, seeded, late = rule.body[:k], rule.body[k].names, rule.body[k + 1:]
+        joined = layout(early, seeded)
+        names = layout(late, joined)
+        constants = tuple(dict.fromkeys(
+            p for template in rule.head for p in template.positions() if not isinstance(p, Variable)
+        ))
+        slot = {name: i for i, name in enumerate(names)}  # safety binds every head variable
+        heads = [
+            itemgetter(*(
+                slot[p.name] if isinstance(p, Variable) else len(names) + constants.index(p)
+                for p in template.positions()
+            ))
+            for template in rule.head
+        ]
+        guards = compile_guards(rule.guards, names)
+        plan = rule.plans[k] = _Plan(early, late, joined, names, guards, constants, heads)
+    return plan
 
 
 def evaluate_rule(rule: Rule, store: Store, delta: AbstractSet[Triple] | None = None) -> RuleFire:
@@ -283,24 +365,30 @@ def evaluate_rule(rule: Rule, store: Store, delta: AbstractSet[Triple] | None = 
     instantiation that cannot form a triple (a literal in the subject or
     predicate slot) is skipped.
 
-    Guards filter finished bindings (guard_filter), not the join step that
-    binds their variable: in every shipped rule, benchmark query and delta
+    Bindings are Store.join's tuple rows.  Guards filter the finished rows
+    through generated code (compile_guards), not the join step that binds
+    their variable: in every shipped rule, benchmark query and delta
     seeding that is the last step producing rows, so pruning there saves
     nothing, and guard_skips would count partial bindings, not whole ones.
+    Heads are read from each row's slots by one getter per template.
     """
     fire = RuleFire(set())
     if delta is None:
-        bindings = store.join(rule.body, [{}])
+        plan = _plan(rule, None)
+        joins = [(plan, store.join(plan.late, [()]))]
     else:
-        bindings = _join_delta(rule, store, delta)
-    for binding in guard_filter(rule.guards, bindings, fire.guard_skips):
-        for template in rule.head:
-            # safety binds every head variable
-            terms = [binding[p.name] if isinstance(p, Variable) else p for p in template.positions()]
-            try:
-                fire.triples.add(Triple(*terms))
-            except InvalidTriple:
-                log.debug("rule %s: structurally invalid head instantiation skipped", rule.id)
+        joins = _join_delta(rule, store, delta)
+    for plan, rows in joins:
+        skipped: list[tuple[Term, ...]] = []
+        for row in plan.guards(rows, skipped):
+            row += plan.constants
+            for head in plan.heads:
+                try:
+                    fire.triples.add(Triple(*head(row)))
+                except InvalidTriple:
+                    log.debug("rule %s: structurally invalid head instantiation skipped", rule.id)
+        if skipped:
+            fire.guard_skips.update(frozenset(zip(plan.names, row)) for row in skipped)
     return fire
 
 
@@ -322,7 +410,12 @@ def forward_chain(
     statement, or when some rule's head predicate is m3:equivalentTo or a
     variable: only then can the alias map change mid-chain, renaming
     triples outside the delta.  With the map fixed the store serves every
-    triple in canonical form, so delta rounds stay exact with aliases.
+    other triple in canonical form, so delta rounds stay exact with aliases
+    unless a body atom can match an equivalence statement (its predicate
+    is m3:equivalentTo or a variable): such a statement is served verbatim,
+    so a join that binds its terms from a canonical triple first misses it.
+    While the store has aliases, a chain with such a rule evaluates the
+    whole store every round.
 
     Every rule is evaluated against the store as of the start of the round;
     the round's conclusions are committed together afterwards, in rule
@@ -350,11 +443,20 @@ def forward_chain(
         for r in rules
         for h in r.head
     )
+    reads_equivalences = any(
+        isinstance(a.predicate, Variable) or a.predicate == M3_EQUIVALENT_TO
+        for r in rules
+        for a in r.body
+    )
     stats = ChainStats(rounds=0, derived=0, per_rule={r.id: 0 for r in rules})
     skipped: set[tuple[int, frozenset]] = set()
     while True:
         stats.rounds += 1
-        if delta is not None and (whole_store_only or any(t.predicate == M3_EQUIVALENT_TO for t in delta)):
+        if delta is not None and (
+            whole_store_only
+            or (reads_equivalences and store.has_aliases())
+            or any(t.predicate == M3_EQUIVALENT_TO for t in delta)
+        ):
             delta = None
         if stats.rounds == 1:
             stats.whole_store = delta is None

@@ -22,13 +22,14 @@ import json
 import logging
 import re
 import socket
+import sys
 import threading
 import time
 import urllib.parse
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from . import coap as coap_proto
 from .annotation import (
@@ -69,6 +70,8 @@ MAX_BODY_BYTES = 16 * 1024 * 1024
 HTTP_WORKERS = 8
 #: seconds a connection has to send its whole request before its worker closes it
 HTTP_READ_TIMEOUT_S = 5.0
+#: seconds a client is asked to wait (Retry-After) before it retries a 503
+RETRY_AFTER_S = 1
 #: seconds a POST waits for one of the HTTP_WORKERS - 1 writer slots before a 503
 HTTP_WRITE_WAIT_S = 0.1
 
@@ -421,11 +424,13 @@ class _ApiHandler(BaseHTTPRequestHandler):
     def log_message(self, fmt: str, *args: object) -> None:
         log.debug("http: " + fmt, *args)
 
-    def _reply(self, status: int, body: dict) -> None:
+    def _reply(self, status: int, body: dict, headers: Sequence[tuple[str, str]] = ()) -> None:
         data = json.dumps(body).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        for name, value in headers:
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
 
@@ -490,7 +495,8 @@ class _ApiHandler(BaseHTTPRequestHandler):
         finally:
             if writing:
                 self.server.writers.release()
-        self._reply(status, body)
+        # a 503 (ServerBusy) tells the client how long to back off before a retry
+        self._reply(status, body, (("Retry-After", str(RETRY_AFTER_S)),) if status == 503 else ())
 
     def do_GET(self) -> None:
         self._dispatch("GET")
@@ -529,6 +535,15 @@ class _ApiServer(HTTPServer):
                 self.handle_error(conn, addr)
             finally:
                 self.shutdown_request(conn)
+
+    def handle_error(self, request: socket.socket, client_address: tuple) -> None:
+        """Log a failed connection: a client that hung up (a broken pipe or a
+        reset) at debug level, any other error with its traceback."""
+        exc = sys.exc_info()[1]
+        if isinstance(exc, ConnectionError):
+            log.debug("http: client %s hung up: %r", client_address, exc)
+        else:
+            log.exception("http: error serving %s", client_address)
 
 
 class Runtime:

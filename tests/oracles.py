@@ -118,6 +118,47 @@ def oracle_rule_fire(facts: set[Triple], rule: Rule) -> set[Triple]:
     return out
 
 
+def oracle_rule_outcome(
+    facts: list[Triple], rule: Rule, delta: set[Triple] | None = None
+) -> tuple[set[Triple], set[frozenset]]:
+    """One application of the rule, binding by binding: the head
+    instantiations of the bindings that pass every guard, and the bindings
+    (as frozensets of their items) whose first failing guard met a
+    non-numeric term.  With a delta, only bindings whose matched facts
+    include a delta triple count."""
+    bindings: list[tuple[dict[str, Term], bool]] = []
+
+    def recurse(i: int, binding: dict[str, Term], used: bool) -> None:
+        if i == len(rule.body):
+            bindings.append((binding, used))
+            return
+        for fact in facts:
+            extended = oracle_unify(rule.body[i], fact, binding)
+            if extended is not None:
+                recurse(i + 1, extended, used or (delta is not None and fact in delta))
+
+    recurse(0, {}, delta is None)
+    triples: set[Triple] = set()
+    skips: set[frozenset] = set()
+    for binding, used in bindings:
+        if not used:
+            continue
+        for guard in rule.guards:
+            value = _lexical_fraction(binding[guard.variable])
+            if value is None:
+                skips.add(frozenset(binding.items()))
+                break
+            if not _guard_holds(guard, value):
+                break
+        else:
+            for template in rule.head:
+                try:
+                    triples.add(_instantiate(template, binding))
+                except InvalidTriple:
+                    pass  # same skip the engine applies
+    return triples, skips
+
+
 def oracle_closure(facts: set[Triple], rules: list[Rule]) -> set[Triple]:
     """Least fixpoint of the rules over the facts, by plain iteration."""
     current = set(facts)

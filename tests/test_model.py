@@ -33,7 +33,6 @@ from knotgate.model import (
     expand_prefixed,
     make_iri,
     make_numeric,
-    numeric_value,
     parse_triples,
     serialize_term,
     serialize_triples,
@@ -94,9 +93,9 @@ def test_make_numeric_round_trips_through_lexical(value):
 
 
 def test_numeric_value_ignores_lexical_form():
-    assert numeric_value(Literal("38.0", XSD_DOUBLE)) == numeric_value(Literal("38", XSD_DOUBLE))
-    assert numeric_value(Literal("hello", XSD_STRING)) is None
-    assert numeric_value(Iri("urn:a:b")) is None
+    assert Literal("38.0", XSD_DOUBLE).ratio == Literal("38", XSD_DOUBLE).ratio == (38, 1)
+    assert Literal("hello", XSD_STRING).ratio is None
+    assert Iri("urn:a:b").ratio is None
 
 
 def test_literal_numeric_lexical_validated():

@@ -247,6 +247,25 @@ def test_unlimited_rows_are_the_sorted_oracle_rows(seed, alias, width):
     assert got.rows == sorted(full, key=_serialized)
 
 
+@given(
+    edges=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 6)), max_size=30),
+    width=st.integers(min_value=1, max_value=3),
+    limit=st.integers(min_value=1, max_value=40),
+)
+@settings(max_examples=300, deadline=None)
+def test_limit_selection_equals_a_full_sort_cut(edges, width, limit):
+    # three subjects, so many rows tie on the first column; LIMIT runs
+    # from 1 to beyond the row count (at most 30)
+    store = Store()
+    for s, p, o in edges:
+        obj = Iri(f"urn:t:o{o}") if o % 2 else Literal(str(o), XSD_DOUBLE)
+        store.insert(Triple(Iri(f"urn:t:s{s}"), Iri(f"urn:t:p{p}"), obj), Loaded("t"))
+    select = ("s", "o", "p")[:width]
+    patterns = (TriplePattern(Variable("s"), Variable("p"), Variable("o")),)
+    full = sorted(oracle_query(list(store), Query(select, patterns, ())), key=_serialized)
+    assert evaluate_query(Query(select, patterns, (), limit), store).rows == full[:limit]
+
+
 def test_rows_sorted_by_serialized_terms():
     rng = random.Random(19)
     vocab = Vocab(rng)
@@ -299,13 +318,15 @@ def test_query_reads_one_snapshot_while_writer_commits(monkeypatch):
     writer = threading.Thread(target=write)
     original = store_module._step
 
-    def step(pattern, kind, b):
-        run = original(pattern, kind, b)
+    def step(pattern, kind, names):
+        run = original(pattern, kind, names)
 
         def hooked(store, bindings, among, exclude):
-            # the join's second step, run on the binding of ?o to o1: let
-            # the writer commit between the two patterns
-            if any(x.get("o") == o1 for x in bindings) and writer.ident is None:
+            # the join's second step, run on the binding of ?o to o1 (its
+            # tuple holds ?o in the slot names gives): let the writer
+            # commit between the two patterns
+            bound = "o" in names and any(x[names.index("o")] is o1 for x in bindings)
+            if kind == "join" and bound and writer.ident is None:
                 writer.start()
                 writer.join(timeout=0.2)
             return run(store, bindings, among, exclude)

@@ -13,7 +13,6 @@ from knotgate.model import (
     XSD_LONG,
     XSD_STRING,
     make_iri,
-    numeric_value,
     serialize_term,
 )
 from knotgate.rules import (
@@ -26,8 +25,8 @@ from knotgate.rules import (
     RuleSyntaxError,
     check_safety,
     evaluate_rule,
+    compile_guards,
     forward_chain,
-    guard_filter,
     parse_pattern,
     parse_rulepack,
 )
@@ -272,34 +271,54 @@ NUMERIC_LEXICALS = st.builds(
 
 @given(lexical=NUMERIC_LEXICALS, constant=NUMERIC_LEXICALS, op=st.sampled_from(GUARD_OPS))
 @settings(max_examples=300, deadline=None)
-def test_cached_number_and_guard_filter_match_the_oracle(lexical, constant, op):
+def test_cached_ratio_and_generated_guard_match_the_oracle(lexical, constant, op):
     exact = Fraction(Decimal(lexical))
     literals = [Literal(lexical, XSD_DOUBLE)]
     if exact.denominator == 1:
         literals.append(Literal(lexical, XSD_LONG))
     guard = Guard("v", op, Fraction(Decimal(constant)))
+    run = compile_guards([guard], ("v",))
     for lit in literals:
-        assert lit.number == exact
-        assert numeric_value(lit) is lit.number  # computed once, then read
-        passed = [{"v": lit}] if _guard_holds(guard, exact) else []
-        skips: set = set()
-        assert guard_filter([guard], [{"v": lit}], skips) == passed
-        assert skips == set()
+        ratio = lit.ratio
+        assert ratio == exact.as_integer_ratio()
+        assert lit.ratio is ratio  # computed once, then read
+        passed = [(lit,)] if _guard_holds(guard, exact) else []
+        skipped: list = []
+        assert run([(lit,)], skipped) == passed
+        assert skipped == []
     text = Literal(lexical, XSD_STRING)
-    assert text.number is None
-    skips = set()
-    assert guard_filter([guard], [{"v": text}], skips) == []
-    assert skips == {frozenset({("v", text)})}
+    assert text.ratio is None
+    skipped = []
+    assert run([(text,)], skipped) == []
+    assert skipped == [(text,)]
 
 
-@given(value=st.fractions(), constant=st.fractions())
-@settings(max_examples=300)
-def test_guard_holds_agrees_with_fraction_comparison(value, constant):
-    plain = {"<": value < constant, "<=": value <= constant, ">": value > constant,
-             ">=": value >= constant, "=": value == constant, "!=": value != constant}
+@given(value=st.decimals(allow_nan=False, allow_infinity=False), constant=st.fractions())
+@settings(max_examples=300, deadline=None)
+def test_generated_guards_agree_with_fraction_comparison(value, constant):
+    # the guard compares n/d with c/e as n*e op c*d: every operator, against
+    # any rational constant
+    exact = Fraction(value)
+    term = Literal(str(value), XSD_DOUBLE)
+    plain = {"<": exact < constant, "<=": exact <= constant, ">": exact > constant,
+             ">=": exact >= constant, "=": exact == constant, "!=": exact != constant}
     assert sorted(plain) == sorted(GUARD_OPS)
     for op, expected in plain.items():
-        assert Guard("v", op, constant).holds(value) is expected
+        skipped: list = []
+        assert compile_guards([Guard("v", op, constant)], ("v",))([(term,)], skipped) == ([(term,)] if expected else [])
+        assert skipped == []
+
+
+def test_first_failing_guard_decides_whether_a_row_is_skipped():
+    # a numeric guard that fails first drops the row uncounted; a guard on a
+    # non-numeric term that fails first drops it and reports it
+    number, text = Literal("5", XSD_DOUBLE), Literal("hot", XSD_STRING)
+    guards = [Guard("x", ">", Fraction(9)), Guard("y", ">", Fraction(0))]
+    skipped: list = []
+    assert compile_guards(guards, ("y", "x"))([(text, number)], skipped) == []
+    assert skipped == []
+    assert compile_guards(guards[::-1], ("y", "x"))([(text, number)], skipped) == []
+    assert skipped == [(text, number)]
 
 
 def test_guard_type_error_counted_once_in_its_first_round():
@@ -541,6 +560,24 @@ def test_alias_in_store_chains_by_delta():
         stats = forward_chain(store, [pack], delta={store.canonical(stated)})
         assert stats.committed == [Triple(s_, r, c)]
         assert stats.whole_store is False
+
+
+def test_rule_reading_equivalence_statements_chains_whole_store_rounds():
+    # (b = a) is served verbatim, (a r b) as (a r a): seeded by the delta
+    # triple, the rule would look up (a = a) and miss, where the whole
+    # store binds c to <b> from the statement first
+    a, b = Iri("urn:node:a"), Iri("urn:node:b")
+    q, r = Iri("urn:rel:q"), Iri("urn:rel:r")
+    c_, a_ = Variable("c"), Variable("a")
+    for predicate in (M3_EQUIVALENT_TO, Variable("p")):
+        body = (TriplePattern(c_, predicate, a_), TriplePattern(a_, r, c_))
+        pack = RulePack("p", (), (Rule("read", body, (), (TriplePattern(c_, q, a_),)),))
+        store = store_with([Triple(b, M3_EQUIVALENT_TO, a)])
+        forward_chain(store, [pack])
+        store.insert(Triple(a, r, b), Asserted("urn:dev:test"))
+        stats = forward_chain(store, [pack], delta={Triple(a, r, a)})
+        assert stats.committed == [Triple(a, q, a)]
+        assert stats.whole_store is True
 
 
 # -- delta chaining against whole-store rounds ----------------------------------

@@ -1,6 +1,7 @@
 import errno
 import logging
 import socket
+import struct
 import sys
 import threading
 import time
@@ -612,6 +613,9 @@ def test_writes_past_the_writer_slots_get_503_and_reads_stay_live(runtime, base_
         statuses = sorted(w.result().status_code for w in writers)
     assert statuses == [202] * (HTTP_WORKERS - 1) + [503] * (n - HTTP_WORKERS + 1)
     assert busy and all(r.json()["error"] == "ServerBusy" for r in busy)
+    # a 503 asks the client to back off before it retries; other replies do not
+    assert all(r.headers["Retry-After"] == "1" for r in busy)
+    assert all("Retry-After" not in w.result().headers for w in writers if w.result().status_code == 202)
     fevers = evaluate_query(parse_query("SELECT ?o WHERE { ?o m3:indicates m3:Fever }"), runtime.store)
     assert len(fevers.rows) == HTTP_WORKERS - 1
 
@@ -673,6 +677,49 @@ def test_stalled_body_is_dropped_without_reply_or_traceback(runtime, monkeypatch
         assert sock.recv(1024) == b""
     assert [r for r in caplog.records if r.levelno >= logging.ERROR] == []
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _wait_for_record(caplog, text: str, timeout: float = 5.0) -> logging.LogRecord:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        hits = [r for r in caplog.records if text in r.getMessage()]
+        if hits:
+            return hits[0]
+        time.sleep(0.02)
+    raise AssertionError(f"no log record with {text!r}")
+
+
+def test_client_hang_up_mid_reply_logs_at_debug_without_stderr(runtime, base_url, monkeypatch, caplog, capfd):
+    stats = runtime.api.stats
+
+    def slow_stats():
+        time.sleep(0.3)  # the client resets the connection meanwhile
+        return stats()
+
+    monkeypatch.setattr(runtime.api, "stats", slow_stats)
+    caplog.set_level(logging.DEBUG, logger="knotgate.services")
+    sock = socket.create_connection(("127.0.0.1", runtime.http_port), timeout=5)
+    sock.sendall(b"GET /api/v1/stats HTTP/1.1\r\nHost: x\r\n\r\n")
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+    sock.close()  # linger 0: a reset, so the reply's write fails
+    record = _wait_for_record(caplog, "hung up")
+    assert record.levelno == logging.DEBUG
+    assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+    assert capfd.readouterr().err == ""
+    assert requests.get(f"{base_url}/api/v1/stats", timeout=5).status_code == 200
+
+
+def test_other_connection_errors_log_their_traceback(runtime, monkeypatch, caplog, capfd):
+    def broken(self):
+        raise RuntimeError("handler fault")
+
+    monkeypatch.setattr(_ApiHandler, "handle", broken)
+    with socket.create_connection(("127.0.0.1", runtime.http_port), timeout=5) as sock:
+        sock.sendall(b"GET /api/v1/stats HTTP/1.1\r\n\r\n")
+        assert sock.recv(1024) == b""  # closed without a reply
+    record = _wait_for_record(caplog, "error serving")
+    assert record.levelno == logging.ERROR and record.exc_info[0] is RuntimeError
+    assert capfd.readouterr().err == ""
 
 
 def test_stop_joins_workers_and_start_stop_repeats(fixtures_dir):

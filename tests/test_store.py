@@ -1,12 +1,15 @@
+import ast
 import gc
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from knotgate.model import Blank, Iri, Literal, Triple, XSD_DOUBLE, make_iri, serialize_term, serialize_triples
-from knotgate.query import Query, evaluate_query
+from knotgate.query import Query, evaluate_query, parse_query
+from knotgate.rules import _GUARD_FACTORIES, GUARD_OPS, Guard, _guard_source, compile_guards
 import knotgate.store as store_module
 from knotgate.store import (
     Asserted,
@@ -16,6 +19,7 @@ from knotgate.store import (
     Store,
     TriplePattern,
     Variable,
+    layout,
 )
 
 from generators import Vocab, rand_query, rand_triple
@@ -479,6 +483,21 @@ def _oracle_join(stored: list[Triple], patterns, seeds: list[dict], exclude, cla
     return rows
 
 
+def _join(store: Store, patterns, seeds: list[dict], exclude=None) -> list[dict]:
+    """Store.join over dict seeds of mixed key sets: each run of seeds that
+    bind the same names, in the same order, is one join over their tuples,
+    laid out as their keys; its rows are read back as dicts through the
+    layout, which must name each slot once."""
+    rows = []
+    for keys, run in itertools.groupby(seeds, lambda b: tuple(b)):
+        names = layout(patterns, keys)
+        assert len(set(names)) == len(names) and names[:len(keys)] == keys
+        got = store.join(patterns, [tuple(b.values()) for b in run], keys, exclude=exclude)
+        assert all(len(row) == len(names) for row in got)
+        rows += [dict(zip(names, row)) for row in got]
+    return rows
+
+
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=300, deadline=None)
 def test_join_matches_nested_loop_oracle(seed):
@@ -499,7 +518,7 @@ def test_join_matches_nested_loop_oracle(seed):
         row = rng.choice(full)
         i = rng.randrange(len(names))
         seeds.append({names[i]: row[i]})
-    got = store.join(patterns, seeds, exclude=exclude)
+    got = _join(store, patterns, seeds, exclude=exclude)
     assert all(set(b) == set(names) for b in got)
     expected = [
         row
@@ -528,7 +547,7 @@ def test_join_matches_nested_loop_oracle(seed):
         values = [EQ, rng.choice(vocab.predicates), rng.choice(alts), rng.choice(vocab.objects)]
         seeds += [{name: v} for v in rng.sample(values, len(values))]
     exclude = set(rng.sample(stored, rng.randint(0, len(stored) // 2))) if exclude is not None else None
-    assert store.join(patterns, seeds, exclude=exclude) == _oracle_join(stored, patterns, seeds, exclude, classes)
+    assert _join(store, patterns, seeds, exclude=exclude) == _oracle_join(stored, patterns, seeds, exclude, classes)
 
 
 @pytest.mark.parametrize("aliased", [False, True])
@@ -549,7 +568,7 @@ def test_one_step_over_a_large_batch_matches_the_oracle(aliased):
         pattern = TriplePattern(Variable("s"), vocab.predicates[0], Variable("o"))
         seeds = [{name: rng.choice(pools[name]) for name in bound} for _ in range(600)]
         for exclude in (None, set(rng.sample(stored, 50))):
-            got = store.join([pattern], seeds, exclude=exclude)
+            got = _join(store, [pattern], seeds, exclude=exclude)
             assert got == _oracle_join(stored, [pattern], seeds, exclude, classes)
             assert len(got) >= 100
 
@@ -563,7 +582,7 @@ def test_join_step_with_a_bound_predicate_reads_equivalence_statements_verbatim(
     for t in (Triple(b, eq, a), Triple(b, q, c), Triple(a, sel, eq), Triple(a, sel, q)):
         store.insert(t, Loaded("seed"))
     patterns = [TriplePattern(a, sel, Variable("p")), TriplePattern(b, Variable("p"), Variable("o"))]
-    assert store.join(patterns, [{}]) == [{"p": eq, "o": a}, {"p": q, "o": c}]
+    assert store.join(patterns, [()]) == [(eq, a), (q, c)]
 
 
 def test_candidate_count_reads_the_bucket_match_scans():
@@ -693,7 +712,7 @@ def test_every_step_shape_matches_the_oracle():
                     )
                     assert store.candidate_count(pattern, b) >= len(expected)
                     for exclude in (None, set(rng.sample(stored, 3))):
-                        assert store.join([pattern], seeds, exclude=exclude) == _oracle_join(
+                        assert _join(store, [pattern], seeds, exclude=exclude) == _oracle_join(
                             stored, [pattern], seeds, exclude, classes
                         )
 
@@ -708,8 +727,15 @@ def test_step_shapes_are_bounded_and_hold_no_term():
         store.match(pattern, b)
         store.match(pattern, b, among=list(store))
         store.candidate_count(pattern, b)
-        store.join([pattern], [b])
-        store.join([pattern], [b], exclude=set())
+        # join bindings hold fresh filler slots too, in a random order, so
+        # the bound variables' slots vary as well as their names
+        names = [*bound, *(f"pad{rng.random()}" for _ in range(rng.randint(0, 2)))]
+        rng.shuffle(names)
+        seed = tuple(b.get(name, terms[0]) for name in names)
+        store.join([pattern], [seed], tuple(names))
+        store.join([pattern], [seed], tuple(names), exclude=set())
+        guards = [Guard(name, rng.choice(GUARD_OPS), Fraction(rng.randint(0, 9))) for name in bound]
+        compile_guards(guards * rng.randint(1, 3), tuple(names))
 
     def position(i: int, names: list[str]) -> object:
         return Variable(rng.choice(names)) if rng.random() < 0.6 else rng.choice(terms if i != 1 else [EQ, P])
@@ -724,6 +750,23 @@ def test_step_shapes_are_bounded_and_hold_no_term():
         pattern = TriplePattern(*(position(i, names) for i in range(3)))
         run(pattern, [x for x in names if rng.random() < 0.5])
     assert len(store_module._FACTORIES) == shapes
+    # queries with many filters in random operator order, each filter over
+    # either variable: one generated filter per operator, whatever the
+    # sequence, and the rows the nested-loop oracle gives
+    numbers, Q = Store(), Iri("urn:rel:q0")
+    for i in range(12):
+        numbers.insert(Triple(Iri(f"urn:n:{i}"), P, Literal(str(i), XSD_DOUBLE)), Loaded("seed"))
+        numbers.insert(Triple(Iri(f"urn:n:{i}"), Q, Literal(str(i % 5), XSD_DOUBLE)), Loaded("seed"))
+    numbers.insert(Triple(Iri("urn:n:text"), P, Literal("hot")), Loaded("seed"))
+    numbers.insert(Triple(Iri("urn:n:text"), Q, Literal("2", XSD_DOUBLE)), Loaded("seed"))
+    for k in (1, 2, 3, 8, 40, 300):
+        for _ in range(5):
+            filters = " ".join(
+                f"FILTER ?{rng.choice('ab')} {rng.choice(GUARD_OPS)} {rng.randint(-1, 12)}" for _ in range(k)
+            )
+            query = parse_query(f"SELECT ?s WHERE {{ ?s <{P.value}> ?a . ?s <{Q.value}> ?b }} {filters}")
+            assert set(evaluate_query(query, numbers).rows) == oracle_query(list(numbers), query)
+    assert set(_GUARD_FACTORIES) <= set(GUARD_OPS)
     # compiled steps live on their pattern: a constant only a dropped pattern
     # used leaves the intern table
     value = f"urn:shape:dropped:{rng.random()}"
@@ -733,3 +776,23 @@ def test_step_shapes_are_bounded_and_hold_no_term():
     del pattern
     gc.collect()
     assert value not in Iri._table
+
+
+def _step_shapes():
+    """Every step shape: each position a constant, bound, free, or the digit
+    of an earlier free position it repeats."""
+    for kind in ("join", "exclude", "match", "among", "count"):
+        for shape in itertools.product("cbf01", repeat=3):
+            if all(not s.isdigit() or (int(s) < i and shape[int(s)] == "f") for i, s in enumerate(shape)):
+                yield kind, shape
+
+
+def test_generated_sources_parse_as_python_3_10():
+    # the package supports Python 3.10: every step and guard source the
+    # generators can emit must use 3.10 syntax only
+    shapes = list(_step_shapes())
+    assert len(shapes) == 5 * (27 + 10)  # ten with repeats: f0?, f00, ?f1, f?0
+    for kind, shape in shapes:
+        ast.parse(store_module._source(kind, shape), feature_version=(3, 10))
+    for op in GUARD_OPS:
+        ast.parse(_guard_source(op), feature_version=(3, 10))
