@@ -127,13 +127,12 @@ def evaluate_query(
     (rules.compile_guards); a filter over a non-numeric binding excludes
     that row.  `bindings` pre-binds variables before evaluation.
     """
-    seed: dict[str, Term] = dict(bindings) if bindings else {}
+    names, seed = (tuple(bindings), tuple(bindings.values())) if bindings else ((), ())
     patterns = list(query.patterns)
     # seed the join with the pattern whose index bucket is currently smallest
-    costs = [store.candidate_count(p, seed) for p in patterns]
+    costs = [store.candidate_count(p, seed, names) for p in patterns]
     patterns.insert(0, patterns.pop(costs.index(min(costs))))
-    names = tuple(seed)
-    rows = store.join(patterns, [tuple(seed.values())], names)
+    rows = store.join(patterns, [seed], names)
     names = layout(patterns, names)
     rows = compile_guards(query.filters, names)(rows, [])
     found = list(set(map(itemgetter(*map(names.index, query.select)), rows)))

@@ -235,8 +235,8 @@ def _join_delta(rule: Rule, store: Store, delta: AbstractSet[Triple]) -> list[tu
         # that predicate's canonical form
         key = store.resolve_alias(atom.predicate)
         tries = delta if isinstance(key, Variable) else by_predicate.get(key)
-        # a match binds the atom's variables, in atom.names order
-        seeds = [tuple(b.values()) for _, b in store.match(atom, among=tries)] if tries else []
+        # a match row binds the atom's variables, in atom.names order
+        seeds = store.match(atom, among=tries) if tries else []
         if seeds:
             # atoms before k match only non-delta triples, so each binding is
             # formed once: at the first of its atoms that matches the delta

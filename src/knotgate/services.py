@@ -232,10 +232,10 @@ class CompositionManager:
             pipelines = list(self._pipelines.values())
         fired = 0
         for pipe in pipelines:
-            matched = self.store.match(pipe.trigger, among=(fact,))
-            if not matched:
+            rows = self.store.match(pipe.trigger, among=(fact,))
+            if not rows:
                 continue
-            bindings = matched[0].bindings
+            bindings = dict(zip(pipe.trigger.names, rows[0]))
             table = evaluate_query(pipe.lookup, self.store, bindings=bindings)
             scalars = {name: compact_term(term) for name, term in bindings.items()}
             arrays: dict[str, list[str]] = {}

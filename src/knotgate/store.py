@@ -25,8 +25,9 @@ whichever bucket is scanned.  Given among (stored triples such as a
 chaining round's delta or one derived fact), a step scans those instead.
 Store.join, the one join of rules and queries, runs each pattern's step
 once over all the bindings that reach it.  Store.match runs the same step
-on one binding, for delta seeding, subscriptions and composition triggers,
-so all see aliases alike.
+on the empty binding, for delta seeding, subscriptions and composition
+triggers, and returns the join's rows, so all see aliases alike and read
+one row type.
 
 Concurrency: one writer at a time, any number of readers.  The gateway's
 write lock makes the writer single: every ingest, rule-pack install and
@@ -41,7 +42,7 @@ from __future__ import annotations
 import re
 import threading
 from dataclasses import dataclass
-from typing import AbstractSet, Callable, Collection, Iterator, NamedTuple, Sequence, Union
+from typing import AbstractSet, Callable, Collection, Iterator, Sequence, Union
 
 from .model import (
     Iri,
@@ -148,11 +149,6 @@ class TriplePattern:
 def _link(t: Triple) -> bool:
     """Whether t is an equivalence statement between two IRIs."""
     return t.predicate == M3_EQUIVALENT_TO and isinstance(t.subject, Iri) and isinstance(t.object, Iri)
-
-
-class MatchResult(NamedTuple):
-    triple: Triple
-    bindings: dict[str, Term]
 
 
 _NONE: dict[Triple, None] = {}
@@ -315,32 +311,27 @@ class Store:
 
     # -- reads -------------------------------------------------------------
 
-    def match(
-        self,
-        pattern: TriplePattern,
-        bindings: dict[str, Term] | None = None,
-        among: Collection[Triple] | None = None,
-    ) -> list[MatchResult]:
-        """Stored triples matching the pattern under bindings, with the
-        bindings of the pattern's free variables.
+    def match(self, pattern: TriplePattern, among: Collection[Triple] | None = None) -> list[tuple[Term, ...]]:
+        """The rows of the stored triples matching the pattern: one tuple per
+        triple, holding the terms of the pattern's variables in pattern.names
+        order, so a pattern with no variable gives () per match.
 
-        The join's step (see the module docstring) run on one binding.
-        Constants and bound values are alias-canonicalized first (as the
-        view is), except on equivalence-statement lookups which match the
-        verbatim served form; a non-IRI bound into the predicate slot
-        matches nothing.  Rows follow the insertion order of the matching
-        triples, or among's own order when among is given.  A repeated
-        free variable must meet the same term twice.
+        Store.join's step (see the module docstring) run on the seed (), so
+        the rows are join([pattern], [()])'s.  Constants are
+        alias-canonicalized first (as the view is), except on
+        equivalence-statement lookups which match the verbatim served form.
+        Rows follow the insertion order of the matching triples, or among's
+        own order when among is given.  A repeated variable must meet the
+        same term twice.
         """
-        names, seed = (tuple(bindings), tuple(bindings.values())) if bindings else ((), ())
         with self._lock:
-            return _step(pattern, "match" if among is None else "among", names)(self, (seed,), among, None)
+            return _step(pattern, "join" if among is None else "among", ())(self, ((),), among, None)
 
     def candidate_count(
-        self, pattern: TriplePattern, bindings: dict[str, Term] | None = None
+        self, pattern: TriplePattern, seed: tuple[Term, ...] = (), names: tuple[str, ...] = ()
     ) -> int:
-        """Size of the index bucket match scans: an upper bound on its rows."""
-        names, seed = (tuple(bindings), tuple(bindings.values())) if bindings else ((), ())
+        """Size of the index bucket join's step scans for the seed, laid out
+        by names as join's seeds are: an upper bound on its rows."""
         with self._lock:
             return _step(pattern, "count", names)(self, (seed,), None, None)[0]
 
@@ -407,9 +398,8 @@ def _step(pattern: TriplePattern, kind: str, names: tuple[str, ...]) -> _Step:
 
     kind is what the step returns: "join" rows (each binding extended by
     the free variables), "exclude" the same skipping the exclude set,
-    "match" or "among" MatchResults of the free variables alone (among:
-    scanning the given triples), or "count" the size of the bucket it would
-    scan.
+    "among" join rows from the given triples in place of a bucket, or
+    "count" the size of the bucket it would scan.
     """
     key = (kind, names)
     run = pattern.steps.get(key)
@@ -497,11 +487,8 @@ def _source(kind: str, shape: tuple[str, ...]) -> str:
     free = [i for i, s in enumerate(shape) if s == "f"]
     if kind == "count":
         lines.append("   append(len(bucket))")
-    else:
-        if kind in ("match", "among"):
-            row = f"MatchResult(t, {{{', '.join(f'n{i}: t.{_FIELDS[i]}' for i in free)}}})"
-        else:  # the binding itself when the step binds nothing new
-            row = f"b + ({''.join(f't.{_FIELDS[i]}, ' for i in free)})" if free else "b"
+    else:  # the binding itself when the step binds nothing new
+        row = f"b + ({''.join(f't.{_FIELDS[i]}, ' for i in free)})" if free else "b"
         keep = f"if {' and '.join(checks)}: " if checks else ""
         lines += ["   for t in bucket:", f"    {keep}append({row})"]
     lines += ["  return out", " return run"]

@@ -112,7 +112,7 @@ def test_alias_retract_serves_the_stated_forms_again(remedies_pack_text):
     store.retract(Loaded("alias"))
     assert len(remedy_rows(store)) == 3
     has_remedy = TriplePattern(Variable("s"), make_iri("m3:hasRemedy"), Variable("r"))
-    assert {r.triple.subject for r in store.match(has_remedy)} == {make_iri("m3:Fever")}
+    assert {s for s, _ in store.match(has_remedy)} == {make_iri("m3:Fever")}
 
 
 def test_join_on_shared_variable():

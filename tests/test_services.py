@@ -1,4 +1,5 @@
 import errno
+import json
 import logging
 import socket
 import struct
@@ -18,7 +19,7 @@ from knotgate.annotation import (
     UnsupportedConversion,
 )
 from knotgate.config import AppConfig, load_config
-from knotgate.gateway import BadTopic, DecodeError, MqttTopic, Webhook
+from knotgate.gateway import BadTopic, DecodeError, DerivedContext, Egress, MqttTopic, Webhook
 from knotgate.lexer import GrammarError
 from knotgate.model import Iri, Triple, TripleParseError, make_iri, parse_triples
 from knotgate.query import UnsafeQuery, evaluate_query, parse_query
@@ -38,7 +39,7 @@ from knotgate.services import (
     error_body,
     parse_endpoint,
 )
-from knotgate.store import TriplePattern, Variable
+from knotgate.store import Inferred, Store, TriplePattern, Variable
 
 
 @pytest.fixture
@@ -411,6 +412,38 @@ def test_subscription_and_composition_match_through_aliases(capture_server, fixt
         }
     finally:
         rt.stop()
+
+
+def test_ground_subscription_and_composition_fire_on_their_fact(remedies_pack_text):
+    # a pattern with no variable matches its fact with one empty row, ()
+    store = Store()
+    store.load_pack(remedies_pack_text, "remedies")
+    fever = Triple(Iri("urn:obs:thermo1:1"), make_iri("m3:indicates"), make_iri("m3:Fever"))
+    other = Triple(Iri("urn:obs:thermo1:2"), make_iri("m3:indicates"), make_iri("m3:Fever"))
+    for fact in (fever, other):
+        store.insert(fact, Inferred("fever"))
+    posted = []
+    egress = Egress(http_post=lambda url, payload: posted.append((url, json.loads(payload))) or 200)
+    ground = TriplePattern(fever.subject, fever.predicate, fever.object)
+    subscriptions = services.SubscriptionManager(store, egress)
+    subscriptions.register(ground, Webhook("http://sub.test/h"))
+    compositions = services.CompositionManager(store, egress)
+    compositions.register(
+        ground,
+        "SELECT ?r WHERE { m3:Fever m3:hasRemedy ?r }",
+        {"state": "m3:Fever", "suggestions": "{r}"},
+        Webhook("http://comp.test/h"),
+    )
+    ctx = DerivedContext(rule_id="fever", observation_iri="urn:obs:thermo1:1", timestamp=1)
+    assert subscriptions.on_derived(fever, ctx) == 1
+    assert subscriptions.on_derived(fever, ctx) == 0  # at most once per (sub, fact)
+    assert subscriptions.on_derived(other, ctx) == 0
+    assert compositions.on_derived(fever, ctx) == 1
+    assert compositions.on_derived(other, ctx) == 0
+    assert posted == [
+        ("http://sub.test/h", json.loads(services.fact_envelope(fever, ctx))),
+        ("http://comp.test/h", {"state": "m3:Fever", "suggestions": ["m3:ColdCompress", "m3:GingerTea", "m3:Hydration"]}),
+    ]
 
 
 # -- compositions ------------------------------------------------------------------

@@ -81,8 +81,9 @@ def test_match_fully_concrete():
     store = Store()
     t = triple("urn:a:1", "urn:p:1", "urn:o:1")
     store.insert(t, Asserted("urn:dev:x"))
-    [(found, bindings)] = store.match(TriplePattern(t.subject, t.predicate, t.object))
-    assert found == t and bindings == {}
+    # no variable: one empty row for the one triple the pattern names
+    assert store.match(TriplePattern(t.subject, t.predicate, t.object)) == [()]
+    assert store.match(TriplePattern(t.subject, t.predicate, t.subject)) == []
 
 
 def test_match_against_linear_scan_oracle():
@@ -100,9 +101,7 @@ def test_match_against_linear_scan_oracle():
                 )
             )
         )
-        expected = {(t, tuple(sorted(b.items()))) for t, b in oracle_match(list(store), pattern)}
-        got = {(t, tuple(sorted(b.items()))) for t, b in store.match(pattern)}
-        assert got == expected
+        assert store.match(pattern) == _rows(oracle_match(list(store), pattern), pattern)
 
 
 def test_match_all_variables_returns_whole_store():
@@ -112,7 +111,7 @@ def test_match_all_variables_returns_whole_store():
     for t in triples:
         store.insert(t, Loaded("seed"))
     results = store.match(TriplePattern(Variable("s"), Variable("p"), Variable("o")))
-    assert {r.triple for r in results} == set(store)
+    assert [Triple(*row) for row in results] == list(store)
 
 
 def test_match_deterministic_for_fixed_state():
@@ -131,9 +130,9 @@ def test_index_consistency_single_position_patterns():
     for t in store:
         v = Variable("v")
         w = Variable("w")
-        assert t in {r.triple for r in store.match(TriplePattern(t.subject, v, w))}
-        assert t in {r.triple for r in store.match(TriplePattern(v, t.predicate, w))}
-        assert t in {r.triple for r in store.match(TriplePattern(v, w, t.object))}
+        assert (t.predicate, t.object) in store.match(TriplePattern(t.subject, v, w))
+        assert (t.subject, t.object) in store.match(TriplePattern(v, t.predicate, w))
+        assert (t.subject, t.predicate) in store.match(TriplePattern(v, w, t.object))
 
 
 def test_retract_on_clean_store_returns_zero():
@@ -177,8 +176,8 @@ def test_retract_matches_filter_oracle():
         assert store.snapshot() == keep
         # no survivor matches the selector
         pattern = TriplePattern(Variable("s"), Variable("p"), Variable("o"))
-        for r in store.match(pattern):
-            prov = store.provenance(r.triple)
+        for row in store.match(pattern):
+            prov = store.provenance(Triple(*row))
             if isinstance(selector, type):
                 assert not isinstance(prov, selector)
             else:
@@ -263,8 +262,8 @@ def test_insert_canonicalizes_terms():
     store.insert(Triple(Iri("urn:b:x"), eq, Iri("urn:a:x")), Loaded("links"))
     t = triple("urn:b:x", "urn:p:1", "urn:o:1")
     store.insert(t, Asserted("urn:dev:x"))
-    stored = [r.triple for r in store.match(TriplePattern(Variable("s"), Iri("urn:p:1"), Variable("o")))]
-    assert stored == [triple("urn:a:x", "urn:p:1", "urn:o:1")]
+    stored = store.match(TriplePattern(Variable("s"), Iri("urn:p:1"), Variable("o")))
+    assert stored == [(Iri("urn:a:x"), Iri("urn:o:1"))]
     # matching via either name finds the canonical triple
     assert store.match(TriplePattern(Iri("urn:b:x"), Iri("urn:p:1"), Variable("o")))
 
@@ -317,7 +316,7 @@ def test_load_pack_rebuilds_the_view_at_most_once(monkeypatch):
     store.load_pack(links + links, "links")
     assert len(rebuilds) == 1
     served = store.match(TriplePattern(Variable("s"), Iri("urn:p:1"), Variable("o")))
-    assert [r.triple.subject for r in served] == [Iri(f"urn:n:a{i}") for i in range(5)]
+    assert [s for s, _ in served] == [Iri(f"urn:n:a{i}") for i in range(5)]
     store.load_pack(links + f"<urn:n:a0> {eq} <urn:n:a0> .\n", "again")  # no new class
     assert len(rebuilds) == 1
     store.insert(Triple(Iri("urn:n:b5"), make_iri("m3:equivalentTo"), Iri("urn:n:a5")), Loaded("one"))
@@ -415,9 +414,8 @@ def test_concurrent_readers_see_consistent_snapshots():
     def reader():
         try:
             while not stop.is_set():
-                results = store.match(pattern)
-                for r in results:
-                    assert r.triple.predicate  # torn state would blow up here
+                for row in store.match(pattern):
+                    assert Triple(*row).predicate  # torn state would blow up here
         except Exception as exc:  # pragma: no cover - failure path
             errors.append(exc)
 
@@ -442,8 +440,14 @@ def test_match_repeated_variable():
     pattern = TriplePattern(Variable("x"), P, Variable("x"))
     same = Triple(Iri("urn:a:1"), P, Iri("urn:a:1"))
     different = Triple(Iri("urn:a:1"), P, Iri("urn:a:2"))
-    assert store.match(pattern, among=[same]) == [(same, {"x": Iri("urn:a:1")})]
+    assert store.match(pattern, among=[same]) == [(Iri("urn:a:1"),)]
     assert store.match(pattern, among=[different]) == []
+
+
+def _rows(matches: list, pattern: TriplePattern) -> list[tuple]:
+    """oracle_match's (triple, bindings) pairs as Store.match's rows: the
+    bindings projected onto pattern.names."""
+    return [tuple(found[name] for name in pattern.names) for _, found in matches]
 
 
 def _row_key(row) -> tuple[str, ...]:
@@ -640,21 +644,25 @@ def test_match_probe_matches_linear_scan_oracle(seed):
         pattern = TriplePattern(
             position(vocab.subjects + alts), position(vocab.predicates + [eq]), position(terms)
         )
-        bindings = {name: rng.choice(terms) for name in rng.sample("xyzw", rng.randint(0, 4))}
-        got = store.match(pattern, bindings)
-        count = store.candidate_count(pattern, bindings)
         # among scans a random subset, in its own order, in place of a bucket
         subset = rng.sample(stored, rng.randint(0, len(stored)))
-        got_among = store.match(pattern, bindings, among=subset)
+        assert store.match(pattern) == _rows(_served_match(stored, pattern, {}, classes), pattern)
+        assert store.match(pattern, among=subset) == _rows(_served_match(subset, pattern, {}, classes), pattern)
+        # bound variables: the join step on one seed, laid out by names
+        bindings = {name: rng.choice(terms) for name in rng.sample("xyzw", rng.randint(0, 4))}
+        names, seed = tuple(bindings), tuple(bindings.values())
+        got = store.join([pattern], [seed], names)
+        count = store.candidate_count(pattern, seed, names)
         values = [bindings.get(p.name, p) if isinstance(p, Variable) else p for p in pattern.positions()]
         if not isinstance(values[1], (Iri, Variable)):
-            assert got == [] and count == 0 and got_among == []
+            assert got == [] and count == 0
             continue
         if values[1] != eq:  # equivalence lookups read the verbatim stored form
             values = [Iri(classes.get(v.value, v.value)) if isinstance(v, Iri) else v for v in values]
         expected = oracle_match(stored, TriplePattern(*values))
-        assert [(r.triple, r.bindings) for r in got] == expected  # same rows, same order
-        assert [(r.triple, r.bindings) for r in got_among] == oracle_match(subset, TriplePattern(*values))
+        free = layout([pattern], names)[len(names):]
+        # same rows, same order
+        assert got == [seed + tuple(found[name] for name in free) for _, found in expected]
         buckets = [
             sum(1 for t in stored if (t.subject, t.predicate, t.object)[i] == v)
             for i, v in enumerate(values)
@@ -705,12 +713,13 @@ def test_every_step_shape_matches_the_oracle():
                     seeds = [{name: rng.choice(terms) for name in bound} for _ in range(3)]
                     b = seeds[0]
                     expected = _served_match(stored, pattern, b, classes)
-                    assert [tuple(r) for r in store.match(pattern, b)] == expected
-                    subset = rng.sample(stored, rng.randint(0, len(stored)))
-                    assert [tuple(r) for r in store.match(pattern, b, among=subset)] == _served_match(
-                        subset, pattern, b, classes
-                    )
-                    assert store.candidate_count(pattern, b) >= len(expected)
+                    assert store.candidate_count(pattern, tuple(b.values()), tuple(b)) >= len(expected)
+                    if not bound:  # match runs the join step on the seed ()
+                        assert store.match(pattern) == _rows(expected, pattern)
+                        subset = rng.sample(stored, rng.randint(0, len(stored)))
+                        assert store.match(pattern, among=subset) == _rows(
+                            _served_match(subset, pattern, {}, classes), pattern
+                        )
                     for exclude in (None, set(rng.sample(stored, 3))):
                         assert _join(store, [pattern], seeds, exclude=exclude) == _oracle_join(
                             stored, [pattern], seeds, exclude, classes
@@ -724,14 +733,14 @@ def test_step_shapes_are_bounded_and_hold_no_term():
 
     def run(pattern: TriplePattern, bound: list[str]) -> None:
         b = {name: rng.choice(terms) for name in bound}
-        store.match(pattern, b)
-        store.match(pattern, b, among=list(store))
-        store.candidate_count(pattern, b)
-        # join bindings hold fresh filler slots too, in a random order, so
-        # the bound variables' slots vary as well as their names
+        store.match(pattern)
+        store.match(pattern, among=list(store))
+        # seeds hold fresh filler slots too, in a random order, so the bound
+        # variables' slots vary as well as their names
         names = [*bound, *(f"pad{rng.random()}" for _ in range(rng.randint(0, 2)))]
         rng.shuffle(names)
         seed = tuple(b.get(name, terms[0]) for name in names)
+        store.candidate_count(pattern, seed, tuple(names))
         store.join([pattern], [seed], tuple(names))
         store.join([pattern], [seed], tuple(names), exclude=set())
         guards = [Guard(name, rng.choice(GUARD_OPS), Fraction(rng.randint(0, 9))) for name in bound]
@@ -750,6 +759,8 @@ def test_step_shapes_are_bounded_and_hold_no_term():
         pattern = TriplePattern(*(position(i, names) for i in range(3)))
         run(pattern, [x for x in names if rng.random() < 0.5])
     assert len(store_module._FACTORIES) == shapes
+    # one row type: every step kind extends its seeds as the join does, or counts
+    assert {kind for kind, *_ in store_module._FACTORIES} <= {"join", "exclude", "among", "count"}
     # queries with many filters in random operator order, each filter over
     # either variable: one generated filter per operator, whatever the
     # sequence, and the rows the nested-loop oracle gives
@@ -781,7 +792,7 @@ def test_step_shapes_are_bounded_and_hold_no_term():
 def _step_shapes():
     """Every step shape: each position a constant, bound, free, or the digit
     of an earlier free position it repeats."""
-    for kind in ("join", "exclude", "match", "among", "count"):
+    for kind in ("join", "exclude", "among", "count"):
         for shape in itertools.product("cbf01", repeat=3):
             if all(not s.isdigit() or (int(s) < i and shape[int(s)] == "f") for i, s in enumerate(shape)):
                 yield kind, shape
@@ -791,7 +802,7 @@ def test_generated_sources_parse_as_python_3_10():
     # the package supports Python 3.10: every step and guard source the
     # generators can emit must use 3.10 syntax only
     shapes = list(_step_shapes())
-    assert len(shapes) == 5 * (27 + 10)  # ten with repeats: f0?, f00, ?f1, f?0
+    assert len(shapes) == 4 * (27 + 10)  # ten with repeats: f0?, f00, ?f1, f?0
     for kind, shape in shapes:
         ast.parse(store_module._source(kind, shape), feature_version=(3, 10))
     for op in GUARD_OPS:
