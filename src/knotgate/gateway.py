@@ -26,7 +26,7 @@ from typing import Callable, Union
 
 from .annotation import Annotator, RawReading
 from .model import Triple, triple_to_line
-from .rules import ChainStats, RulePack, forward_chain
+from .rules import ChainStats, RulePack, RuleSet, forward_chain
 from .store import Asserted, Inferred, Store
 
 log = logging.getLogger(__name__)
@@ -298,6 +298,7 @@ class Gateway:
         self.store = store
         self.annotator = annotator
         self.rulepacks: dict[str, RulePack] = {}
+        self.rules = RuleSet([])  # the active packs, compiled
         self.per_rule: dict[str, int] = {}
         self.guard_type_errors = 0
         self._stale = True  # the store is not known to be a fixpoint of the packs
@@ -313,13 +314,16 @@ class Gateway:
         return list(self.rulepacks.values())
 
     def domains_for_rule(self, rule_id: str) -> tuple[str, ...]:
-        for pack in self.rulepacks.values():
-            if any(r.id == rule_id for r in pack.rules):
-                return pack.domains
-        return ()
+        owner = self.rules.owners.get(rule_id)
+        return owner.domains if owner is not None else ()
 
     def set_rulepack(self, pack: RulePack, rechain: bool = False) -> ChainStats | None:
-        """Install or replace a rule pack.
+        """Install or replace a rule pack, and compile the active packs.
+
+        A rule id names one rule among the active packs, as provenance and
+        per-rule counts know rules by id: a pack using an id that another
+        active pack uses raises ValueError and installs nothing.  Replacing
+        a pack under its own pack_id may reuse its ids.
 
         With rechain=True all inferred triples are retracted and chaining
         reruns from the asserted/loaded base, so the store ends up exactly
@@ -327,7 +331,14 @@ class Gateway:
         per-rule counts are reset to that fresh run's counts.
         """
         with self._write_lock:
+            owners = self.rules.owners
+            taken = [r.id for r in pack.rules if r.id in owners and owners[r.id].pack_id != pack.pack_id]
+            if taken:
+                raise ValueError(
+                    f"pack {pack.pack_id!r}: rule ids already used by another active pack: {', '.join(taken)}"
+                )
             self.rulepacks[pack.pack_id] = pack
+            self.rules = RuleSet(self.active_packs())
             for rule in pack.rules:
                 self.per_rule.setdefault(rule.id, 0)
             self._stale = True
@@ -357,7 +368,7 @@ class Gateway:
         whole = delta is None or self._stale
         self._stale = False
         try:
-            stats = forward_chain(self.store, self.active_packs(), None if whole else set(delta))
+            stats = forward_chain(self.store, self.rules, None if whole else set(delta))
         except BaseException:
             self._stale = True
             raise

@@ -18,11 +18,19 @@ alias map can change (see forward_chain).  Either way round i commits
 exactly the facts a plain whole-store round i would, so round counts stay
 independent of rule order and the engine stays easy to check against a
 brute-force closure.
+
+Rules are compiled once per set of packs (RuleSet) into families: rules
+whose bodies differ only in one constant share one join per round and
+dispatch its rows on the term bound in that constant's place (RuleFamily).
+A round evaluates only the families with a body atom that can match its
+delta, so ingest cost grows with the families a reading reaches, not with
+the rules loaded.
 """
 
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -83,8 +91,6 @@ class Rule:
         violations = check_safety(self)
         if violations:
             raise RuleSafetyError(self.id, violations)
-        # per seeding body atom, how the rule evaluates from it (_plan)
-        object.__setattr__(self, "plans", {})
 
     def body_variables(self) -> frozenset[str]:
         out: frozenset[str] = frozenset()
@@ -218,32 +224,21 @@ class RuleFire:
         return len(self.guard_skips)
 
 
+class FamilyFire(dict):
+    """What evaluating a family formed: member position -> its RuleFire,
+    for each member that some binding reached."""
+
+    @property
+    def triples(self) -> list[Triple]:
+        """Every member's head instantiations, one entry per member forming one."""
+        return [t for fire in self.values() for t in fire.triples]
+
+
 def _by_predicate(delta: AbstractSet[Triple]) -> dict[Term, list[Triple]]:
     groups: dict[Term, list[Triple]] = {}
     for t in delta:
         groups.setdefault(t.predicate, []).append(t)
     return groups
-
-
-def _join_delta(rule: Rule, store: Store, delta: AbstractSet[Triple]) -> list[tuple[_Plan, list[tuple[Term, ...]]]]:
-    """The rows of every body match that uses a delta triple, with the plan
-    of each body atom that seeds some."""
-    by_predicate = _by_predicate(delta)
-    out = []
-    for k, atom in enumerate(rule.body):
-        # an atom with a constant predicate can only match delta triples of
-        # that predicate's canonical form
-        key = store.resolve_alias(atom.predicate)
-        tries = delta if isinstance(key, Variable) else by_predicate.get(key)
-        # a match row binds the atom's variables, in atom.names order
-        seeds = store.match(atom, among=tries) if tries else []
-        if seeds:
-            # atoms before k match only non-delta triples, so each binding is
-            # formed once: at the first of its atoms that matches the delta
-            plan = _plan(rule, k)
-            early = store.join(plan.early, seeds, atom.names, exclude=delta)
-            out.append((plan, store.join(plan.late, early, plan.joined)))
-    return out
 
 
 #: run(rows, skipped) -> the rows that pass every guard
@@ -312,48 +307,190 @@ def _guard_source(op: str) -> str:
     ])
 
 
-class _Plan(NamedTuple):
-    """How a rule evaluates from the matches of one body atom, the seeding
-    one, or from the whole store: found once per rule and seeding atom."""
+class _Member(NamedTuple):
+    """How one member of a family finishes the family's rows."""
 
-    early: tuple[TriplePattern, ...]  # the atoms before it, joined off the delta
-    late: tuple[TriplePattern, ...]  # the atoms after it
-    joined: tuple[str, ...]  # the layout of the rows that reach late
-    names: tuple[str, ...]  # the layout of the finished rows
+    names: tuple[str, ...]  # the member's variable per row slot; the hole's is the fresh one
     guards: _Guards
     constants: tuple[Term, ...]  # the head constants
     heads: list[itemgetter]  # per head template, its terms from a row + constants
 
 
-def _plan(rule: Rule, k: int | None) -> _Plan:
-    """The plan of the rule seeded by its body atom k, or by the whole store
-    when k is None."""
-    plan = rule.plans.get(k)
-    if plan is None:
-        if k is None:
-            early, seeded, late = (), (), rule.body
-        else:
-            early, seeded, late = rule.body[:k], rule.body[k].names, rule.body[k + 1:]
-        joined = layout(early, seeded)
-        names = layout(late, joined)
-        constants = tuple(dict.fromkeys(
-            p for template in rule.head for p in template.positions() if not isinstance(p, Variable)
+class _Plan(NamedTuple):
+    """How a family evaluates from the matches of one body atom, the seeding
+    one, or from the whole store: found once per family and seeding atom."""
+
+    early: tuple[TriplePattern, ...]  # the atoms before it, joined off the delta
+    late: tuple[TriplePattern, ...]  # the atoms after it
+    joined: tuple[str, ...]  # the layout of the rows that reach late
+    hole: int | None  # the slot of the hole's term in the finished rows
+    members: tuple[_Member, ...]
+
+
+def _member(rule: Rule, names: tuple[str, ...]) -> _Member:
+    constants = tuple(dict.fromkeys(
+        p for template in rule.head for p in template.positions() if not isinstance(p, Variable)
+    ))
+    slot = {name: i for i, name in enumerate(names)}  # safety binds every head variable
+    heads = [
+        itemgetter(*(
+            slot[p.name] if isinstance(p, Variable) else len(names) + constants.index(p)
+            for p in template.positions()
         ))
-        slot = {name: i for i, name in enumerate(names)}  # safety binds every head variable
-        heads = [
-            itemgetter(*(
-                slot[p.name] if isinstance(p, Variable) else len(names) + constants.index(p)
-                for p in template.positions()
-            ))
-            for template in rule.head
+        for template in rule.head
+    ]
+    return _Member(names, compile_guards(rule.guards, names), constants, heads)
+
+
+class RuleFamily:
+    """Rules evaluated as one, from one join.
+
+    The members' bodies are equal up to variable renaming except for the
+    constant in one subject or object position, the hole, of an atom whose
+    predicate is a constant other than m3:equivalentTo (see _holes).  The
+    family's body is its first member's with a fresh variable in the hole,
+    and each row goes to the members whose constant, as the store serves it
+    under the current alias map, is the term bound there.  Those rows are
+    exactly the member's own bindings: the member's join step would have
+    matched its constant canonicalized the same way, and the atom cannot
+    match an equivalence statement, the one triple served verbatim.  Each
+    member then runs its own guards and heads on its own rows, under its
+    own variable names.  A rule with no partner is a family of one without
+    a hole, and takes the same path.
+
+    What depends on the alias map (the canonical predicate of each atom and
+    the routes) is set by resolve, which RuleSet.resolve calls for each of
+    its families; evaluate reads it as last resolved.
+    """
+
+    def __init__(self, rules: Sequence[Rule], hole: tuple[int, int] | None = None):
+        self.rules = tuple(rules)
+        body = self.rules[0].body
+        #: the hole's variable; the member constants it is routed on
+        self.fresh: str | None = None
+        self.constants: tuple[Term, ...] = ()
+        if hole is not None:
+            k, i = hole
+            used = frozenset().union(*(r.body_variables() for r in self.rules))
+            self.fresh = "_"
+            while self.fresh in used:
+                self.fresh += "_"
+            terms = list(body[k].positions())
+            terms[i] = Variable(self.fresh)
+            body = (*body[:k], TriplePattern(*terms), *body[k + 1:])
+            self.constants = tuple(r.body[k].positions()[i] for r in self.rules)
+        self.body = body
+        #: per member, its name of each of the first member's variables
+        self.renames = [_renaming(self.rules[0], r) for r in self.rules]
+        self.plans: dict[int | None, _Plan] = {}
+        #: per body atom, its predicate as the store serves it (None for a
+        #: variable); canonical constant -> the members it routes rows to
+        self.keys: list[Term | None] = []
+        self._routes: dict[Term, list[int]] = {}
+
+    def resolve(self, store: Store) -> None:
+        """Key the seeding predicates and the routes by the terms the store
+        serves under its current alias map."""
+        self.keys = [
+            None if isinstance(atom.predicate, Variable) else store.resolve_alias(atom.predicate)
+            for atom in self.body
         ]
-        guards = compile_guards(rule.guards, names)
-        plan = rule.plans[k] = _Plan(early, late, joined, names, guards, constants, heads)
-    return plan
+        self._routes = {}
+        for m, constant in enumerate(self.constants):
+            self._routes.setdefault(store.resolve_alias(constant), []).append(m)
+
+    def _plan(self, k: int | None) -> _Plan:
+        """The plan seeded by body atom k, or by the whole store when k is None."""
+        plan = self.plans.get(k)
+        if plan is None:
+            if k is None:
+                early, seeded, late = (), (), self.body
+            else:
+                early, seeded, late = self.body[:k], self.body[k].names, self.body[k + 1:]
+            joined = layout(early, seeded)
+            names = layout(late, joined)
+            members = tuple(
+                _member(rule, tuple(rename.get(n, n) for n in names))
+                for rule, rename in zip(self.rules, self.renames)
+            )
+            hole = names.index(self.fresh) if self.fresh else None
+            plan = self.plans[k] = _Plan(early, late, joined, hole, members)
+        return plan
+
+    def _route(self, hole: int | None, rows: list) -> dict[int, list]:
+        """Member position -> the rows for it."""
+        if hole is None:
+            return {0: rows}
+        routes = self._routes
+        out: dict[int, list] = {}
+        for row in rows:
+            for m in routes.get(row[hole], ()):
+                out.setdefault(m, []).append(row)
+        return out
+
+    def evaluate(self, store: Store, delta: AbstractSet[Triple] | None = None) -> FamilyFire:
+        """See evaluate_rule."""
+        if delta is None:
+            plan = self._plan(None)
+            joins = [(plan, store.join(plan.late, [()]))]
+        else:
+            joins = []
+            groups = _by_predicate(delta)
+            for k, key in enumerate(self.keys):
+                # only the delta triples of the atom's predicate can match it
+                tries = delta if key is None else groups.get(key)
+                if not tries:
+                    continue
+                # a match row binds the atom's variables, in atom.names order
+                rows = store.match(self.body[k], among=tries)
+                if rows:
+                    # atoms before k match only non-delta triples, so each
+                    # binding is formed once: at the first of its atoms that
+                    # matches the delta
+                    plan = self._plan(k)
+                    early = store.join(plan.early, rows, self.body[k].names, exclude=delta)
+                    joins.append((plan, store.join(plan.late, early, plan.joined)))
+        fires = FamilyFire()
+        for plan, rows in joins:
+            if not rows:
+                continue
+            for m, routed in self._route(plan.hole, rows).items():
+                member = plan.members[m]
+                fire = fires.get(m)
+                if fire is None:
+                    fire = fires[m] = RuleFire(set())
+                skipped: list[tuple[Term, ...]] = []
+                for row in member.guards(routed, skipped):
+                    row += member.constants
+                    for head in member.heads:
+                        try:
+                            fire.triples.add(Triple(*head(row)))
+                        except InvalidTriple:
+                            log.debug("rule %s: structurally invalid head instantiation skipped",
+                                      self.rules[m].id)
+                # a skipped binding is the member's own: the hole holds its constant
+                fire.guard_skips.update(
+                    frozenset(pair for pair in zip(member.names, row) if pair[0] != self.fresh)
+                    for row in skipped
+                )
+        return fires
 
 
-def evaluate_rule(rule: Rule, store: Store, delta: AbstractSet[Triple] | None = None) -> RuleFire:
-    """Ground head instantiations for every body match passing all guards.
+def _renaming(first: Rule, member: Rule) -> dict[str, str]:
+    """first's variable -> member's, of two bodies equal up to renaming."""
+    return {
+        p.name: q.name
+        for a, b in zip(first.body, member.body)
+        for p, q in zip(a.positions(), b.positions())
+        if isinstance(p, Variable)
+    }
+
+
+def evaluate_rule(
+    rule: Rule | RuleFamily, store: Store, delta: AbstractSet[Triple] | None = None
+) -> RuleFire | FamilyFire:
+    """Ground head instantiations for every body match passing all guards:
+    a RuleFire for a rule, a FamilyFire, one per member, for a family.
 
     With a delta (stored triples), only body matches that use at least one
     delta triple count; the other atoms match anywhere in the store.  That
@@ -371,35 +508,139 @@ def evaluate_rule(rule: Rule, store: Store, delta: AbstractSet[Triple] | None = 
     seeding that is the last step producing rows, so pruning there saves
     nothing, and guard_skips would count partial bindings, not whole ones.
     Heads are read from each row's slots by one getter per template.
+
+    A family is evaluated as its RuleSet last resolved it (RuleSet.resolve);
+    a rule is evaluated as a family of one, resolved for this call.
     """
-    fire = RuleFire(set())
-    if delta is None:
-        plan = _plan(rule, None)
-        joins = [(plan, store.join(plan.late, [()]))]
-    else:
-        joins = _join_delta(rule, store, delta)
-    for plan, rows in joins:
-        skipped: list[tuple[Term, ...]] = []
-        for row in plan.guards(rows, skipped):
-            row += plan.constants
-            for head in plan.heads:
-                try:
-                    fire.triples.add(Triple(*head(row)))
-                except InvalidTriple:
-                    log.debug("rule %s: structurally invalid head instantiation skipped", rule.id)
-        if skipped:
-            fire.guard_skips.update(frozenset(zip(plan.names, row)) for row in skipped)
-    return fire
+    if isinstance(rule, Rule):
+        family = RuleFamily((rule,))
+        family.resolve(store)
+        return family.evaluate(store, delta).get(0) or RuleFire(set())
+    return rule.evaluate(store, delta)
+
+
+# -- compilation -------------------------------------------------------------
+
+
+def _holes(body: tuple[TriplePattern, ...]) -> list[tuple[int, int]]:
+    """(atom, position) of each constant subject or object that a family may
+    route on: its atom's predicate is a constant other than m3:equivalentTo,
+    and the atom shares a variable with an earlier one.  Joins run in body
+    order, so then every plan joins the hole's atom with a variable bound,
+    as its members join it with their constant too; a hole in the first
+    atom would make a whole-store round scan every triple of its predicate.
+    """
+    out = []
+    seen: frozenset[str] = frozenset()
+    for k, atom in enumerate(body):
+        if seen & atom.variables() and not _reads_links(atom):
+            out += [(k, i) for i in (0, 2) if not isinstance(atom.positions()[i], Variable)]
+        seen |= atom.variables()
+    return out
+
+
+def _shape(body: tuple[TriplePattern, ...], hole: tuple[int, int]) -> tuple:
+    """The body up to variable renaming, each variable numbered by its first
+    occurrence, with None in the hole."""
+    numbers: dict[str, int] = {}
+    return tuple(
+        None if (k, i) == hole
+        else numbers.setdefault(p.name, len(numbers)) if isinstance(p, Variable)
+        else p
+        for k, atom in enumerate(body)
+        for i, p in enumerate(atom.positions())
+    )
+
+
+def _families(rules: Sequence[Rule]) -> list[tuple[RuleFamily, tuple[int, ...]]]:
+    """The rules partitioned into families, each with its members' positions
+    in rules: greedily, the largest family first."""
+    keys = [[(hole, _shape(r.body, hole)) for hole in _holes(r.body)] for r in rules]
+    left = list(range(len(rules)))
+    out = []
+    while left:
+        counts = Counter(key for i in left for key in keys[i])
+        best, n = max(counts.items(), key=itemgetter(1), default=(None, 0))
+        if n < 2:
+            break
+        members = tuple(i for i in left if best in keys[i])
+        out.append((RuleFamily([rules[i] for i in members], best[0]), members))
+        left = [i for i in left if i not in members]
+    out += [(RuleFamily((rules[i],)), (i,)) for i in left]
+    return out
+
+
+def _reads_links(pattern: TriplePattern) -> bool:
+    """Whether the pattern can match or form an equivalence statement."""
+    return isinstance(pattern.predicate, Variable) or pattern.predicate == M3_EQUIVALENT_TO
+
+
+class RuleSet:
+    """Rule packs compiled for forward_chain, once per set of packs: the
+    rules in order, their families, and the facts about them that a chain
+    would otherwise recompute.
+
+    A round evaluates only the families with an atom that can match its
+    delta, found through an index from the canonical predicate of each body
+    atom.  The index and every family's alias-dependent keys are resolved
+    against one store, again after each change of its alias map (resolve).
+    """
+
+    def __init__(self, packs: Sequence[RulePack]):
+        self.rules: list[Rule] = [r for pack in packs for r in pack.rules]
+        #: rule id -> the pack defining it (Gateway.set_rulepack keeps rule
+        #: ids unique among the active packs)
+        self.owners: dict[str, RulePack] = {r.id: pack for pack in packs for r in pack.rules}
+        self.per_rule = dict.fromkeys((r.id for r in self.rules), 0)
+        # only a rule that derives an equivalence statement changes the alias map mid-chain
+        self.whole_store_only = any(_reads_links(h) for r in self.rules for h in r.head)
+        self.reads_equivalences = any(_reads_links(a) for r in self.rules for a in r.body)
+        self.families = _families(self.rules)
+        #: the families with a variable predicate: they can match any delta triple
+        self._wild = {
+            f
+            for f, (family, _) in enumerate(self.families)
+            if any(isinstance(atom.predicate, Variable) for atom in family.body)
+        }
+        #: canonical predicate -> the families with an atom of it
+        self._index: dict[Term, set[int]] = {}
+        self._resolved_for: tuple[Store | None, int] = (None, -1)
+
+    def resolve(self, store: Store) -> None:
+        """Resolve the index and every family (RuleFamily.resolve) against
+        the store's alias map, unless they already are."""
+        if self._resolved_for == (store, store.alias_version):
+            return
+        self._index = {}
+        for f, (family, _) in enumerate(self.families):
+            family.resolve(store)
+            for key in family.keys:
+                if key is not None:
+                    self._index.setdefault(key, set()).add(f)
+        self._resolved_for = (store, store.alias_version)
+
+    def reached(
+        self, store: Store, delta: AbstractSet[Triple] | None
+    ) -> list[tuple[RuleFamily, tuple[int, ...]]]:
+        """(family, its members' rule positions) for each family a round
+        evaluates, resolved against the store: every family when delta is
+        None, else those with an atom that can match a delta triple."""
+        self.resolve(store)
+        if delta is None:
+            return self.families
+        reached = set(self._wild)
+        for predicate in {t.predicate for t in delta}:
+            reached.update(self._index.get(predicate, ()))
+        return [self.families[f] for f in sorted(reached)]
 
 
 def _triple_sort_key(t: Triple) -> tuple[str, str, str]:
     return (t.subject.lexeme, t.predicate.lexeme, t.object.lexeme)
 
 
-def forward_chain(
-    store: Store, packs: list[RulePack], delta: AbstractSet[Triple] | None = None
-) -> ChainStats:
-    """Run all rules to fixpoint, inserting conclusions as Inferred(rule_id).
+def forward_chain(store: Store, rules: RuleSet, delta: AbstractSet[Triple] | None = None) -> ChainStats:
+    """Run all rules of the compiled packs to fixpoint, inserting
+    conclusions as Inferred(rule_id).
 
     delta holds the stored triples added since the store was last a fixpoint
     of these packs (on ingest, what the reading inserted); the first round
@@ -417,11 +658,12 @@ def forward_chain(
     While the store has aliases, a chain with such a rule evaluates the
     whole store every round.
 
-    Every rule is evaluated against the store as of the start of the round;
-    the round's conclusions are committed together afterwards, in rule
-    order and sorted within a rule.  per_rule counts the triples each rule
-    newly added (first producer wins when two rules derive the same triple
-    in one round); every rule id appears in the map.  committed lists the
+    Every rule is evaluated against the store as of the start of the round,
+    family by family (RuleFamily); the round's conclusions are committed
+    together afterwards, in rule order and sorted within a rule.  per_rule
+    counts the triples each rule newly added (first producer wins when two
+    rules derive the same triple in one round); every rule id appears in
+    the map.  committed lists the
     added triples in commit order, each once, as served when the chain
     ends: an alias committed later renames triples committed before it, so
     every entry is in the store.  An entry renamed onto a stated triple is
@@ -437,34 +679,28 @@ def forward_chain(
     statements make every round one, so a chain whose first round used a
     delta used one in all.
     """
-    rules: list[Rule] = [r for pack in packs for r in pack.rules]
-    whole_store_only = any(
-        isinstance(h.predicate, Variable) or h.predicate == M3_EQUIVALENT_TO
-        for r in rules
-        for h in r.head
-    )
-    reads_equivalences = any(
-        isinstance(a.predicate, Variable) or a.predicate == M3_EQUIVALENT_TO
-        for r in rules
-        for a in r.body
-    )
-    stats = ChainStats(rounds=0, derived=0, per_rule={r.id: 0 for r in rules})
+    stats = ChainStats(rounds=0, derived=0, per_rule=dict(rules.per_rule))
     skipped: set[tuple[int, frozenset]] = set()
     while True:
         stats.rounds += 1
         if delta is not None and (
-            whole_store_only
-            or (reads_equivalences and store.has_aliases())
+            rules.whole_store_only
+            or (rules.reads_equivalences and store.has_aliases())
             or any(t.predicate == M3_EQUIVALENT_TO for t in delta)
         ):
             delta = None
         if stats.rounds == 1:
             stats.whole_store = delta is None
+        found: dict[int, RuleFire] = {}
+        for family, members in rules.reached(store, delta):
+            for m, fire in evaluate_rule(family, store, delta).items():
+                found[members[m]] = fire
         pending: list[tuple[str, Triple]] = []
-        for i, rule in enumerate(rules):
-            fire = evaluate_rule(rule, store, delta)
+        for i in sorted(found):
+            fire = found[i]
             skipped.update((i, b) for b in fire.guard_skips)
-            pending.extend((rule.id, t) for t in sorted(fire.triples, key=_triple_sort_key))
+            rule_id = rules.rules[i].id
+            pending.extend((rule_id, t) for t in sorted(fire.triples, key=_triple_sort_key))
         committed: list[Triple] = []
         for rule_id, triple in pending:
             if store.insert(triple, Inferred(rule_id)):
@@ -474,7 +710,7 @@ def forward_chain(
             break
         stats.committed.extend(committed)
         delta = set(committed)
-    if whole_store_only:
+    if rules.whole_store_only:
         # a later commit may have aliased an earlier one, even onto a
         # stated triple: keep what the store serves as derived
         served = dict.fromkeys(map(store.canonical, stats.committed))

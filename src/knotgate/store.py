@@ -165,6 +165,9 @@ class Store:
         self._indexes: tuple[dict[Term, dict[Triple, None]], ...] = ({}, {}, {})
         #: aliased IRI -> the smallest IRI of its class
         self._alias_root: dict[Term, Term] = {}
+        #: bumped on each rebuild of the alias map, so that what is keyed by
+        #: canonical terms elsewhere (rules.RuleSet) knows when to rebuild
+        self.alias_version = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -224,6 +227,7 @@ class Store:
             if low != high:
                 parent[high] = low
         self._alias_root = {iri: root(iri) for iri in parent}
+        self.alias_version += 1
         self._triples = {}
         self._indexes = ({}, {}, {})
         for t, prov in self._stated.items():

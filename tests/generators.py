@@ -195,3 +195,66 @@ def rand_query(rng: random.Random, vocab: Vocab) -> Query:
         )
     limit = rng.choice([None, None, None, rng.randint(1, 5)])
     return Query(select, tuple(patterns), filters, limit)
+
+
+def rand_rule_family(
+    rng: random.Random, vocab: Vocab, pack_id: str, max_members: int = 4
+) -> tuple[RulePack, list[Term]]:
+    """Rules of one body shape that differ in one constant, and those constants.
+
+    The constant sits in the subject or object of a body atom after the
+    first, with a constant predicate other than m3:equivalentTo, that shares
+    a variable with an earlier atom (rules.RuleFamily opens a hole only
+    there).  Each member renames the
+    shape's variables its own way, draws its constant from a pool of two or
+    three (so members may share one, or alias one another in a store with
+    aliases), and has its own guards and heads over its own variables;
+    heads draw from a small pool, so members often derive the same triple,
+    and now and then use the last predicate (m3:equivalentTo, when the
+    vocabulary has it).
+    """
+    variables = ["a", "b", "c", "d"]
+    predicates = [p for p in vocab.predicates if p.value != "urn:knotgate:m3#equivalentTo"]
+    body = [rand_pattern(rng, vocab, variables) for _ in range(rng.choice([2, 2, 2, 3]))]
+    k, i = rng.randrange(1, len(body)), rng.choice([0, 2])
+    earlier = sorted(set().union(*(p.variables() for p in body[:k])))
+    if not earlier:
+        earlier = ["a"]
+        body[0] = TriplePattern(Variable("a"), body[0].predicate, body[0].object)
+    terms = list(body[k].positions())
+    terms[1] = rng.choice(predicates)
+    terms[2 - i] = Variable(rng.choice(earlier))  # shared with an earlier atom
+    pool = vocab.subjects if i == 0 else vocab.objects + vocab.subjects
+    terms[i] = pool[0]  # replaced by each member's own constant
+    body[k] = TriplePattern(*terms)
+    constants = rng.sample(pool, rng.randint(2, 3))
+    names = sorted(set().union(*(p.variables() for p in body)))
+    members = []
+    for m in range(rng.randint(2, max_members)):
+        own = dict(zip(names, rng.sample(["a", "b", "c", "d", "x", "y", "z", "w"], len(names))))
+
+        def rename(term, position):
+            if (position[0], position[1]) == (k, i):
+                return rng.choice(constants)
+            return Variable(own[term.name]) if isinstance(term, Variable) else term
+
+        member_body = tuple(
+            TriplePattern(*(rename(t, (j, n)) for n, t in enumerate(p.positions())))
+            for j, p in enumerate(body)
+        )
+        subject_vars = [p.subject.name for p in member_body if isinstance(p.subject, Variable)]
+        object_vars = [p.object.name for p in member_body if isinstance(p.object, Variable)]
+        bound = sorted(set().union(*(p.variables() for p in member_body)))
+        guards = ()
+        if object_vars and rng.random() < 0.6:
+            guards = (Guard(rng.choice(object_vars), rng.choice(GUARD_OPS), Fraction(rng.choice([0, 10, 38, 50]))),)
+        head = tuple(
+            TriplePattern(
+                Variable(rng.choice(subject_vars)) if subject_vars and rng.random() < 0.6 else vocab.subjects[0],
+                rng.choice(vocab.predicates[:2] if rng.random() < 0.9 else vocab.predicates[-1:]),
+                Variable(rng.choice(bound)) if bound and rng.random() < 0.5 else rng.choice(vocab.objects[:2]),
+            )
+            for _ in range(rng.randint(1, 2))
+        )
+        members.append(Rule(f"{pack_id}-m{m}", member_body, guards, head))
+    return RulePack(pack_id, ("generated",), tuple(members)), constants

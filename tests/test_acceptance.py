@@ -28,7 +28,7 @@ from knotgate.model import (
 )
 from knotgate.mqtt import LoopbackBroker, MqttClient
 from knotgate.query import Query, evaluate_query
-from knotgate.rules import forward_chain, parse_pattern, parse_rulepack
+from knotgate.rules import RuleSet, forward_chain, parse_pattern, parse_rulepack
 from knotgate.services import Runtime
 from knotgate.store import Inferred, Loaded, Store
 
@@ -185,10 +185,10 @@ def test_criterion_4_chaining_matches_closure_oracle():
             store, _ = vocab.store(rng.randint(0, 50))
             pack = rand_rulepack(rng, vocab, "gen", max_rules=5)
             expected = oracle_closure(set(store), list(pack.rules))
-            stats = forward_chain(store, [pack])
+            stats = forward_chain(store, RuleSet([pack]))
             assert set(store) == expected
             assert stats.rounds <= stats.derived + 1
-            again = forward_chain(store, [pack])
+            again = forward_chain(store, RuleSet([pack]))
             assert again.derived == 0
 
 
@@ -208,7 +208,7 @@ def test_criterion_5_incremental_equals_full_rechain():
                 gateway.ingest(RawReading(device, "temperature", value, "cel", i))
             live = gateway.store.snapshot()
             gateway.store.retract(Inferred)
-            forward_chain(gateway.store, gateway.active_packs())
+            forward_chain(gateway.store, RuleSet(gateway.active_packs()))
             rebuilt = gateway.store.snapshot()
             assert set(rebuilt) == set(live)
             non_inferred = {

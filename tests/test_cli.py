@@ -1,6 +1,7 @@
 import json
 import os
 import queue
+import shutil
 import signal
 import socket
 import subprocess
@@ -319,6 +320,39 @@ def test_serve_missing_rulepack_file_exits_2_with_filename(tmp_path):
     )
     assert proc.returncode == 2
     assert "no-such-pack.rules" in proc.stderr
+
+
+def test_serve_rule_id_in_two_configured_packs_is_a_config_error(tmp_path, capsys):
+    # fire.rules again under another pack id: its rule fire-risk is already active
+    (tmp_path / "again.rules").write_text(
+        (FIXTURES / "rules" / "fire.rules").read_text(encoding="utf-8").replace("slor-fire", "again"),
+        encoding="utf-8",
+    )
+    cfg = write_config(tmp_path)
+    cfg.write_text(cfg.read_text(encoding="utf-8").replace(
+        "fire.rules\"]", f"fire.rules\", \"{tmp_path / 'again.rules'}\"]"), encoding="utf-8")
+    assert main(["serve", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "fire-risk" in err
+
+
+PYTHON_3_10 = shutil.which("python3.10")
+
+
+@pytest.mark.skipif(PYTHON_3_10 is None, reason="no python3.10 on PATH")
+def test_golden_path_runs_under_python_3_10():
+    # pyproject.toml declares >=3.10; the walkthrough covers decode through egress
+    env = {**os.environ, "PYTHONPATH": "src"}
+    if shutil.which("pyenv"):
+        # a pyenv shim runs python3.10 only from a selected version that has it
+        whence = subprocess.run(["pyenv", "whence", "python3.10"], capture_output=True, text=True)
+        if whence.returncode == 0:
+            env["PYENV_VERSION"] = ":".join(whence.stdout.split())
+    proc = subprocess.run(
+        [PYTHON_3_10, "scripts/golden_path.py"], cwd=REPO, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_serve_port_conflict_exits_3(tmp_path):

@@ -35,7 +35,7 @@ from knotgate.model import (
     parse_triples,
     serialize_triples,
 )
-from knotgate.rules import forward_chain, parse_rulepack
+from knotgate.rules import RuleSet, forward_chain, parse_rulepack
 from knotgate.store import Inferred, Store
 
 from generators import Vocab
@@ -210,7 +210,7 @@ def test_concurrent_submitters_all_complete(fever_pack_text):
     assert seqs == list(range(1, 41))
     live = set(gateway.store)
     gateway.store.retract(Inferred)
-    forward_chain(gateway.store, gateway.active_packs())
+    forward_chain(gateway.store, RuleSet(gateway.active_packs()))
     assert set(gateway.store) == live
     assert sum(t.predicate == make_iri("m3:indicates") for t in live) == 20
     assert gateway.per_rule == {"fever": 20}
@@ -232,7 +232,7 @@ def test_incremental_equals_from_scratch_rechain(fever_pack_text):
             gateway.ingest(RawReading(device, "temperature", rng.uniform(30, 90), "cel", i))
         live = gateway.store.snapshot()
         gateway.store.retract(Inferred)
-        forward_chain(gateway.store, gateway.active_packs())
+        forward_chain(gateway.store, RuleSet(gateway.active_packs()))
         assert set(gateway.store) == set(live)
         gateway.shutdown()
 
@@ -268,6 +268,37 @@ def test_pack_installed_without_rechain_applies_to_earlier_readings(fever_pack_t
     receipt = gateway.ingest(RawReading("thermo1", "temperature", 36.0, "cel", 2))
     fever = Triple(Iri("urn:obs:thermo1:1"), make_iri("m3:indicates"), make_iri("m3:Fever"))
     assert receipt.derived == [fever]
+    gateway.shutdown()
+
+
+DUPLICATE_PACKS = {
+    "a": "PACK a DOMAIN health\nRULE r1 : IF ?o ssn:observationResult ?v FILTER ?v > 38 THEN ?o m3:indicates m3:Fever .\n",
+    "b": "PACK b DOMAIN fire\nRULE r1 : IF ?o ssn:observationResult ?v FILTER ?v > 60 THEN ?o m3:indicates m3:FireRisk .\n",
+}
+
+
+def test_rule_id_used_by_another_active_pack_is_refused():
+    gateway = make_gateway([parse_rulepack(DUPLICATE_PACKS["a"])])
+    with pytest.raises(ValueError, match="r1"):
+        gateway.set_rulepack(parse_rulepack(DUPLICATE_PACKS["b"]), rechain=True)
+    assert list(gateway.rulepacks) == ["a"]
+    assert gateway.domains_for_rule("r1") == ("health",)
+    receipt = gateway.ingest(RawReading("thermo1", "temperature", 70.0, "cel", 1))
+    fever = Triple(Iri("urn:obs:thermo1:1"), make_iri("m3:indicates"), make_iri("m3:Fever"))
+    assert receipt.derived == [fever]
+    assert gateway.stats()["per_rule"] == {"r1": 1}
+    gateway.shutdown()
+
+
+def test_replacing_a_pack_may_reuse_its_rule_ids():
+    gateway = make_gateway([parse_rulepack(DUPLICATE_PACKS["a"])])
+    replacement = DUPLICATE_PACKS["b"].replace("PACK b", "PACK a")
+    gateway.set_rulepack(parse_rulepack(replacement), rechain=True)
+    assert gateway.domains_for_rule("r1") == ("fire",)
+    assert gateway.domains_for_rule("r2") == ()
+    receipt = gateway.ingest(RawReading("thermo1", "temperature", 70.0, "cel", 1))
+    risk = Triple(Iri("urn:obs:thermo1:1"), make_iri("m3:indicates"), make_iri("m3:FireRisk"))
+    assert receipt.derived == [risk]
     gateway.shutdown()
 
 

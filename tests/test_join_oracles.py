@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from knotgate.model import Iri, Literal, Triple, XSD_STRING, make_iri, serialize_term
 from knotgate.query import Query, evaluate_query
-from knotgate.rules import RulePack, Rule, evaluate_rule, forward_chain
+from knotgate.rules import RulePack, Rule, RuleSet, evaluate_rule, forward_chain
 from knotgate.store import Loaded, TriplePattern, Variable
 
 from generators import Vocab, rand_query, rand_safe_rule
@@ -68,7 +68,7 @@ def test_chain_reaches_the_closure_and_counts_each_skipped_binding_once(seed):
     store = _store_with_words(rng, vocab)
     facts = set(store)
     rules = [rand_safe_rule(rng, vocab, f"r{i}") for i in range(rng.randint(1, 3))]
-    stats = forward_chain(store, [RulePack("p", ("generated",), tuple(rules))])
+    stats = forward_chain(store, RuleSet([RulePack("p", ("generated",), tuple(rules))]))
     closure = oracle_closure(facts, rules)
     assert set(store) == closure
     assert stats.guard_type_errors == sum(len(oracle_rule_outcome(list(closure), r)[1]) for r in rules)

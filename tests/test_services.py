@@ -262,6 +262,19 @@ def test_rulepack_replacement_equals_fresh_start(runtime, base_url, fixtures_dir
         fresh.stop()
 
 
+def test_rulepack_post_reusing_another_packs_rule_id_is_refused(runtime, base_url):
+    # slor-fire is active (DOMAIN fire) and owns fire-risk
+    clash = (
+        "PACK other DOMAIN health\n"
+        "RULE fire-risk : IF ?o ssn:observationResult ?v FILTER ?v > 1.0 THEN ?o m3:indicates m3:Fever .\n"
+    )
+    resp = requests.post(f"{base_url}/api/v1/rulepacks", data=clash)
+    assert resp.status_code == 400
+    assert resp.json()["error"] == "ValueError" and "fire-risk" in resp.json()["detail"]
+    assert "other" not in runtime.gateway.rulepacks
+    assert runtime.gateway.domains_for_rule("fire-risk") == ("fire",)
+
+
 def test_rulepack_post_syntax_error(base_url):
     resp = requests.post(f"{base_url}/api/v1/rulepacks", data="PACK broken RULE x IF")
     assert resp.status_code == 400
