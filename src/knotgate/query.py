@@ -10,14 +10,26 @@ serialized terms), compared column by column from the first select
 variable.  LIMIT n first keeps the rows whose first lexeme is at most the
 n-th smallest one, found by a C sort of those strings, and then sorts only
 those rows by the whole key.
+
+Queries are prepared once.  parse_query keeps the safety-checked Query of
+each (text, presumed_bound) pair it parsed, for the PREPARED_QUERIES most
+recently used pairs.  A text longer than PREPARED_TEXT_MAX characters is
+parsed on every call and never kept, so the kept texts hold at most
+PREPARED_QUERIES * PREPARED_TEXT_MAX characters whatever clients send; an
+error is raised afresh on every call.  A Query keeps its plans as a pattern
+keeps its steps: per (prebound names, seed pattern), the join order, the
+guard filter and the select projection.  Which pattern seeds the join
+depends on the store, so evaluate_query costs the patterns on every call;
+the rows are never kept, as every call joins the live store.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import compress
 from operator import itemgetter
-from typing import Mapping
+from typing import AbstractSet, Callable, Mapping, NamedTuple
 
 from .lexer import GrammarError, TokenCursor, parse_text, read_pattern
 from .model import Term
@@ -49,6 +61,9 @@ class Query:
             raise ValueError("select list and patterns must be nonempty")
         if self.limit is not None and self.limit <= 0:
             raise ValueError("limit must be positive")
+        # the query's plans, keyed as _plan keys them: set here, as a
+        # prepared query is evaluated many times
+        object.__setattr__(self, "plans", {})
 
     def pattern_variables(self) -> frozenset[str]:
         out: frozenset[str] = frozenset()
@@ -100,16 +115,55 @@ def _read_query(cursor: TokenCursor) -> Query:
     return Query(tuple(select), tuple(patterns), tuple(filters), limit)
 
 
-def parse_query(text: str, presumed_bound: frozenset[str] = frozenset()) -> Query:
-    """Parse and safety-check a query.
+#: how many prepared queries parse_query keeps, least recently used out first
+PREPARED_QUERIES = 256
+#: the longest query text parse_query keeps, in characters: HTTP request
+#: lines run to 64 KB, so this bounds the memory clients' texts can hold
+PREPARED_TEXT_MAX = 4096
+
+
+def parse_query(text: str, presumed_bound: AbstractSet[str] = frozenset()) -> Query:
+    """Parse and safety-check a query, once per (text, presumed_bound) pair
+    while it stays among the PREPARED_QUERIES most recently used.
 
     presumed_bound names variables supplied externally at evaluation time
     (composition pipelines bind trigger variables this way); they count as
     bound for the safety check.
     """
+    if len(text) > PREPARED_TEXT_MAX:
+        return _prepare.__wrapped__(text, frozenset(presumed_bound))
+    return _prepare(text, frozenset(presumed_bound))
+
+
+@lru_cache(maxsize=PREPARED_QUERIES)
+def _prepare(text: str, presumed_bound: frozenset[str]) -> Query:
     query = parse_text(text, _read_query, QuerySyntaxError)
     check_query_safety(query, presumed_bound)
     return query
+
+
+class _Plan(NamedTuple):
+    """How a query evaluates for one choice of prebound names and seed."""
+
+    patterns: tuple[TriplePattern, ...]  # the join order, the seed first
+    guards: Callable[[list, list], list]  # compile_guards' filter of the join's rows
+    select: itemgetter  # the select variables' slots in a row
+
+
+def _plan(query: Query, names: tuple[str, ...], first: int) -> _Plan:
+    """The query's plan for seeds laid out as names, with its first-th
+    pattern seeding the join: built once, as it depends on no store."""
+    key = (names, first)
+    plan = query.plans.get(key)
+    if plan is None:
+        patterns = list(query.patterns)
+        patterns.insert(0, patterns.pop(first))
+        slots = layout(patterns, names)
+        where = [slots.index(name) for name in query.select]
+        # one slot's itemgetter would return the term itself, not a row
+        select = itemgetter(*where) if len(where) > 1 else itemgetter(slice(where[0], where[0] + 1))
+        plan = query.plans[key] = _Plan(tuple(patterns), compile_guards(query.filters, slots), select)
+    return plan
 
 
 _KEY = itemgetter(0)  # compare keys only: a Term defines no order
@@ -128,16 +182,11 @@ def evaluate_query(
     that row.  `bindings` pre-binds variables before evaluation.
     """
     names, seed = (tuple(bindings), tuple(bindings.values())) if bindings else ((), ())
-    patterns = list(query.patterns)
     # seed the join with the pattern whose index bucket is currently smallest
-    costs = [store.candidate_count(p, seed, names) for p in patterns]
-    patterns.insert(0, patterns.pop(costs.index(min(costs))))
-    rows = store.join(patterns, [seed], names)
-    names = layout(patterns, names)
-    rows = compile_guards(query.filters, names)(rows, [])
-    found = list(set(map(itemgetter(*map(names.index, query.select)), rows)))
-    if len(query.select) == 1:  # one slot's itemgetter returns the term itself
-        found = list(zip(found))
+    costs = [store.candidate_count(p, seed, names) for p in query.patterns]
+    plan = _plan(query, names, costs.index(min(costs)))
+    rows = store.join(plan.patterns, [seed], names)
+    found = list(set(map(plan.select, plan.guards(rows, []))))
     if query.limit is not None and query.limit < len(found):
         # the rows whose first lexeme is at most the limit-th smallest one
         # hold the limit smallest rows (ties included): a C sort of strings

@@ -242,12 +242,8 @@ class CompositionManager:
             for col, name in enumerate(table.columns):
                 if name in bindings:
                     continue
-                seen: list[str] = []
-                for row in table.rows:
-                    rendered = compact_term(row[col])
-                    if rendered not in seen:
-                        seen.append(rendered)
-                arrays[name] = seen
+                # distinct, in row order
+                arrays[name] = list(dict.fromkeys(compact_term(row[col]) for row in table.rows))
             payload = _fill_template(pipe.response_template, scalars, arrays)
             self.egress.deliver(pipe.endpoint, json.dumps(payload).encode("utf-8"))
             fired += 1

@@ -18,6 +18,7 @@ from knotgate.model import (
     XSD_DOUBLE,
     XSD_LONG,
     XSD_STRING,
+    serialize_term,
 )
 from knotgate.query import Query
 from knotgate.rules import GUARD_OPS, Guard, Rule, RulePack
@@ -195,6 +196,18 @@ def rand_query(rng: random.Random, vocab: Vocab) -> Query:
         )
     limit = rng.choice([None, None, None, rng.randint(1, 5)])
     return Query(select, tuple(patterns), filters, limit)
+
+
+def query_text(query: Query) -> str:
+    """A query from rand_query as grammar text, every term serialized."""
+
+    def spell(term) -> str:
+        return f"?{term.name}" if isinstance(term, Variable) else serialize_term(term)
+
+    where = " . ".join(" ".join(map(spell, p.positions())) for p in query.patterns)
+    filters = "".join(f" FILTER ?{g.variable} {g.op} {g.constant.numerator}" for g in query.filters)
+    limit = "" if query.limit is None else f" LIMIT {query.limit}"
+    return f"SELECT {' '.join('?' + n for n in query.select)} WHERE {{ {where} }}{filters}{limit}"
 
 
 def rand_rule_family(

@@ -1,5 +1,7 @@
 import random
+import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,10 +14,11 @@ from knotgate.query import (
     evaluate_query,
     parse_query,
 )
+import knotgate.query as query_module
 import knotgate.store as store_module
-from knotgate.store import Asserted, Loaded, Store, TriplePattern, Variable
+from knotgate.store import Asserted, Inferred, Loaded, Store, TriplePattern, Variable
 
-from generators import Vocab, rand_query
+from generators import Vocab, query_text, rand_query
 from oracles import oracle_alias_classes, oracle_query
 
 
@@ -342,3 +345,177 @@ def test_query_reads_one_snapshot_while_writer_commits(monkeypatch):
     # the state before the writer ran, or the state after it: never a mix
     assert rows in ([(o1, five)], [])
     assert list(store) == [Triple(o1, b, six)]
+
+
+# -- prepared queries ----------------------------------------------------------
+
+
+def test_a_text_is_parsed_once_per_presumed_bound_set():
+    text = "SELECT ?s ?r WHERE { ?s m3:hasRemedy ?r }"
+    assert parse_query(text) is parse_query(text)
+    # a plain set keys as the frozenset of its names
+    assert parse_query(text, {"s"}) is parse_query(text, frozenset({"s"}))
+    assert parse_query(text, {"s"}) is not parse_query(text)
+
+
+def test_a_syntax_error_is_raised_at_its_position_on_every_call():
+    size = query_module._prepare.cache_info().currsize
+    positions = []
+    for _ in range(3):
+        with pytest.raises(QuerySyntaxError) as err:
+            parse_query("SELECT ?x WHERE { ?x rdf:type }")
+        positions.append((err.value.line, err.value.col))
+    assert positions == [positions[0]] * 3
+    assert query_module._prepare.cache_info().currsize == size  # errors are not kept
+
+
+def test_a_text_prepared_with_presumed_bound_is_unsafe_without_it():
+    text = "SELECT ?s ?r WHERE { ?p m3:hasRemedy ?r }"  # ?s only a composition can bind
+    assert parse_query(text, presumed_bound=frozenset({"s"})).select == ("s", "r")
+    for _ in range(2):
+        with pytest.raises(UnsafeQuery) as err:
+            parse_query(text)
+        assert err.value.variable == "s"
+
+
+def test_prepared_queries_are_bounded_in_number_and_text_length(remedies_pack_text):
+    texts = [f"SELECT ?r WHERE {{ <urn:t:s{i}> <urn:t:p> ?r }}" for i in range(query_module.PREPARED_QUERIES + 10)]
+    first = parse_query(texts[0])
+    for text in texts:
+        parse_query(text)
+    assert query_module._prepare.cache_info().currsize <= query_module.PREPARED_QUERIES
+    assert parse_query(texts[0]) is not first  # evicted, so parsed afresh
+
+    store = Store()
+    store.load_pack(remedies_pack_text, "remedies")
+    text = "SELECT ?r WHERE { m3:Fever m3:hasRemedy ?r }" + " " * query_module.PREPARED_TEXT_MAX
+    size = query_module._prepare.cache_info().currsize
+    long, again = parse_query(text), parse_query(text)
+    assert long is not again and long == again
+    assert query_module._prepare.cache_info().currsize == size
+    expected = sorted(oracle_query(list(store), long), key=_serialized)
+    assert len(expected) == 3
+    assert evaluate_query(long, store).rows == evaluate_query(again, store).rows == expected
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_a_prepared_query_follows_the_store_between_calls(seed):
+    # one prepared query, evaluated with and without prebound variables
+    # after every change to the store: inserts stated and inferred, an alias
+    # stated and retracted, and the inferred triples retracted.  Its plans,
+    # built on earlier calls, must hold nothing of the store or alias map.
+    rng = random.Random(seed)
+    vocab = Vocab(rng)
+    store, _ = vocab.store(rng.randint(0, 30))
+    query = parse_query(query_text(rand_query(rng, vocab)))
+    names = sorted(query.pattern_variables())
+    aliasable = not any(isinstance(p.predicate, Variable) for p in query.patterns)
+    alias: tuple[Iri, Iri] | None = None
+    for _ in range(8):
+        step = rng.choice(["asserted", "inferred", "alias", "retract"])
+        if step == "asserted":
+            for t in vocab.graph(rng.randint(1, 6)):
+                store.insert(t, Asserted("urn:dev:1"))
+        elif step == "inferred":
+            for t in vocab.graph(rng.randint(1, 6)):
+                store.insert(t, Inferred("r1"))
+        elif step == "alias" and aliasable and alias is None:
+            alias = tuple(rng.sample(vocab.subjects, 2))
+            store.insert(Triple(alias[0], make_iri("m3:equivalentTo"), alias[1]), Loaded("alias"))
+        elif step == "alias" and alias is not None:
+            store.retract(Loaded("alias"))
+            alias = None
+        else:
+            store.retract(Inferred)
+        classes = oracle_alias_classes([(alias[0].value, alias[1].value)]) if alias else {}
+
+        def canon(term):
+            return Iri(classes.get(term.value, term.value)) if isinstance(term, Iri) else term
+
+        patterns = tuple(
+            TriplePattern(*(p if isinstance(p, Variable) else canon(p) for p in pattern.positions()))
+            for pattern in query.patterns
+        )
+        full = sorted(oracle_query(list(store), Query(tuple(names), patterns, query.filters)), key=_serialized)
+        bound = rng.sample(names, rng.randint(0, len(names)))
+        if full and rng.random() < 0.7:
+            row = rng.choice(full)
+            bindings = {name: row[names.index(name)] for name in bound}
+        else:
+            bindings = {name: canon(rng.choice(vocab.subjects + vocab.objects)) for name in bound}
+        for given_bindings in ({}, bindings):
+            rows = {
+                tuple(row[names.index(name)] for name in query.select)
+                for row in full
+                if all(row[names.index(name)] is term for name, term in given_bindings.items())
+            }
+            got = evaluate_query(query, store, given_bindings)
+            assert got.rows == sorted(rows, key=_serialized)[:query.limit]
+
+
+def test_readers_share_a_prepared_query_while_a_writer_commits():
+    # each state the writer commits has every ?o with six too, or none: a
+    # join reading two states would give some of them six and not others,
+    # or u without six
+    a, b, x = Iri("urn:t:a"), Iri("urn:t:b"), Iri("urn:t:X")
+    five, six = Literal("5", XSD_DOUBLE), Literal("6", XSD_DOUBLE)
+    subjects = [Iri(f"urn:t:o{i}") for i in range(4)]
+    store = Store()
+    for o in subjects:
+        store.insert(Triple(o, a, x), Loaded("base"))
+        store.insert(Triple(o, b, five), Loaded("base"))
+    pack = "".join(f"{serialize_term(o)} <urn:t:b> {serialize_term(six)} .\n" for o in subjects)
+    pack += "<urn:t:u> <urn:t:a> <urn:t:X> .\n<urn:t:u> <urn:t:b> " + serialize_term(six) + " .\n"
+    before = sorted([(o, five) for o in subjects], key=_serialized)
+    after = sorted(before + [(o, six) for o in subjects] + [(Iri("urn:t:u"), six)], key=_serialized)
+    text = "SELECT ?o ?v WHERE { ?o <urn:t:a> <urn:t:X> . ?o <urn:t:b> ?v } # shared by the readers"
+    stop = threading.Event()
+    results: list[list] = []
+    errors: list[BaseException] = []
+
+    def write() -> None:
+        while not stop.is_set():  # each state held a moment, so readers see both
+            store.load_pack(pack, "six")
+            time.sleep(0.0002)
+            store.retract(Loaded("six"))
+            time.sleep(0.0002)
+
+    def read() -> None:
+        try:
+            for _ in range(300):
+                results.append(evaluate_query(parse_query(text), store).rows)
+        except BaseException as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        writer = threading.Thread(target=write)
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        writer.start()
+        for t in readers:
+            t.start()
+        for t in readers:
+            t.join(timeout=30)
+        stop.set()
+        writer.join(timeout=5)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not writer.is_alive() and not any(t.is_alive() for t in readers)
+    assert errors == []
+    assert len(results) == 4 * 300
+    assert all(rows in (before, after) for rows in results)
+    assert before in results and after in results  # the writer ran meanwhile
+
+
+def test_a_prepared_query_seeds_from_the_smallest_bucket_of_each_call():
+    query = parse_query("SELECT ?o WHERE { ?o <urn:t:b> <urn:t:X> . ?o <urn:t:a> <urn:t:X> }")
+    for small in ("a", "b"):  # one triple with the small predicate, three with the other
+        store = Store()
+        for i in range(4):
+            p = Iri(f"urn:t:{small if i == 0 else 'ab'.replace(small, '')}")
+            store.insert(Triple(Iri(f"urn:t:o{i}"), p, Iri("urn:t:X")), Loaded("t"))
+        assert evaluate_query(query, store).rows == []
+    # the a pattern seeded the first call's join, the b pattern the second's
+    assert list(query.plans) == [((), 1), ((), 0)]
