@@ -301,6 +301,8 @@ class Gateway:
         self.rules = RuleSet([])  # the active packs, compiled
         self.per_rule: dict[str, int] = {}
         self.guard_type_errors = 0
+        #: device id -> the provenance of its readings, built once per device
+        self._sources: dict[str, Asserted] = {}
         self._stale = True  # the store is not known to be a fixpoint of the packs
         self._derived_hooks: list[DerivedHook] = []
         self._write_lock = threading.Lock()
@@ -400,7 +402,9 @@ class Gateway:
     def _process(self, reading: RawReading) -> IngestReceipt:
         # annotate can fail; nothing is inserted until it has succeeded
         graph = self.annotator.annotate(reading)
-        source = Asserted(f"urn:dev:{reading.device_id}")
+        source = self._sources.get(reading.device_id)
+        if source is None:
+            source = self._sources[reading.device_id] = Asserted(f"urn:dev:{reading.device_id}")
         inserted = [self.store.canonical(t) for t in graph.triples if self.store.insert(t, source)]
         stats = self._chain(delta=inserted)
         for rule_id, count in stats.per_rule.items():

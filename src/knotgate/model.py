@@ -20,6 +20,12 @@ keeps its lexeme (its line-format spelling, which is also the canonical
 sort key of terms) in a slot, made once when the term is first built.
 The intern tables are per process and hold terms weakly: a term no one
 references leaves its table.
+
+Triples are not hash-consed: every reading builds new ones, and a weak
+intern entry per triple (a weakref.KeyedRef and a table slot) cost as much
+as it saved.  A triple instead computes its hash once, into a slot, and two
+triples are equal when they hold the same three term objects, which for
+hash-consed terms is value equality.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import math
 import re
 import threading
 import weakref
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from decimal import Decimal, InvalidOperation
 from typing import TypeVar
 
@@ -234,18 +240,47 @@ Term = Iri | Literal | Blank
 # the intern tables, read by the constructors' hit paths
 _IRIS, _LITERALS, _BLANKS = Iri._table, Literal._table, Blank._table
 
+#: sets a slot past a frozen class's own __setattr__
+_set = object.__setattr__
 
-@dataclass(frozen=True, slots=True)
+
 class Triple:
+    """A statement of three terms: immutable, with no literal subject and an
+    IRI predicate.  Its hash is computed once, and two triples are equal when
+    they hold the same three term objects."""
+
+    __slots__ = ("subject", "predicate", "object", "_hash")
+    __match_args__ = ("subject", "predicate", "object")
     subject: Term
     predicate: Term
     object: Term
 
-    def __post_init__(self) -> None:
-        if isinstance(self.subject, Literal):
+    def __init__(self, subject: Term, predicate: Term, object: Term) -> None:
+        if isinstance(subject, Literal):
             raise InvalidTriple("literal subject")
-        if not isinstance(self.predicate, Iri):
+        if not isinstance(predicate, Iri):
             raise InvalidTriple("predicate must be an IRI")
+        _set(self, "subject", subject)
+        _set(self, "predicate", predicate)
+        _set(self, "object", object)
+        _set(self, "_hash", hash((subject, predicate, object)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Triple):
+            return NotImplemented
+        return self.subject is other.subject and self.predicate is other.predicate and self.object is other.object
+
+    __setattr__ = _Term.__setattr__
+    __delattr__ = _Term.__delattr__
+
+    def __reduce__(self) -> tuple:
+        return Triple, (self.subject, self.predicate, self.object)
+
+    def __repr__(self) -> str:
+        return f"Triple(subject={self.subject!r}, predicate={self.predicate!r}, object={self.object!r})"
 
 
 def expand_prefixed(text: str) -> str:

@@ -592,6 +592,8 @@ class RuleSet:
         #: ids unique among the active packs)
         self.owners: dict[str, RulePack] = {r.id: pack for pack in packs for r in pack.rules}
         self.per_rule = dict.fromkeys((r.id for r in self.rules), 0)
+        #: each rule's provenance, built once and shared by all it derives
+        self.inferred = [Inferred(r.id) for r in self.rules]
         # only a rule that derives an equivalence statement changes the alias map mid-chain
         self.whole_store_only = any(_reads_links(h) for r in self.rules for h in r.head)
         self.reads_equivalences = any(_reads_links(a) for r in self.rules for a in r.body)
@@ -640,7 +642,7 @@ def _triple_sort_key(t: Triple) -> tuple[str, str, str]:
 
 def forward_chain(store: Store, rules: RuleSet, delta: AbstractSet[Triple] | None = None) -> ChainStats:
     """Run all rules of the compiled packs to fixpoint, inserting
-    conclusions as Inferred(rule_id).
+    conclusions with their rule's one Inferred (RuleSet.inferred).
 
     delta holds the stored triples added since the store was last a fixpoint
     of these packs (on ingest, what the reading inserted); the first round
@@ -695,16 +697,16 @@ def forward_chain(store: Store, rules: RuleSet, delta: AbstractSet[Triple] | Non
         for family, members in rules.reached(store, delta):
             for m, fire in evaluate_rule(family, store, delta).items():
                 found[members[m]] = fire
-        pending: list[tuple[str, Triple]] = []
+        pending: list[tuple[Inferred, Triple]] = []
         for i in sorted(found):
             fire = found[i]
             skipped.update((i, b) for b in fire.guard_skips)
-            rule_id = rules.rules[i].id
-            pending.extend((rule_id, t) for t in sorted(fire.triples, key=_triple_sort_key))
+            prov = rules.inferred[i]
+            pending.extend((prov, t) for t in sorted(fire.triples, key=_triple_sort_key))
         committed: list[Triple] = []
-        for rule_id, triple in pending:
-            if store.insert(triple, Inferred(rule_id)):
-                stats.per_rule[rule_id] += 1
+        for prov, triple in pending:
+            if store.insert(triple, prov):
+                stats.per_rule[prov.rule_id] += 1
                 committed.append(store.canonical(triple))
         if not committed:
             break

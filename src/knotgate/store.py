@@ -6,7 +6,10 @@ stated triple verbatim and serves it in canonical form, every IRI replaced
 by the smallest IRI of its class under the equivalences that the stated
 m3:equivalentTo triples (served verbatim) define.  That view is a pure
 function of the stated triples, whatever their order, and every read
-serves it, so matching never chases aliases.
+serves it, so matching never chases aliases.  While no alias is loaded
+the view is the stated map itself, one dict, so a write stores a triple
+once; the first alias splits the view off, and retracting the last one
+joins them again.
 
 Reads are index probes, each a compiled step (_step, the one probe
 routine).  A step's shape says what each position is: a constant, a
@@ -159,8 +162,9 @@ class Store:
         self._lock = threading.RLock()
         #: every stated triple, verbatim and in statement order
         self._stated: dict[Triple, Provenance] = {}
-        #: the served view of _stated, indexed below
-        self._triples: dict[Triple, Provenance] = {}
+        #: the served view of _stated, indexed below: _stated itself while
+        #: no alias is loaded
+        self._triples: dict[Triple, Provenance] = self._stated
         #: the subject, predicate and object indexes: term -> its triples
         self._indexes: tuple[dict[Term, dict[Triple, None]], ...] = ({}, {}, {})
         #: aliased IRI -> the smallest IRI of its class
@@ -228,19 +232,25 @@ class Store:
                 parent[high] = low
         self._alias_root = {iri: root(iri) for iri in parent}
         self.alias_version += 1
-        self._triples = {}
+        self._triples = {} if self._alias_root else self._stated
         self._indexes = ({}, {}, {})
         for t, prov in self._stated.items():
             self._serve(t, prov)
 
     def _serve(self, triple: Triple, prov: Provenance) -> bool:
-        """Add the triple's canonical form to the view unless it is there."""
-        t = self._canonical_triple(triple)
-        if t in self._triples:
-            return False
-        self._triples[t] = prov
-        for index, term in zip(self._indexes, (t.subject, t.predicate, t.object)):
-            index.setdefault(term, {})[t] = None
+        """Add the stated triple's canonical form to the view unless it is
+        there.  While the view is the stated map, stating the triple served
+        it, so only its index entries are left to make."""
+        t = triple
+        if self._triples is not self._stated:
+            t = self._canonical_triple(triple)
+            if t in self._triples:
+                return False
+            self._triples[t] = prov
+        s, p, o = self._indexes
+        s.setdefault(t.subject, {})[t] = None
+        p.setdefault(t.predicate, {})[t] = None
+        o.setdefault(t.object, {})[t] = None
         return True
 
     def _canonical_triple(self, triple: Triple) -> Triple:
@@ -265,7 +275,7 @@ class Store:
             if triple in self._stated:
                 return False
             self._stated[triple] = prov
-            if self._relinks(triple):
+            if triple.predicate is M3_EQUIVALENT_TO and self._relinks(triple):
                 self._rebuild()
                 return True
             return self._serve(triple, prov)
@@ -285,8 +295,7 @@ class Store:
             victims = [t for t, p in self._stated.items() if matches(p)]
             for t in victims:
                 del self._stated[t]
-                if not self._alias_root:  # the view is the stated triples
-                    del self._triples[t]
+                if not self._alias_root:  # the view is the stated map: unindex
                     for index, term in zip(self._indexes, (t.subject, t.predicate, t.object)):
                         del index[term][t]
                         if not index[term]:

@@ -36,7 +36,7 @@ from knotgate.model import (
     serialize_triples,
 )
 from knotgate.rules import RuleSet, forward_chain, parse_rulepack
-from knotgate.store import Inferred, Store
+from knotgate.store import Asserted, Inferred, Store
 
 from generators import Vocab
 
@@ -258,6 +258,37 @@ def test_stats_accumulate(fever_pack_text):
     stats = gateway.stats()
     assert stats["per_rule"]["fever"] == 2
     assert stats["store_size"] == 18 + 2
+    gateway.shutdown()
+
+
+def test_provenance_is_made_once_per_device_and_per_rule(fever_pack_text):
+    seen = parse_rulepack("PACK s RULE seen : IF ?o rdf:type ssn:Observation THEN ?o m3:seen m3:Yes .")
+    labelled = parse_rulepack("PACK l RULE label : IF ?o m3:label ?v FILTER ?v > 1 THEN ?o m3:a m3:b .")
+    gateway = make_gateway([parse_rulepack(fever_pack_text), seen, labelled])
+    high = Triple(Iri("urn:x:1"), make_iri("m3:label"), Literal("high", XSD_STRING))
+    gateway.load_knowledge_pack(serialize_triples([high]), "labels")
+    for i, (device, value) in enumerate([("thermo1", 39.0), ("thermo1", 40.0), ("ambient1", 39.0)], start=1):
+        gateway.ingest(RawReading(device, "temperature", value, "cel", i))
+    store = gateway.store
+    typed = [Triple(Iri(f"urn:obs:thermo1:{n}"), make_iri("rdf:type"), make_iri("ssn:Observation")) for n in (1, 2)]
+    assert store.provenance(typed[0]) is store.provenance(typed[1]) == Asserted("urn:dev:thermo1")
+    # one object per provenance value, and a rule's is its rule set's
+    objects: dict = {}
+    for prov in store.snapshot().values():
+        objects.setdefault(prov, set()).add(id(prov))
+    assert all(len(ids) == 1 for ids in objects.values())
+    assert {id(p) for p in objects if isinstance(p, Inferred)} == {
+        id(p) for p in gateway.rules.inferred if p.rule_id != "label"
+    }
+    assert gateway.stats() == {
+        "store_size": 1 + 18 + 2 + 3,
+        "per_rule": {"fever": 2, "label": 0, "seen": 3},
+        "guard_type_errors": 1,
+    }
+    # a selector built afresh retracts by value
+    assert store.retract(Inferred("fever")) == 2
+    assert store.retract(Inferred("seen")) == 3
+    assert not any(isinstance(p, Inferred) for p in store.snapshot().values())
     gateway.shutdown()
 
 

@@ -123,6 +123,34 @@ def test_triple_positions_validated():
         Triple(iri, Blank("b1"), iri)
 
 
+def test_triple_is_a_frozen_value_of_its_three_terms():
+    s, p, o = Iri("urn:a:1"), Iri("urn:p:1"), Literal("hi")
+    t = Triple(s, p, o)
+    table = {t: "entry"}
+    again = [Triple(s, p, o), Triple(Iri("urn:a:1"), Iri("urn:p:1"), Literal("hi")), copy.copy(t), copy.deepcopy(t)]
+    again += [pickle.loads(pickle.dumps(t, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for other in again:
+        assert other == t and not other != t
+        assert hash(other) == hash(t)
+        assert table[other] == "entry"
+        assert other.subject is s and other.predicate is p and other.object is o
+    assert t != (s, p, o) and (s, p, o) != t
+    assert t != Triple(s, p, Literal("ho")) and t != Triple(p, p, o)
+    for name in ("subject", "predicate", "object"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(t, name, s)
+        with pytest.raises(FrozenInstanceError):
+            delattr(t, name)
+    assert repr(t) == (
+        "Triple(subject=Iri(value='urn:a:1'), predicate=Iri(value='urn:p:1'), "
+        "object=Literal(lexical='hi', datatype='http://www.w3.org/2001/XMLSchema#string'))"
+    )
+    with pytest.raises(InvalidTriple):
+        Triple(o, p, s)
+    with pytest.raises(InvalidTriple):
+        Triple(s, o, s)
+
+
 def test_parse_empty_document():
     assert parse_triples("") == []
     assert parse_triples("\n# a comment\n\n") == []

@@ -329,6 +329,22 @@ def test_load_pack_rebuilds_the_view_at_most_once(monkeypatch):
     assert len(rebuilds) == 4
 
 
+def _served_model(stated: dict[Triple, object]) -> tuple[dict[Triple, object], dict[str, str]]:
+    """The view a store serves for the stated triples, in statement order:
+    each triple in its canonical form, first provenance first, equivalence
+    statements verbatim; and the alias classes (IRI text -> class minimum)."""
+    classes = oracle_alias_classes([(t.subject.value, t.object.value) for t in stated if t.predicate == EQ])
+
+    def canon(term):
+        return Iri(classes.get(term.value, term.value)) if isinstance(term, Iri) else term
+
+    served: dict[Triple, object] = {}
+    for t, p in stated.items():
+        key = t if t.predicate == EQ else Triple(canon(t.subject), canon(t.predicate), canon(t.object))
+        served.setdefault(key, p)
+    return served, classes
+
+
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=200, deadline=None)
 def test_served_view_is_independent_of_statement_order(seed):
@@ -363,15 +379,11 @@ def test_served_view_is_independent_of_statement_order(seed):
             store.retract(selector)
             kind = selector if isinstance(selector, type) else None
             stated = {t: p for t, p in stated.items() if not (isinstance(p, kind) if kind else p == selector)}
-        classes = oracle_alias_classes([(t.subject.value, t.object.value) for t in stated if t.predicate == eq])
+        served, classes = _served_model(stated)
 
         def canon(term):
             return Iri(classes.get(term.value, term.value)) if isinstance(term, Iri) else term
 
-        served: dict[Triple, object] = {}
-        for t, p in stated.items():  # equivalence statements stay verbatim
-            key = t if t.predicate == eq else Triple(canon(t.subject), canon(t.predicate), canon(t.object))
-            served.setdefault(key, p)
         assert list(store.snapshot().items()) == list(served.items())
         for _ in range(3):
             query = rand_query(rng, vocab)
@@ -389,6 +401,57 @@ def test_served_view_is_independent_of_statement_order(seed):
     for t, p in shuffled:
         again.insert(t, p)
     assert set(again) == set(store)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=200, deadline=None)
+def test_every_probe_matches_the_oracle_as_aliases_come_and_go(seed):
+    # random interleavings of insert, load_pack with and without
+    # equivalence statements, and retract by class and by instance; links
+    # are rare in some runs, so long stretches serve the stated map itself,
+    # and all of them carry link provenances, so that retracting those drops
+    # the last alias.  After every step each single-position probe, with
+    # every term the view holds in that position, reads the oracle's rows
+    rng = random.Random(seed)
+    vocab = Vocab(rng, subjects=5, predicates=3, objects=4)
+    nodes = vocab.subjects + [o for o in vocab.objects if isinstance(o, Iri)]
+    link_chance = rng.choice([0.0, 0.05, 0.3])
+    store = Store()
+    stated: dict[Triple, object] = {}
+    selectors = [Loaded("p0"), Loaded("links"), Asserted("urn:dev:x"), Inferred("links"), Inferred, Loaded, Asserted]
+
+    def triples(n: int) -> list[Triple]:
+        return [Triple(rng.choice(nodes), EQ, rng.choice(nodes)) if rng.random() < link_chance else vocab.triple()
+                for _ in range(n)]
+
+    for _ in range(rng.randint(1, 25)):
+        roll = rng.random()
+        if roll < 0.25:
+            batch = triples(rng.randint(0, 6))
+            pack_id = "links" if any(t.predicate == EQ for t in batch) else "p0"
+            store.load_pack(serialize_triples(batch), pack_id)
+            for t in batch:
+                stated.setdefault(t, Loaded(pack_id))
+        elif roll < 0.8:
+            [t] = triples(1)
+            prov = Inferred("links") if t.predicate == EQ else rng.choice([Asserted("urn:dev:x"), Loaded("p0")])
+            store.insert(t, prov)
+            stated.setdefault(t, prov)
+        else:
+            selector = rng.choice(selectors)
+            store.retract(selector)
+            kind = selector if isinstance(selector, type) else None
+            stated = {t: p for t, p in stated.items() if not (isinstance(p, kind) if kind else p == selector)}
+        served, classes = _served_model(stated)
+        snapshot = store.snapshot()
+        assert len(store) == len(served) and list(snapshot.items()) == list(served.items())
+        view = list(snapshot)
+        for i in range(3):
+            for term in dict.fromkeys((t.subject, t.predicate, t.object)[i] for t in view):
+                positions = [Variable("a"), Variable("b")]
+                positions.insert(i, term)
+                pattern = TriplePattern(*positions)
+                assert store.match(pattern) == _rows(_served_match(view, pattern, {}, classes), pattern)
 
 
 @given(st.sets(st.integers(min_value=0, max_value=30), max_size=30))
