@@ -7,9 +7,11 @@ reads one store snapshot; the finished tuple rows pass the generated guard
 filter rules use (rules.compile_guards), and an itemgetter over their slots
 projects them.  Rows are distinct and ordered by their terms' lexemes (the
 serialized terms), compared column by column from the first select
-variable.  LIMIT n first keeps the rows whose first lexeme is at most the
-n-th smallest one, found by a C sort of those strings, and then sorts only
-those rows by the whole key.
+variable.  A set makes them distinct only when the select list drops a
+variable the join binds: rows keeping every one are distinct as joined, and
+reach the sort in join order.  LIMIT n first keeps the rows whose first
+lexeme is at most the n-th smallest one, found by a heap of those strings,
+and then sorts only those rows by the whole key.
 
 Queries are prepared once.  parse_query keeps the safety-checked Query of
 each (text, presumed_bound) pair it parsed, for the PREPARED_QUERIES most
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from heapq import heapify, heappop
 from itertools import compress
 from operator import itemgetter
 from typing import AbstractSet, Callable, Mapping, NamedTuple
@@ -109,9 +112,12 @@ def _read_query(cursor: TokenCursor) -> Query:
     if cursor.at_keyword("LIMIT"):
         cursor.next()
         num = cursor.expect("NUMBER")
-        if not num.text.isdigit() or int(num.text) <= 0:
+        try:
+            limit = int(num.text) if num.text.isdigit() else 0
+        except ValueError:  # more digits than int() converts
+            raise cursor.error(num, "LIMIT out of range") from None
+        if limit <= 0:
             raise cursor.error(num, "LIMIT must be a positive integer")
-        limit = int(num.text)
     return Query(tuple(select), tuple(patterns), tuple(filters), limit)
 
 
@@ -148,6 +154,7 @@ class _Plan(NamedTuple):
     patterns: tuple[TriplePattern, ...]  # the join order, the seed first
     guards: Callable[[list, list], list]  # compile_guards' filter of the join's rows
     select: itemgetter  # the select variables' slots in a row
+    repeats: bool  # whether two rows can project to one
 
 
 def _plan(query: Query, names: tuple[str, ...], first: int) -> _Plan:
@@ -162,7 +169,10 @@ def _plan(query: Query, names: tuple[str, ...], first: int) -> _Plan:
         where = [slots.index(name) for name in query.select]
         # one slot's itemgetter would return the term itself, not a row
         select = itemgetter(*where) if len(where) > 1 else itemgetter(slice(where[0], where[0] + 1))
-        plan = query.plans[key] = _Plan(tuple(patterns), compile_guards(query.filters, slots), select)
+        # a row fixes one stored triple per pattern, a bucket holds it once,
+        # and the prebound slots hold the one seed: rows keeping the rest differ
+        repeats = not set(where) >= set(range(len(names), len(slots)))
+        plan = query.plans[key] = _Plan(tuple(patterns), compile_guards(query.filters, slots), select, repeats)
     return plan
 
 
@@ -186,13 +196,17 @@ def evaluate_query(
     costs = [store.candidate_count(p, seed, names) for p in query.patterns]
     plan = _plan(query, names, costs.index(min(costs)))
     rows = store.join(plan.patterns, [seed], names)
-    found = list(set(map(plan.select, plan.guards(rows, []))))
+    found = map(plan.select, plan.guards(rows, []))
+    found = list(set(found) if plan.repeats else found)
     if query.limit is not None and query.limit < len(found):
         # the rows whose first lexeme is at most the limit-th smallest one
-        # hold the limit smallest rows (ties included): a C sort of strings
+        # hold the limit smallest rows (ties included): a C heap of strings
         firsts = [row[0].lexeme for row in found]
-        cut = sorted(firsts)[query.limit - 1]
-        found = list(compress(found, map(cut.__ge__, firsts)))
+        heap = firsts.copy()
+        heapify(heap)
+        for _ in range(query.limit - 1):
+            heappop(heap)
+        found = list(compress(found, map(heap[0].__ge__, firsts)))
     # (key, row) pairs: one comprehension per column, zipped in C, so no
     # Python call runs per row; one column's key is its lexeme alone
     columns = [[t.lexeme for t in column] for column in zip(*found)] or [[]]

@@ -21,16 +21,16 @@ in the order the patterns bind them (layout), so a step reads a bound value
 as b[i] and a join row is b extended by the free positions' terms: no dict
 per binding.  A step runs over a whole batch of bindings: it canonicalizes
 the constants and picks their smallest subject, predicate or object bucket
-once, then per binding reads the bound values, lets them pick a smaller
-bucket, and appends the rows from one plain loop of identity checks over it.
-Every bucket keeps insertion order, so the rows come in the same order
-whichever bucket is scanned.  Given among (stored triples such as a
-chaining round's delta or one derived fact), a step scans those instead.
-Store.join, the one join of rules and queries, runs each pattern's step
-once over all the bindings that reach it.  Store.match runs the same step
-on the empty binding, for delta seeding, subscriptions and composition
-triggers, and returns the join's rows, so all see aliases alike and read
-one row type.
+once, then per binding reads the bound values, lets them pick a bucket no
+larger, and appends the rows from that bucket's own loop, which checks only
+what the bucket does not imply.  Every bucket keeps insertion order, so the
+rows come in the same order whichever bucket is scanned.  Given among
+(stored triples such as a chaining round's delta or one derived fact), a
+step scans those instead, with every check.  Store.join, the one join of
+rules and queries, runs each pattern's step once over all the bindings that
+reach it.  Store.match runs the same step on the empty binding, for delta
+seeding, subscriptions and composition triggers, and returns the join's
+rows, so all see aliases alike and read one row type.
 
 Concurrency: one writer at a time, any number of readers.  The gateway's
 write lock makes the writer single: every ingest, rule-pack install and
@@ -457,22 +457,43 @@ def _source(kind: str, shape: tuple[str, ...]) -> str:
     constants c0-c2 and n0-n2, the slot of each bound variable and the name
     of each free one, and returns run(store, bindings, among, exclude),
     straight-line code that picks the smallest bucket once per binding and
-    appends its rows from one loop over it.  A join row is the binding
-    tuple extended by the free positions' terms.  A loop, not a
-    comprehension: on Python 3.11 a comprehension is a function call, paid
-    per binding.  Terms are hash-consed, so each check is an identity test.
+    appends its rows from a loop over it.  A join row is the binding tuple
+    extended by the free positions' terms.  Each bucket the pick can end on
+    has its own loop, in the branch that picked it, checking only what the
+    bucket does not imply: index[i][k] holds the triples whose position i
+    is k.  A bucket no larger than the one picked before it wins, so an
+    index bucket wins a tie with the whole store and one constant is never
+    checked; two share a bucket picked at run time, whose loop checks both.
+    A loop, not a comprehension: on Python 3.11 a comprehension is a call,
+    paid per binding.  Terms are hash-consed: each check is an identity test.
     """
     known = [i for i, s in enumerate(shape) if s in "cb"]
     # read once per binding: bound values, and with a bound predicate the
     # constants too, as whether to canonicalize depends on the binding
     loose = [i for i in known if shape[i] == "b" or shape[1] == "b"]
     fixed = [i for i in known if i not in loose]
+    indexed = kind != "among"
+    tests = [f"t.{_FIELDS[i]} is t.{_FIELDS[int(s)]}" for i, s in enumerate(shape) if s.isdigit()]
+    tests += ["t not in exclude"] if kind == "exclude" else []
+    free = [i for i, s in enumerate(shape) if s == "f"]
+    # the binding itself when the step binds nothing new
+    row = f"b + ({''.join(f't.{_FIELDS[i]}, ' for i in free)})" if free else "b"
 
-    def pick(indent: str, bucket: str, positions: list[int]) -> list[str]:
-        return [
-            line
-            for i in positions
-            for line in (f"{indent}x = index[{i}].get(k{i}, _NONE)", f"{indent}if len(x) < len({bucket}): {bucket} = x")
+    def pick(indent: str, bucket: str | None, implied: int | None, positions: list[int]) -> list[str]:
+        """Pick among bucket and each position's bucket: a branch per outcome, each with its loop."""
+        if not positions:
+            if kind == "count":
+                return [f"{indent}append(len({bucket}))"]
+            checks = [f"t.{_FIELDS[i]} is k{i}" for i in known if i != implied] + tests
+            keep = f"if {' and '.join(checks)}: " if checks else ""
+            return [f"{indent}for t in {bucket}:", f"{indent} {keep}append({row})"]
+        i, rest = positions[0], positions[1:]
+        lines = [f"{indent}x{i} = index[{i}].get(k{i}, _NONE)"]
+        if bucket is None:  # the first bucket: no larger than the whole store
+            return lines + pick(indent, f"x{i}", i, rest)
+        return lines + [
+            f"{indent}if len(x{i}) <= len({bucket}):", *pick(indent + " ", f"x{i}", i, rest),
+            f"{indent}else:", *pick(indent + " ", bucket, implied, rest),
         ]
 
     lines = [
@@ -482,27 +503,21 @@ def _source(kind: str, shape: tuple[str, ...]) -> str:
         "  index = store._indexes",
         "  canon = root and c1 is not M3_EQUIVALENT_TO",
         *(f"  k{i} = root.get(c{i}, c{i}) if canon else c{i}" for i in fixed),
-        f"  base = {'among' if kind == 'among' else 'store._triples'}",
-        *(pick("  ", "base", fixed) if kind != "among" else []),
+        f"  base = {'store._triples' if indexed else 'among'}",
+        *(f"  x = index[{i}].get(k{i}, _NONE)\n  if len(x) <= len(base): base = x" for i in fixed if indexed),
         "  out = []",
         "  append = out.append",
         "  for b in bindings:",
         *(f"   k{i} = b[n{i}]" if shape[i] == "b" else f"   k{i} = c{i}" for i in loose),
         *(["   canon = root and k1 is not M3_EQUIVALENT_TO"] if shape[1] == "b" else []),
         *(f"   if canon: k{i} = root.get(k{i}, k{i})" for i in loose),
-        "   bucket = base",
-        *(pick("   ", "bucket", loose) if kind != "among" else []),
+        *pick(
+            "   ",
+            None if indexed and loose and not fixed else "base",
+            fixed[0] if indexed and len(fixed) == 1 else None,
+            loose if indexed else [],
+        ),
+        "  return out",
+        " return run",
     ]
-    checks = [f"t.{_FIELDS[i]} is k{i}" for i in known]
-    checks += [f"t.{_FIELDS[i]} is t.{_FIELDS[int(s)]}" for i, s in enumerate(shape) if s.isdigit()]
-    if kind == "exclude":
-        checks.append("t not in exclude")
-    free = [i for i, s in enumerate(shape) if s == "f"]
-    if kind == "count":
-        lines.append("   append(len(bucket))")
-    else:  # the binding itself when the step binds nothing new
-        row = f"b + ({''.join(f't.{_FIELDS[i]}, ' for i in free)})" if free else "b"
-        keep = f"if {' and '.join(checks)}: " if checks else ""
-        lines += ["   for t in bucket:", f"    {keep}append({row})"]
-    lines += ["  return out", " return run"]
     return "\n".join(lines)

@@ -65,6 +65,13 @@ def test_number_out_of_range_is_a_positioned_syntax_error():
     assert (err.value.line, err.value.col) == (1, 44)
 
 
+def test_a_limit_of_more_digits_than_int_reads_is_a_positioned_syntax_error():
+    text = "SELECT ?o WHERE { ?o ?p ?x } LIMIT " + "9" * 5000
+    with pytest.raises(QuerySyntaxError) as err:
+        parse_query(text)
+    assert (err.value.line, err.value.col) == (1, text.index("9") + 1)
+
+
 def test_parse_unsafe_filter_variable():
     with pytest.raises(UnsafeQuery):
         parse_query("SELECT ?o WHERE { ?o rdf:type ssn:Sensor } FILTER ?v > 1")
@@ -267,6 +274,45 @@ def test_limit_selection_equals_a_full_sort_cut(edges, width, limit):
     patterns = (TriplePattern(Variable("s"), Variable("p"), Variable("o")),)
     full = sorted(oracle_query(list(store), Query(select, patterns, ())), key=_serialized)
     assert evaluate_query(Query(select, patterns, (), limit), store).rows == full[:limit]
+
+
+@given(
+    edges=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 1), st.integers(0, 3)), max_size=40),
+    select=st.lists(st.sampled_from("xyz"), min_size=1, max_size=4),
+    bound=st.lists(st.sampled_from("xyz"), unique=True, max_size=2),
+    limit=st.none() | st.integers(min_value=1, max_value=70),
+    alias=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=300, deadline=None)
+def test_rows_are_the_sorted_oracle_rows_whether_or_not_a_select_can_repeat_one(
+    edges, select, bound, limit, alias, data
+):
+    # ?x p0 ?y . ?y p1 ?z over four nodes.  A select that keeps every
+    # variable not prebound reads rows that are distinct as joined; one that
+    # drops ?y meets one row per path between the same ends, so rows repeat.
+    # Few values per column tie under LIMIT, which runs past the row count.
+    nodes = [Iri(f"urn:t:n{i}") for i in range(4)]
+    p0, p1 = Iri("urn:t:p0"), Iri("urn:t:p1")
+    store = Store()
+    for s, p, o in edges:
+        store.insert(Triple(nodes[s], (p0, p1)[p], nodes[o]), Loaded("t"))
+    if alias:  # n1 serves for n3
+        store.insert(Triple(nodes[3], make_iri("m3:equivalentTo"), nodes[1]), Loaded("alias"))
+    patterns = (
+        TriplePattern(Variable("x"), p0, Variable("y")),
+        TriplePattern(Variable("y"), p1, Variable("z")),
+    )
+    full = oracle_query(list(store), Query(("x", "y", "z"), patterns, ()))
+    served = nodes[:3] if alias else nodes
+    bindings = {name: data.draw(st.sampled_from(served)) for name in bound}
+    rows = {
+        tuple(row["xyz".index(name)] for name in select)
+        for row in full
+        if all(row["xyz".index(name)] is term for name, term in bindings.items())
+    }
+    got = evaluate_query(Query(tuple(select), patterns, (), limit), store, bindings)
+    assert got.rows == sorted(rows, key=_serialized)[:limit]
 
 
 def test_rows_sorted_by_serialized_terms():

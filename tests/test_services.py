@@ -163,6 +163,15 @@ def test_query_endpoint_syntax_error_carries_position(base_url):
     assert "position" in body
 
 
+def test_query_endpoint_limit_of_more_digits_than_int_reads_carries_position(base_url):
+    q = "SELECT ?o WHERE { ?o ?p ?x } LIMIT " + "9" * 5000
+    resp = requests.get(f"{base_url}/api/v1/query", params={"q": q})
+    assert resp.status_code == 400
+    body = resp.json()
+    assert body["error"] == "QuerySyntaxError"
+    assert body["position"] == {"line": 1, "column": q.index("9") + 1}
+
+
 def test_query_endpoint_unsafe_variable(base_url):
     resp = requests.get(
         f"{base_url}/api/v1/query",

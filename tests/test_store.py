@@ -685,53 +685,63 @@ def test_match_probe_matches_linear_scan_oracle(seed):
     eq = make_iri("m3:equivalentTo")
     iris = vocab.subjects + [o for o in vocab.objects if isinstance(o, Iri)]
     alts = [Iri(f"urn:alt:{i}") for i in range(3)]
+    # a store of one predicate: its bucket ties with the whole store
+    single = rng.random() < 0.25
     pairs = [
         (rng.choice(iris + alts), rng.choice(iris + alts))
-        for _ in range(rng.randint(1, 4) if rng.random() < 0.5 else 0)
+        for _ in range(rng.randint(1, 4) if rng.random() < 0.5 and not single else 0)
     ]
     store = Store()
     for a, b in pairs:  # the view is canonical whether links come first or not
         store.insert(Triple(a, eq, b), Loaded("links"))
     for t in vocab.graph(rng.randint(0, 40)):
-        store.insert(t, Loaded("seed"))
+        store.insert(Triple(t.subject, vocab.predicates[0], t.object) if single else t, Loaded("seed"))
     classes = oracle_alias_classes([(a.value, b.value) for a, b in pairs])
     stored = list(store)
     # terms for constants and bound values: aliases, the equivalence
     # predicate, and non-IRIs that a binding may put in the predicate slot
     terms = vocab.subjects + vocab.predicates + vocab.objects + alts + [eq, Blank("b1")]
-
-    def position(constants: list) -> object:  # three names, so variables repeat
-        return Variable(rng.choice("xyz")) if rng.random() < 0.5 else rng.choice(constants)
+    predicates = vocab.predicates + [eq] + (vocab.predicates[:1] * 4 if single else [])
+    pools = (vocab.subjects + alts, predicates, terms)
 
     for _ in range(10):
-        pattern = TriplePattern(
-            position(vocab.subjects + alts), position(vocab.predicates + [eq]), position(terms)
-        )
+        # none to three constants; three names, so variables repeat
+        constants = rng.sample(range(3), rng.randint(0, 3))
+        pattern = TriplePattern(*(
+            rng.choice(pools[i]) if i in constants else Variable(rng.choice("xyz")) for i in range(3)
+        ))
         # among scans a random subset, in its own order, in place of a bucket
         subset = rng.sample(stored, rng.randint(0, len(stored)))
         assert store.match(pattern) == _rows(_served_match(stored, pattern, {}, classes), pattern)
         assert store.match(pattern, among=subset) == _rows(_served_match(subset, pattern, {}, classes), pattern)
-        # bound variables: the join step on one seed, laid out by names
-        bindings = {name: rng.choice(terms) for name in rng.sample("xyzw", rng.randint(0, 4))}
-        names, seed = tuple(bindings), tuple(bindings.values())
-        got = store.join([pattern], [seed], names)
-        count = store.candidate_count(pattern, seed, names)
-        values = [bindings.get(p.name, p) if isinstance(p, Variable) else p for p in pattern.positions()]
-        if not isinstance(values[1], (Iri, Variable)):
-            assert got == [] and count == 0
-            continue
-        if values[1] != eq:  # equivalence lookups read the verbatim stored form
-            values = [Iri(classes.get(v.value, v.value)) if isinstance(v, Iri) else v for v in values]
-        expected = oracle_match(stored, TriplePattern(*values))
+        # bound variables: one join step over a batch of seeds, laid out by
+        # names, each seed picking its own bucket, with and without exclude
+        names = tuple(rng.sample("xyzw", rng.randint(0, 4)))
+        seeds = [tuple(rng.choice(terms) for _ in names) for _ in range(rng.randint(1, 4))]
+        exclude = set(rng.sample(stored, rng.randint(0, len(stored))))
         free = layout([pattern], names)[len(names):]
+        rows, kept = [], []
+        for seed in seeds:
+            b = dict(zip(names, seed))
+            matches = _served_match(stored, pattern, b, classes)
+            rows += [seed + tuple(found[name] for name in free) for _, found in matches]
+            kept += [seed + tuple(found[name] for name in free) for t, found in matches if t not in exclude]
+            count = store.candidate_count(pattern, seed, names)
+            values = [b.get(p.name, p) if isinstance(p, Variable) else p for p in pattern.positions()]
+            if not isinstance(values[1], (Iri, Variable)):
+                assert count == 0
+                continue
+            if values[1] != eq:  # equivalence lookups read the verbatim stored form
+                values = [Iri(classes.get(v.value, v.value)) if isinstance(v, Iri) else v for v in values]
+            buckets = [
+                sum(1 for t in stored if (t.subject, t.predicate, t.object)[i] == v)
+                for i, v in enumerate(values)
+                if not isinstance(v, Variable)
+            ]
+            assert count == min(buckets, default=len(stored)) >= len(matches)
         # same rows, same order
-        assert got == [seed + tuple(found[name] for name in free) for _, found in expected]
-        buckets = [
-            sum(1 for t in stored if (t.subject, t.predicate, t.object)[i] == v)
-            for i, v in enumerate(values)
-            if not isinstance(v, Variable)
-        ]
-        assert count == min(buckets, default=len(stored)) >= len(got)
+        assert store.join([pattern], seeds, names) == rows
+        assert store.join([pattern], seeds, names, exclude=exclude) == kept
 
 
 def _shape_store(aliased: bool) -> tuple[Store, dict]:
