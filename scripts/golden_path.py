@@ -80,6 +80,7 @@ def main() -> None:
     print("receipt:")
     print(json.dumps(receipt, indent=2))
 
+    runtime.egress.drain(5)  # the payload leaves on the gateway's delivery thread
     print("\nsuggestion payload delivered to the sink:")
     print(json.dumps(payloads[0], indent=2))
 

@@ -8,18 +8,26 @@ follow the order in which the writes take that lock.  Each ingest runs
 annotate -> insert -> chain -> notify and either commits completely or
 leaves the store untouched.
 
-Egress delivers envelopes to MQTT topics or webhooks with a fixed retry
-budget; a failed delivery is recorded, never raised into the pipeline.
+Egress keeps one bounded outbox.  Derived-fact hooks build each payload
+on the ingesting thread, under the write lock, and enqueue it with its
+target; one delivery thread, started with the first item, delivers the
+items in the order they were enqueued, with a fixed retry budget per item.
+So no write waits on the network, and deliveries to one target arrive in
+order.  A full outbox drops the item and counts it, and a failed delivery
+is counted, never raised into the pipeline.  Egress.close delivers what is
+queued within a deadline and logs what it leaves undelivered.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
 import logging
 import re
 import threading
 import time
-import urllib.request
+import urllib.parse
+from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -33,6 +41,10 @@ log = logging.getLogger(__name__)
 
 RETRY_ATTEMPTS = 3
 RETRY_SPACING_S = 0.2
+#: deliveries the outbox holds; one more is dropped and counted
+OUTBOX_CAPACITY = 1024
+#: seconds Egress.close waits for the outbox to empty
+DRAIN_DEADLINE_S = 5.0
 
 #: an MQTT topic may hold any character but whitespace
 _WHITESPACE_RE = re.compile(r"\s")
@@ -235,15 +247,24 @@ def fact_envelope(fact: Triple, ctx: DerivedContext) -> bytes:
 
 
 def _post_webhook(url: str, payload: bytes) -> int:
-    req = urllib.request.Request(
-        url, data=payload, headers={"Content-Type": "application/json"}, method="POST"
-    )
-    with urllib.request.urlopen(req, timeout=5) as resp:
-        return resp.status
+    """POST payload and return the status; one connection per call, no proxy,
+    no redirect followed.  Plain http.client costs the delivery thread, and so
+    the GIL, less than urllib.request's handler chain."""
+    parts = urllib.parse.urlsplit(url)
+    connection = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
+    conn = connection(parts.hostname, parts.port, timeout=5)
+    try:
+        target = parts.path or "/"
+        conn.request("POST", f"{target}?{parts.query}" if parts.query else target, payload,
+                     {"Content-Type": "application/json"})
+        return conn.getresponse().status
+    finally:
+        conn.close()
 
 
 class Egress:
-    """Delivers payload bytes to MQTT topics or webhooks with retries."""
+    """Delivers payload bytes to MQTT topics or webhooks with retries,
+    from one bounded outbox on one delivery thread."""
 
     def __init__(
         self,
@@ -256,6 +277,78 @@ class Egress:
         self.http_post = http_post
         self.attempts = attempts
         self.spacing_s = spacing_s
+        self._outbox: deque[tuple[EgressTarget, bytes]] = deque()
+        self._changed = threading.Condition()
+        self._thread: threading.Thread | None = None  # the delivery thread, once started
+        self._in_flight = 0
+        self._full = False  # the last enqueue was dropped: log only the first drop of a run
+        self._counts = {"ok": 0, "failed": 0, "dropped": 0}
+
+    def enqueue(self, target: EgressTarget, payload: bytes) -> bool:
+        """Queue one delivery and return at once; False when the outbox was full
+        and the delivery was dropped."""
+        with self._changed:
+            if len(self._outbox) >= OUTBOX_CAPACITY:
+                self._counts["dropped"] += 1
+                if not self._full:
+                    log.warning("outbox full (%d deliveries), dropping until it has room", OUTBOX_CAPACITY)
+                self._full = True
+                return False
+            self._full = False
+            self._outbox.append((target, payload))
+            if self._thread is None:
+                self._thread = threading.Thread(target=self._run, name="egress", daemon=True)
+                self._thread.start()
+            self._changed.notify_all()
+            return True
+
+    def _run(self) -> None:
+        me = threading.current_thread()
+        while True:
+            with self._changed:
+                while self._thread is me and not self._outbox:
+                    self._changed.wait()
+                if self._thread is not me:  # closed
+                    return
+                target, payload = self._outbox.popleft()
+                self._in_flight += 1
+            record = self.deliver(target, payload)
+            with self._changed:
+                self._in_flight -= 1
+                self._counts["ok" if record.ok else "failed"] += 1
+                self._changed.notify_all()
+
+    def _pending(self) -> int:
+        return len(self._outbox) + self._in_flight
+
+    def counts(self) -> dict[str, int]:
+        """Deliveries done (ok, failed), dropped by a full outbox, and pending."""
+        with self._changed:
+            return {**self._counts, "pending": self._pending()}
+
+    def drain(self, timeout: float) -> int:
+        """Wait up to timeout for every queued delivery to finish; return how
+        many are still pending."""
+        with self._changed:
+            self._changed.wait_for(lambda: not self._pending(), timeout)
+            return self._pending()
+
+    def close(self, timeout: float = DRAIN_DEADLINE_S) -> int:
+        """Deliver what is queued within timeout, then end the delivery thread;
+        what is left is logged and discarded, and its count returned.  A later
+        enqueue starts a new delivery thread."""
+        with self._changed:  # a Condition's lock is re-entrant, and its wait releases it whole
+            left = self.drain(timeout)
+            if left:
+                targets = sorted({str(target) for target, _ in self._outbox})
+                log.warning("egress stopped with %d deliveries undelivered, %d of them queued for %s",
+                            left, len(self._outbox), targets)
+                self._outbox.clear()
+            thread, self._thread = self._thread, None
+            self._changed.notify_all()
+        if thread is not None and not left:
+            thread.join(timeout)
+        return left
 
     def deliver(self, target: EgressTarget, payload: bytes) -> DeliveryRecord:
         if isinstance(target, MqttTopic) and self.mqtt_publish is None:
@@ -284,7 +377,9 @@ class Gateway:
     Every write (submit/ingest, set_rulepack, load_knowledge_pack) runs on
     the calling thread and holds one lock, so writes never interleave.
     Derived-fact hooks run inside the write that derived the fact and must
-    not write to the gateway themselves: the lock is not re-entrant.
+    not write to the gateway themselves: the lock is not re-entrant.  They
+    build what they send and hand it to Egress.enqueue, so that no write
+    waits on a delivery.
 
     Ingest chains only from the triples a reading inserted, which is exact
     while the store is a fixpoint of the active packs.  Installing a pack

@@ -197,7 +197,11 @@ def read_term(cursor: TokenCursor) -> PatternTerm:
         if tok.kind == "NUMBER":
             if "." in tok.text or "e" in tok.text or "E" in tok.text:
                 return make_numeric(float(tok.text))
-            return make_numeric(int(tok.text), datatype=XSD_LONG)
+            try:
+                value = int(tok.text)
+            except ValueError:  # more digits than int() converts
+                raise cursor.error(tok, "integer out of range") from None
+            return make_numeric(value, datatype=XSD_LONG)
         if tok.kind == "STRING":
             return Literal(tok.text, _datatype(cursor))
     except GrammarError:

@@ -8,7 +8,8 @@ class matches the fact served under the class's canonical IRI.
 Composition pipelines react to derived facts by running a lookup query
 against loaded knowledge (with the trigger's bindings substituted) and
 filling a JSON response template, turning e.g. a derived fever state into
-a home-remedy suggestion payload.
+a home-remedy suggestion payload.  Both build their payloads inside the
+write that derived the fact and leave the sending to Egress's outbox.
 
 Everything here is a thin serialization shell: each endpoint body is the
 corresponding module operation's result and nothing else.
@@ -169,9 +170,7 @@ class SubscriptionManager:
             ]
             for sub in due:
                 self._delivered.add((sub.id, fact))
-        for sub in due:
-            self.egress.deliver(sub.endpoint, fact_envelope(fact, ctx))
-        return len(due)
+        return sum(self.egress.enqueue(sub.endpoint, fact_envelope(fact, ctx)) for sub in due)
 
 
 class CompositionManager:
@@ -245,8 +244,7 @@ class CompositionManager:
                 # distinct, in row order
                 arrays[name] = list(dict.fromkeys(compact_term(row[col]) for row in table.rows))
             payload = _fill_template(pipe.response_template, scalars, arrays)
-            self.egress.deliver(pipe.endpoint, json.dumps(payload).encode("utf-8"))
-            fired += 1
+            fired += self.egress.enqueue(pipe.endpoint, json.dumps(payload).encode("utf-8"))
         return fired
 
 
@@ -357,7 +355,7 @@ class Api:
         return 200, {"pack_id": pack_id, "loaded": loaded}
 
     def stats(self) -> tuple[int, dict]:
-        return 200, self.runtime.gateway.stats()
+        return 200, {**self.runtime.gateway.stats(), "deliveries": self.runtime.egress.counts()}
 
     def subscribe(self, body: bytes) -> tuple[int, dict]:
         obj = json.loads(body.decode("utf-8"))
@@ -427,7 +425,12 @@ class _ApiHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(data)))
         for name, value in headers:
             self.send_header(name, value)
-        self.end_headers()
+        # status line, headers and body in one write: a body sent apart from its headers
+        # waits, under Nagle's algorithm, for the client to ACK them (RFC 896)
+        if self.request_version != "HTTP/0.9":  # an HTTP/0.9 reply is the body alone
+            self._headers_buffer.append(b"\r\n")
+            data = b"".join(self._headers_buffer) + data
+            self._headers_buffer = []
         self.wfile.write(data)
 
     def _read_body(self) -> bytes:
@@ -637,6 +640,7 @@ class Runtime:
         if self.coap_server is not None:
             self.coap_server.stop()
             self.coap_server = None
+        self.egress.close()  # before the MQTT client goes: the bridge publishes through it
         if self.mqtt_client is not None:
             self.mqtt_client.disconnect()
             self.mqtt_client = None
@@ -669,7 +673,7 @@ class Runtime:
 
     def _bridge_derived_to_mqtt(self, fact: Triple, ctx: DerivedContext) -> int:
         domains = self.gateway.domains_for_rule(ctx.rule_id) or ("default",)
-        self.egress.deliver(MqttTopic(f"derived/{domains[0]}"), fact_envelope(fact, ctx))
+        self.egress.enqueue(MqttTopic(f"derived/{domains[0]}"), fact_envelope(fact, ctx))
         return 0  # protocol bridging, not a subscription notification
 
 

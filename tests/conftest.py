@@ -32,6 +32,7 @@ class CaptureServer:
 
     def __init__(self):
         self.requests: list[dict] = []
+        self.paths: list[str] = []  # the request target of every delivery, failed ones included
         self.fail_times = 0
         self._lock = threading.Lock()
         outer = self
@@ -41,6 +42,7 @@ class CaptureServer:
                 length = int(self.headers.get("Content-Length", "0"))
                 body = self.rfile.read(length)
                 with outer._lock:
+                    outer.paths.append(self.path)
                     if outer.fail_times > 0:
                         outer.fail_times -= 1
                         status = 500

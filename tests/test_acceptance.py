@@ -244,6 +244,7 @@ def test_criterion_7_composition_scenario(capture_server):
                 endpoint=Webhook(capture_server.url),
             )
             runtime.gateway.ingest(RawReading("thermo1", "temperature", 39.0, "cel", 1))
+            assert runtime.egress.drain(1.0) == 0
             assert capture_server.requests == [
                 {
                     "state": "m3:Fever",
@@ -254,6 +255,7 @@ def test_criterion_7_composition_scenario(capture_server):
             # with the remedy pack unloaded the composition still fires, empty-handed
             runtime.store.retract(Loaded("remedies"))
             runtime.gateway.ingest(RawReading("thermo1", "temperature", 39.5, "cel", 2))
+            assert runtime.egress.drain(1.0) == 0
             assert capture_server.requests[1] == {"state": "m3:Fever", "suggestions": []}
         finally:
             runtime.stop()

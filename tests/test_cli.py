@@ -299,7 +299,12 @@ def test_serve_minimal_config_answers_stats(tmp_path):
         port = int(line.rsplit(":", 1)[1])
         with urllib.request.urlopen(f"http://127.0.0.1:{port}/api/v1/stats", timeout=5) as resp:
             body = json.load(resp)
-        assert body == {"store_size": 0, "per_rule": {}, "guard_type_errors": 0}
+        assert body == {
+            "store_size": 0,
+            "per_rule": {},
+            "guard_type_errors": 0,
+            "deliveries": {"ok": 0, "failed": 0, "dropped": 0, "pending": 0},
+        }
     finally:
         proc.send_signal(signal.SIGTERM)
         proc.wait(timeout=10)

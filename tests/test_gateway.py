@@ -531,6 +531,14 @@ def test_webhook_retry_then_success(capture_server):
     assert capture_server.requests == [{"n": 1}]
 
 
+def test_webhook_post_keeps_the_query_and_sends_json(capture_server):
+    egress = Egress()
+    record = egress.deliver(Webhook(capture_server.url + "?k=v&n=1"), b'{"n":1}')
+    assert record.ok and record.attempts == 1
+    assert capture_server.paths == ["/hook?k=v&n=1"]
+    assert capture_server.requests == [{"n": 1}]
+
+
 def test_mqtt_target_without_client_fails_cleanly():
     egress = Egress()
     record = egress.deliver(MqttTopic("derived/health"), b"{}")

@@ -72,6 +72,14 @@ def test_a_limit_of_more_digits_than_int_reads_is_a_positioned_syntax_error():
     assert (err.value.line, err.value.col) == (1, text.index("9") + 1)
 
 
+def test_an_integer_term_of_more_digits_than_int_reads_is_out_of_range_at_its_position():
+    text = "SELECT ?o WHERE { ?o ?p " + "9" * 5000 + " }"
+    with pytest.raises(QuerySyntaxError) as err:
+        parse_query(text)
+    assert (err.value.line, err.value.col) == (1, text.index("9") + 1)
+    assert err.value.reason == "integer out of range"
+
+
 def test_parse_unsafe_filter_variable():
     with pytest.raises(UnsafeQuery):
         parse_query("SELECT ?o WHERE { ?o rdf:type ssn:Sensor } FILTER ?v > 1")

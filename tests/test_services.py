@@ -2,14 +2,18 @@ import errno
 import json
 import logging
 import socket
+import socketserver
+import statistics
 import struct
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
 
 import pytest
 import requests
+from hypothesis import given, settings, strategies as st
 
 from knotgate.annotation import (
     InvalidRegistration,
@@ -19,7 +23,16 @@ from knotgate.annotation import (
     UnsupportedConversion,
 )
 from knotgate.config import AppConfig, load_config
-from knotgate.gateway import BadTopic, DecodeError, DerivedContext, Egress, MqttTopic, Webhook
+from knotgate.gateway import (
+    OUTBOX_CAPACITY,
+    RETRY_ATTEMPTS,
+    BadTopic,
+    DecodeError,
+    DerivedContext,
+    Egress,
+    MqttTopic,
+    Webhook,
+)
 from knotgate.lexer import GrammarError
 from knotgate.model import Iri, Triple, TripleParseError, make_iri, parse_triples
 from knotgate.query import UnsafeQuery, evaluate_query, parse_query
@@ -40,6 +53,8 @@ from knotgate.services import (
     parse_endpoint,
 )
 from knotgate.store import Inferred, Store, TriplePattern, Variable
+
+from conftest import FIXTURES
 
 
 @pytest.fixture
@@ -65,6 +80,11 @@ def ingest_body(value, device="thermo1", unit="cel", ts=1700000000000):
         "unit": unit,
         "timestamp": ts,
     }
+
+
+def drained(runtime):
+    """Wait for the outbox to deliver everything queued; deliveries leave on another thread."""
+    assert runtime.egress.drain(5) == 0
 
 
 FEVER_LINE = "<urn:obs:thermo1:1> <urn:knotgate:m3#indicates> <urn:knotgate:m3#Fever> ."
@@ -170,6 +190,17 @@ def test_query_endpoint_limit_of_more_digits_than_int_reads_carries_position(bas
     body = resp.json()
     assert body["error"] == "QuerySyntaxError"
     assert body["position"] == {"line": 1, "column": q.index("9") + 1}
+
+
+def test_query_endpoint_integer_of_more_digits_than_int_reads_says_out_of_range(base_url):
+    q = "SELECT ?o WHERE { ?o ?p " + "9" * 5000 + " }"
+    resp = requests.get(f"{base_url}/api/v1/query", params={"q": q})
+    assert resp.status_code == 400
+    body = resp.json()
+    assert body["error"] == "QuerySyntaxError"
+    assert body["position"] == {"line": 1, "column": q.index("9") + 1}
+    assert body["detail"].startswith("integer out of range at line 1")
+    assert "set_int_max_str_digits" not in body["detail"]
 
 
 def test_query_endpoint_unsafe_variable(base_url):
@@ -345,6 +376,7 @@ def test_subscription_delivers_once_per_fact(base_url, runtime, capture_server):
     assert resp.status_code == 201
     r1 = requests.post(f"{base_url}/api/v1/observations", json=ingest_body(39.0))
     assert r1.json()["notifications_queued"] == 1
+    drained(runtime)
     [envelope] = capture_server.requests
     assert set(envelope) == {"triple", "rule_id", "observation_iri", "timestamp"}
     assert parse_triples(envelope["triple"] + "\n")[0].object == make_iri("m3:Fever")
@@ -353,7 +385,7 @@ def test_subscription_delivers_once_per_fact(base_url, runtime, capture_server):
     assert envelope["timestamp"] == 1700000000000
 
 
-def test_subscription_not_notified_below_threshold(base_url, capture_server):
+def test_subscription_not_notified_below_threshold(base_url, runtime, capture_server):
     requests.post(
         f"{base_url}/api/v1/subscriptions",
         json={
@@ -363,6 +395,7 @@ def test_subscription_not_notified_below_threshold(base_url, capture_server):
     )
     r = requests.post(f"{base_url}/api/v1/observations", json=ingest_body(37.0))
     assert r.json()["notifications_queued"] == 0
+    drained(runtime)
     assert capture_server.requests == []
 
 
@@ -372,6 +405,7 @@ def test_k_subscriptions_yield_k_deliveries(runtime, capture_server):
         runtime.subscriptions.register(parse_pattern("?o m3:indicates m3:Fever"), Webhook(capture_server.url))
     receipt = runtime.gateway.ingest(RawReading("thermo1", "temperature", 41.0, "cel", 1))
     assert receipt.notifications_queued == k
+    drained(runtime)
     assert len(capture_server.requests) == k
 
 
@@ -384,10 +418,11 @@ def test_subscription_not_redelivered_after_rechain(base_url, runtime, capture_s
         },
     )
     requests.post(f"{base_url}/api/v1/observations", json=ingest_body(39.0))
+    drained(runtime)
     assert len(capture_server.requests) == 1
     # replacing the pack re-derives the same fact; at most once per (sub, fact)
     requests.post(f"{base_url}/api/v1/rulepacks", data=fever_pack_text)
-    time.sleep(0.1)
+    drained(runtime)
     assert len(capture_server.requests) == 1
 
 
@@ -397,6 +432,7 @@ def test_subscription_on_asserted_facts_never_fires(runtime, capture_server):
     )
     receipt = runtime.gateway.ingest(RawReading("thermo1", "temperature", 36.0, "cel", 1))
     assert receipt.notifications_queued == 0
+    drained(runtime)
     assert capture_server.requests == []
 
 
@@ -422,6 +458,7 @@ def test_subscription_and_composition_match_through_aliases(capture_server, fixt
         )
         receipt = rt.gateway.ingest(RawReading("thermo1", "temperature", 39.5, "cel", 1))
         assert receipt.notifications_queued == 2
+        drained(rt)
         [envelope] = [r for r in capture_server.requests if "triple" in r]
         # delivered in served form, under the class's canonical IRI
         assert parse_triples(envelope["triple"] + "\n") == [
@@ -462,6 +499,7 @@ def test_ground_subscription_and_composition_fire_on_their_fact(remedies_pack_te
     assert subscriptions.on_derived(other, ctx) == 0
     assert compositions.on_derived(fever, ctx) == 1
     assert compositions.on_derived(other, ctx) == 0
+    assert egress.close() == 0  # delivers what is queued
     assert posted == [
         ("http://sub.test/h", json.loads(services.fact_envelope(fever, ctx))),
         ("http://comp.test/h", {"state": "m3:Fever", "suggestions": ["m3:ColdCompress", "m3:GingerTea", "m3:Hydration"]}),
@@ -480,10 +518,11 @@ def composition_body(url, trigger="?o m3:indicates ?s"):
     }
 
 
-def test_composition_fever_to_remedies(base_url, capture_server):
+def test_composition_fever_to_remedies(base_url, runtime, capture_server):
     resp = requests.post(f"{base_url}/api/v1/compositions", json=composition_body(capture_server.url))
     assert resp.status_code == 201
     requests.post(f"{base_url}/api/v1/observations", json=ingest_body(39.0))
+    drained(runtime)
     [payload] = capture_server.requests
     assert payload == {
         "state": "m3:Fever",
@@ -504,6 +543,7 @@ def test_composition_without_pack_yields_empty_suggestions(capture_server, fever
             Webhook(capture_server.url),
         )
         rt.gateway.ingest(RawReading("thermo1", "temperature", 39.0, "cel", 1))
+        drained(rt)
         [payload] = capture_server.requests
         assert payload["suggestions"] == []
     finally:
@@ -545,6 +585,7 @@ def test_composition_triggers_only_on_inferred(runtime, capture_server):
         Webhook(capture_server.url),
     )
     runtime.gateway.ingest(RawReading("thermo1", "temperature", 36.0, "cel", 1))
+    drained(runtime)
     assert capture_server.requests == []  # observation is asserted, not derived
 
 
@@ -572,13 +613,224 @@ def test_cross_domain_composition_does_not_fire_for_other_domain(base_url, runti
         },
     )
     requests.post(f"{base_url}/api/v1/observations", json=ingest_body(39.0))
+    drained(runtime)
     assert capture_server.requests == []
     # but an ambient reading above the fire threshold does fire it
     requests.post(
         f"{base_url}/api/v1/observations", json=ingest_body(75.0, device="ambient1")
     )
+    drained(runtime)
     assert len(capture_server.requests) == 1
     assert capture_server.requests[0]["alert"] == "fire"
+
+
+# -- the outbox -----------------------------------------------------------------------
+
+
+def fever_reading(i, value=39.0):
+    return RawReading("thermo1", "temperature", value, "cel", i)
+
+
+def _median_ingest_s(runtime, readings):
+    seconds = []
+    for reading in readings:
+        t0 = time.perf_counter()
+        runtime.gateway.ingest(reading)
+        seconds.append(time.perf_counter() - t0)
+    return statistics.median(seconds)
+
+
+def test_a_webhook_that_never_answers_adds_no_ingest_latency(runtime):
+    runtime.egress.spacing_s = 0.0  # once the test ends, the refused retries finish at once
+    _median_ingest_s(runtime, [fever_reading(i) for i in range(5)])  # warm up
+    quiet = _median_ingest_s(runtime, [fever_reading(i) for i in range(5, 25)])
+    blackhole = socket.socket()
+    try:
+        blackhole.bind(("127.0.0.1", 0))
+        blackhole.listen(8)  # connections complete in the backlog, and nothing ever answers them
+        url = f"http://127.0.0.1:{blackhole.getsockname()[1]}/hook"
+        runtime.subscriptions.register(parse_pattern("?o m3:indicates m3:Fever"), Webhook(url))
+        runtime.gateway.ingest(fever_reading(25))
+        time.sleep(0.1)  # the delivery thread sent its request and waits for an answer
+        stalled = _median_ingest_s(runtime, [fever_reading(i) for i in range(26, 46)])
+        other = threading.Thread(target=runtime.gateway.ingest, args=(fever_reading(46),))
+        other.start()
+        other.join(2)
+        assert not other.is_alive()  # a concurrent writer is not held up either
+        counts = runtime.egress.counts()
+        assert counts["ok"] + counts["failed"] == 0  # the first delivery was still stalled throughout
+        assert counts["pending"] == 22
+        assert stalled < 2 * quiet + 0.002, (quiet, stalled)
+    finally:
+        blackhole.close()  # resets the stalled connection
+
+
+def test_a_full_outbox_drops_and_counts_and_never_blocks_ingest(runtime, caplog):
+    entered, release = threading.Event(), threading.Event()
+
+    def stalled_post(url, payload):
+        entered.set()
+        release.wait(10)
+        return 200
+
+    runtime.egress.http_post = stalled_post
+    runtime.subscriptions.register(parse_pattern("?o m3:indicates m3:Fever"), Webhook("http://sink.test/h"))
+    extra = 50
+    try:
+        runtime.gateway.ingest(fever_reading(0))
+        assert entered.wait(5)  # the delivery thread holds the first item
+        receipts = [runtime.gateway.ingest(fever_reading(i)) for i in range(1, OUTBOX_CAPACITY + extra + 1)]
+        assert [r.notifications_queued for r in receipts] == [1] * OUTBOX_CAPACITY + [0] * extra
+        assert runtime.egress.counts() == {"ok": 0, "failed": 0, "dropped": extra, "pending": OUTBOX_CAPACITY + 1}
+    finally:
+        release.set()
+    drained(runtime)
+    assert runtime.egress.counts() == {"ok": OUTBOX_CAPACITY + 1, "failed": 0, "dropped": extra, "pending": 0}
+    assert len([r for r in caplog.records if "outbox full" in r.getMessage()]) == 1  # once per run of drops
+
+
+def test_concurrent_writers_lose_no_delivery_and_keep_per_target_order(runtime):
+    posted = []  # (url, observation sequence number), appended by the delivery thread
+    runtime.egress.http_post = lambda url, payload: posted.append(
+        (url, int(json.loads(payload)["observation_iri"].rsplit(":", 1)[1]))
+    ) or 200
+    for name in ("a", "b"):
+        runtime.subscriptions.register(parse_pattern("?o m3:indicates m3:Fever"), Webhook(f"http://{name}.test/h"))
+    writers, per_writer = 6, 40
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [
+            threading.Thread(target=lambda: [runtime.gateway.ingest(fever_reading(i)) for i in range(per_writer)])
+            for _ in range(writers)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(30)
+        assert not any(t.is_alive() for t in threads)
+        drained(runtime)
+    finally:
+        sys.setswitchinterval(switch)
+    readings = writers * per_writer
+    assert runtime.egress.counts() == {"ok": 2 * readings, "failed": 0, "dropped": 0, "pending": 0}
+    for url in ("http://a.test/h", "http://b.test/h"):
+        # observations are numbered in commit order, so each target sees them in that order
+        assert [n for u, n in posted if u == url] == list(range(1, readings + 1))
+
+
+def test_stats_count_delivery_outcomes(base_url, runtime, capture_server):
+    runtime.egress.spacing_s = 0.01
+    runtime.subscriptions.register(parse_pattern("?o m3:indicates m3:Fever"), Webhook(capture_server.url))
+    capture_server.fail_times = RETRY_ATTEMPTS  # every attempt of the first delivery gets a 500
+    for value in (39.0, 39.5):
+        requests.post(f"{base_url}/api/v1/observations", json=ingest_body(value))
+    drained(runtime)
+    body = requests.get(f"{base_url}/api/v1/stats").json()
+    assert body["deliveries"] == {"ok": 1, "failed": 1, "dropped": 0, "pending": 0}
+    assert set(body) == {"store_size", "per_rule", "guard_type_errors", "deliveries"}
+    assert [r["observation_iri"] for r in capture_server.requests] == ["urn:obs:thermo1:2"]
+
+
+def test_stop_delivers_what_is_queued(fixtures_dir):
+    cfg, base = load_config(fixtures_dir / "gateway.toml")
+    rt = Runtime.from_config(cfg, base)
+    posted = []
+
+    def slow_post(url, payload):
+        time.sleep(0.02)
+        posted.append(json.loads(payload)["observation_iri"])
+        return 200
+
+    rt.egress.http_post = slow_post
+    rt.subscriptions.register(parse_pattern("?o m3:indicates m3:Fever"), Webhook("http://sink.test/h"))
+    try:
+        for i in range(10):
+            rt.gateway.ingest(fever_reading(i))
+        assert rt.egress.counts()["pending"] > 0
+    finally:
+        rt.stop()
+    assert posted == [f"urn:obs:thermo1:{i}" for i in range(1, 11)]
+
+
+def test_close_leaves_what_its_deadline_cannot_deliver_and_logs_it(caplog):
+    release = threading.Event()
+    egress = Egress(http_post=lambda url, payload: release.wait(10) and 200)
+    for _ in range(3):
+        assert egress.enqueue(Webhook("http://sink.test/h"), b"{}")
+    t0 = time.monotonic()
+    try:
+        assert egress.close(0.2) == 3
+        assert time.monotonic() - t0 < 2.0
+    finally:
+        release.set()
+    assert "3 deliveries undelivered" in caplog.text
+    assert egress.drain(5) == 0
+    assert egress.counts() == {"ok": 1, "failed": 0, "dropped": 0, "pending": 0}  # the one in flight
+
+
+_PATTERNS = ["?o m3:indicates m3:Fever", "?o m3:indicates ?s", "?o m3:indicates m3:AFever", "?o m3:indicates m3:FireRisk"]
+_COMPOSITIONS = [
+    ("?o m3:indicates ?s", "SELECT ?r WHERE { ?s m3:hasRemedy ?r }", {"state": "{s}", "suggestions": "{r}"}),
+    ("?o m3:indicates m3:Fever", "SELECT ?r WHERE { m3:Fever m3:hasRemedy ?r }", {"observation": "{o}", "remedies": "{r}"}),
+]
+_ALIASES = [
+    "<urn:knotgate:m3#Fever> <urn:knotgate:m3#equivalentTo> <urn:knotgate:m3#AFever> .\n",
+    "<urn:knotgate:m3#Blaze> <urn:knotgate:m3#equivalentTo> <urn:knotgate:m3#FireRisk> .\n",
+]
+_OPS = st.lists(
+    st.one_of(
+        st.tuples(st.just("ingest"), st.sampled_from(["thermo1", "ambient1"]), st.integers(300, 900)),
+        st.tuples(st.just("subscribe"), st.sampled_from(_PATTERNS), st.booleans()),
+        st.tuples(st.just("compose"), st.sampled_from(_COMPOSITIONS), st.booleans()),
+        st.tuples(st.just("alias"), st.sampled_from(_ALIASES)),
+        st.tuples(st.just("rechain")),
+    ),
+    max_size=25,
+)
+
+
+def _replay_ops(ops, fixtures_dir, synchronous):
+    """Run ops on a fresh runtime whose MQTT bridge is on; return the receipts' notification
+    counts and every (target, payload) sent, in order.  synchronous delivers on the writer,
+    as before the outbox: the oracle."""
+    cfg, base = load_config(fixtures_dir / "gateway.toml")
+    rt = Runtime.from_config(cfg, base)
+    sent = []
+    rt.egress.http_post = lambda url, payload: sent.append((url, payload)) or 200
+    rt.egress.mqtt_publish = lambda topic, payload: sent.append((topic, payload))
+    if synchronous:
+        rt.egress.enqueue = lambda target, payload: rt.egress.deliver(target, payload).ok
+    rt.gateway.add_derived_hook(rt._bridge_derived_to_mqtt)
+    fever_pack = parse_rulepack((fixtures_dir / "rules" / "fever.rules").read_text())
+    queued = []
+    try:
+        for n, op in enumerate(ops):
+            if op[0] == "ingest":
+                receipt = rt.gateway.ingest(RawReading(op[1], "temperature", op[2] / 10, "cel", n))
+                queued.append(receipt.notifications_queued)
+            elif op[0] in ("subscribe", "compose"):
+                endpoint = MqttTopic(f"t{n}") if op[2] else Webhook(f"http://t{n}.test/h")
+                if op[0] == "subscribe":
+                    rt.subscriptions.register(parse_pattern(op[1]), endpoint)
+                else:
+                    trigger, lookup, template = op[1]
+                    rt.compositions.register(parse_pattern(trigger), lookup, template, endpoint)
+            elif op[0] == "alias":
+                rt.gateway.load_knowledge_pack(op[1], f"alias{n}")
+            else:
+                rt.gateway.set_rulepack(fever_pack, rechain=True)
+        drained(rt)
+    finally:
+        rt.stop()
+    return queued, sent
+
+
+@settings(max_examples=40, deadline=None)
+@given(ops=_OPS)
+def test_outbox_delivers_what_synchronous_delivery_would(ops):
+    with mock.patch("knotgate.gateway.now_ms", return_value=0):  # a rechain stamps its facts with the clock
+        assert _replay_ops(ops, FIXTURES, synchronous=False) == _replay_ops(ops, FIXTURES, synchronous=True)
 
 
 # -- HTTP worker pool -----------------------------------------------------------------
@@ -600,18 +852,19 @@ def test_requests_start_no_thread(runtime, base_url, monkeypatch):
     assert threading.active_count() == before
 
 
-def _stall_fever_deliveries(runtime):
-    """Make every fever webhook delivery wait, holding the write lock, until the returned event is set;
-    the first returned event is set once the first delivery has started."""
+def _stall_fever_writes(runtime):
+    """Make every write that derives a fever fact wait, holding the write lock, until the second
+    returned event is set; the first is set once the first such write has started waiting."""
     entered, release = threading.Event(), threading.Event()
+    fever = make_iri("m3:Fever")
 
-    def stalled_post(url, payload):
-        entered.set()
-        release.wait(10)
-        return 200
+    def stall(fact, ctx):
+        if fact.object == fever:
+            entered.set()
+            release.wait(10)
+        return 0
 
-    runtime.egress.http_post = stalled_post
-    runtime.subscriptions.register(parse_pattern("?o m3:indicates m3:Fever"), Webhook("http://127.0.0.1:9/hook"))
+    runtime.gateway.add_derived_hook(stall)
     return entered, release
 
 
@@ -629,8 +882,8 @@ def _timed_query(base_url):
     return resp, time.perf_counter() - t0
 
 
-def test_query_answers_while_writers_wait_on_a_stalled_delivery(runtime, base_url):
-    entered, release = _stall_fever_deliveries(runtime)
+def test_query_answers_while_writers_wait_on_a_stalled_write(runtime, base_url):
+    entered, release = _stall_fever_writes(runtime)
     # one writer stalls holding the write lock, HTTP_WORKERS - 2 more wait on it
     with ThreadPoolExecutor(HTTP_WORKERS - 1) as pool:
         writers = [pool.submit(_post_observation, base_url, ingest_body(39.0))]
@@ -651,7 +904,7 @@ def test_query_answers_while_writers_wait_on_a_stalled_delivery(runtime, base_ur
 
 
 def test_writes_past_the_writer_slots_get_503_and_reads_stay_live(runtime, base_url):
-    entered, release = _stall_fever_deliveries(runtime)
+    entered, release = _stall_fever_writes(runtime)
     n = 3 * HTTP_WORKERS
     with ThreadPoolExecutor(n) as pool:
         writers = [pool.submit(_post_observation, base_url, ingest_body(39.0))]
@@ -673,6 +926,30 @@ def test_writes_past_the_writer_slots_get_503_and_reads_stay_live(runtime, base_
     assert all("Retry-After" not in w.result().headers for w in writers if w.result().status_code == 202)
     fevers = evaluate_query(parse_query("SELECT ?o WHERE { ?o m3:indicates m3:Fever }"), runtime.store)
     assert len(fevers.rows) == HTTP_WORKERS - 1
+
+
+def test_each_reply_leaves_in_one_write(base_url, monkeypatch):
+    # the handler's socket writer is unbuffered (wbufsize 0): one write, one send
+    writes = []
+    real_write = socketserver._SocketWriter.write
+
+    def counting_write(writer, data):
+        writes.append(bytes(data))
+        return real_write(writer, data)
+
+    monkeypatch.setattr(socketserver._SocketWriter, "write", counting_write)
+    replies = [
+        requests.post(f"{base_url}/api/v1/observations", json=ingest_body(39.0)),
+        requests.get(f"{base_url}/api/v1/query", params={"q": "SELECT ?o WHERE { ?o m3:indicates m3:Fever }"}),
+        requests.get(f"{base_url}/api/v1/stats"),
+        requests.get(f"{base_url}/api/v1/nowhere"),
+    ]
+    assert [r.status_code for r in replies] == [202, 200, 200, 404]
+    assert len(writes) == len(replies)
+    for write, reply in zip(writes, replies):
+        head, _, body = write.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.0 %d " % reply.status_code)
+        assert body == reply.content
 
 
 def test_trickling_clients_cannot_hold_the_workers(runtime, base_url, monkeypatch):
