@@ -20,6 +20,7 @@ from .model import (
     MalformedIri,
     Triple,
     XSD_LONG,
+    data_lines,
     make_iri,
     make_numeric,
 )
@@ -182,10 +183,7 @@ class SensorRegistry:
         Blank lines and '#' comments are skipped.  Returns the count loaded.
         """
         count = 0
-        for lineno, raw in enumerate(text.split("\n"), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in data_lines(text):
             fields = [f.strip() for f in line.split(",")]
             if len(fields) != 4:
                 raise InvalidRegistration(f"line {lineno}: expected 4 fields")

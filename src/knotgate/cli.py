@@ -18,7 +18,7 @@ from pathlib import Path
 from .config import AppConfig, ConfigError, load_config
 from .gateway import DecodeError, decode_reading
 from .lexer import GrammarError
-from .model import TripleParseError, compact_term, parse_triples, triple_to_line
+from .model import TripleParseError, compact_term, data_lines, parse_triples, serialize_triples, triple_to_line
 from .query import UnsafeQuery, evaluate_query, parse_query
 from .rules import RuleSafetyError, parse_rulepack
 from .services import Runtime
@@ -82,10 +82,7 @@ def _replay_log(runtime: Runtime, log_path: Path, speed: str) -> dict:
     except OSError as exc:
         raise ConfigError(f"cannot read log {log_path}: {exc}") from None
     readings = []
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(text):
         try:
             readings.append((lineno, decode_reading(line.encode("utf-8"), "csv")))
         except DecodeError as exc:
@@ -113,11 +110,6 @@ def _print_summary(runtime: Runtime, summary: dict) -> None:
     print(f"derived {summary['derived']}")
     for rule_id, count in sorted(runtime.gateway.per_rule.items()):
         print(f"rule {rule_id} {count}")
-
-
-def _canonical_export(runtime: Runtime) -> str:
-    lines = sorted(triple_to_line(t) for t in runtime.store)
-    return "".join(line + "\n" for line in lines)
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
@@ -205,8 +197,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         print(f"cannot read {args.pack}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     # a rule pack opens with PACK, after any blank and comment lines
-    lines = (line.strip() for line in text.split("\n"))
-    if next((line for line in lines if line and not line.startswith("#")), "").startswith("PACK"):
+    if next((line for _, line in data_lines(text)), "").startswith("PACK"):
         try:
             pack = parse_rulepack(text)
         except RuleSafetyError as exc:
@@ -235,7 +226,8 @@ def cmd_export(args: argparse.Namespace) -> int:
     try:
         if args.replay:
             _replay_log(runtime, Path(args.replay), "max")
-        Path(args.output).write_text(_canonical_export(runtime), encoding="utf-8")
+        triples = sorted(runtime.store, key=triple_to_line)
+        Path(args.output).write_text(serialize_triples(triples), encoding="utf-8")
     except _ReplayAbort as exc:
         print(f"replay aborted: {exc}", file=sys.stderr)
         return EXIT_FAILURE

@@ -41,10 +41,6 @@ UNPROCESSABLE = code(4, 22)
 INTERNAL_ERROR = code(5, 0)
 
 
-def code_text(c: int) -> str:
-    return f"{c >> 5}.{c & 0x1F:02d}"
-
-
 class CoapFormatError(ValueError):
     pass
 

@@ -11,6 +11,8 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .model import data_lines
+
 
 class ConfigError(ValueError):
     pass
@@ -80,10 +82,7 @@ def _parse_value(raw: str, lineno: int) -> object:
 def parse_sections(text: str) -> dict[str, dict[str, object]]:
     sections: dict[str, dict[str, object]] = {}
     current: dict[str, object] | None = None
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(text):
         m = _SECTION_RE.match(line)
         if m:
             current = sections.setdefault(m.group(1), {})

@@ -374,12 +374,14 @@ class Egress:
 class Gateway:
     """Owns the store, the active rule packs, and the pipeline.
 
-    Every write (submit/ingest, set_rulepack, load_knowledge_pack) runs on
-    the calling thread and holds one lock, so writes never interleave.
-    Derived-fact hooks run inside the write that derived the fact and must
-    not write to the gateway themselves: the lock is not re-entrant.  They
-    build what they send and hand it to Egress.enqueue, so that no write
-    waits on a delivery.
+    Every write (ingest, set_rulepack, load_knowledge_pack) runs on the
+    calling thread and holds one lock, so writes never interleave.  A write
+    calls the derived-fact hooks once per derived fact that the store did
+    not hold before the write, in commit order, so no fact is notified
+    twice while it stays in the store.  The hooks run inside the write and
+    must not write to the gateway themselves: the lock is not re-entrant.
+    They build what they send and hand it to Egress.enqueue, so that no
+    write waits on a delivery.
 
     Ingest chains only from the triples a reading inserted, which is exact
     while the store is a fixpoint of the active packs.  Installing a pack
@@ -425,7 +427,8 @@ class Gateway:
         With rechain=True all inferred triples are retracted and chaining
         reruns from the asserted/loaded base, so the store ends up exactly
         as if the new pack had been active from the start; cumulative
-        per-rule counts are reset to that fresh run's counts.
+        per-rule counts are reset to that fresh run's counts.  The hooks
+        hear only of the derived facts the store did not hold before.
         """
         with self._write_lock:
             owners = self.rules.owners
@@ -441,10 +444,13 @@ class Gateway:
             self._stale = True
             if not rechain:
                 return None
+            held = set(self.store) if self._derived_hooks else None
             self.store.retract(Inferred)
             stats = self._chain(delta=None)
             self.per_rule = dict(stats.per_rule)
-            self._notify(stats.committed, observation_iri="", timestamp=now_ms())
+            if held is not None:
+                fresh = [t for t in stats.committed if t not in held]
+                self._notify(fresh, observation_iri="", timestamp=now_ms())
             return stats
 
     def load_knowledge_pack(self, document: str, pack_id: str) -> int:
@@ -478,40 +484,35 @@ class Gateway:
     # -- pipeline ------------------------------------------------------------
 
     def submit(self, reading: RawReading) -> "Future[IngestReceipt]":
-        """Ingest a reading; the returned future is already done, holding
-        the receipt or the error."""
+        """ingest's receipt or error, in a future that is already done."""
         fut: Future = Future()
         try:
-            with self._write_lock:
-                receipt = self._process(reading)
+            fut.set_result(self.ingest(reading))
         except Exception as exc:
             fut.set_exception(exc)
-        else:
-            fut.set_result(receipt)
         return fut
 
     def ingest(self, reading: RawReading) -> IngestReceipt:
-        """Ingest a reading; raises whatever the pipeline raised."""
-        return self.submit(reading).result()
-
-    def _process(self, reading: RawReading) -> IngestReceipt:
-        # annotate can fail; nothing is inserted until it has succeeded
-        graph = self.annotator.annotate(reading)
-        source = self._sources.get(reading.device_id)
-        if source is None:
-            source = self._sources[reading.device_id] = Asserted(f"urn:dev:{reading.device_id}")
-        inserted = [self.store.canonical(t) for t in graph.triples if self.store.insert(t, source)]
-        stats = self._chain(delta=inserted)
-        for rule_id, count in stats.per_rule.items():
-            self.per_rule[rule_id] = self.per_rule.get(rule_id, 0) + count
-        obs = graph.observation_iri.value
-        notified = self._notify(stats.committed, observation_iri=obs, timestamp=reading.timestamp)
-        return IngestReceipt(
-            observation_iri=obs,
-            triples_added=len(inserted),
-            derived=stats.committed,
-            notifications_queued=notified,
-        )
+        """Ingest a reading; raises whatever the pipeline raised.  Every
+        fact the chain commits is new to the store, so each is notified."""
+        with self._write_lock:
+            # annotate can fail; nothing is inserted until it has succeeded
+            graph = self.annotator.annotate(reading)
+            source = self._sources.get(reading.device_id)
+            if source is None:
+                source = self._sources[reading.device_id] = Asserted(f"urn:dev:{reading.device_id}")
+            inserted = [self.store.canonical(t) for t in graph.triples if self.store.insert(t, source)]
+            stats = self._chain(delta=inserted)
+            for rule_id, count in stats.per_rule.items():
+                self.per_rule[rule_id] = self.per_rule.get(rule_id, 0) + count
+            obs = graph.observation_iri.value
+            notified = self._notify(stats.committed, observation_iri=obs, timestamp=reading.timestamp)
+            return IngestReceipt(
+                observation_iri=obs,
+                triples_added=len(inserted),
+                derived=stats.committed,
+                notifications_queued=notified,
+            )
 
     def _notify(self, derived: list[Triple], observation_iri: str, timestamp: int) -> int:
         queued = 0

@@ -36,7 +36,7 @@ import threading
 import weakref
 from dataclasses import FrozenInstanceError
 from decimal import Decimal, InvalidOperation
-from typing import TypeVar
+from typing import Iterator, TypeVar
 
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 XSD_NS = "http://www.w3.org/2001/XMLSchema#"
@@ -428,16 +428,22 @@ def _line_fault(line: str) -> str:
     return "trailing characters after terminator"
 
 
+def data_lines(text: str) -> Iterator[tuple[int, str]]:
+    """(1-based line number, stripped line) for every line of text that is
+    neither blank nor a ``#`` comment."""
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def parse_triples(document: str) -> list[Triple]:
     """Parse a triple document; duplicates and line order are preserved.
 
     The first offending line aborts the parse with TripleParseError.
     """
     triples: list[Triple] = []
-    for lineno, raw in enumerate(document.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(document):
         m = _TRIPLE_LINE.fullmatch(line)
         try:
             if m is None:

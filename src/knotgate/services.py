@@ -1,8 +1,9 @@
 """Application-facing layer: HTTP API, subscriptions, and service composition.
 
-Subscriptions deliver an envelope for every newly inferred fact that
-matches their pattern, at most once per (subscription, fact).  Both
-subscriptions and composition triggers match through the store
+Subscriptions deliver an envelope for every newly derived fact that
+matches their pattern; the gateway calls the hooks only for derived facts
+its store did not hold before the write.  Subscriptions and compositions
+are triggers of one kind (TriggerRegistry), matched through the store
 (Store.match over the one fact), so a pattern naming any IRI of an alias
 class matches the fact served under the class's canonical IRI.
 Composition pipelines react to derived facts by running a lookup query
@@ -57,7 +58,7 @@ from .gateway import (
     topic_to_route,
 )
 from .lexer import GrammarError
-from .model import Triple, TripleParseError, compact_term, serialize_term
+from .model import Term, Triple, TripleParseError, compact_term, serialize_term
 from .mqtt import MqttClient
 from .query import Query, evaluate_query, parse_query
 from .rules import parse_pattern, parse_rulepack
@@ -94,23 +95,15 @@ class ServerBusy(RuntimeError):
 
 
 @dataclass(frozen=True)
-class Subscription:
+class Trigger:
+    """A pattern whose matching derived facts each send a payload to an
+    endpoint; a composition's also carries its lookup and template."""
+
     id: str
     pattern: TriplePattern
     endpoint: EgressTarget
-
-    def __post_init__(self) -> None:
-        if self.pattern.concrete_count() == 0:
-            raise InvalidSubscription("pattern must have at least one concrete position")
-
-
-@dataclass(frozen=True)
-class CompositionPipeline:
-    id: str
-    trigger: TriplePattern
-    lookup: Query
-    response_template: object
-    endpoint: EgressTarget
+    lookup: Query | None = None
+    response_template: object = None
 
 
 _PLACEHOLDER_RE = re.compile(r"\{([A-Za-z0-9_]+)\}")
@@ -143,45 +136,62 @@ def _fill_template(node: object, scalars: dict[str, str], arrays: dict[str, list
     return node
 
 
-class SubscriptionManager:
-    """Pattern-triggered envelope deliveries, at most once per (sub, fact)."""
+class TriggerRegistry:
+    """Triggers in registration order, and which of them a derived fact fires.
 
-    def __init__(self, store: Store, egress: Egress):
+    Each subclass defines its own on_derived: the benchmark's tracer
+    (perfbench/spans.py) wraps them by class."""
+
+    def __init__(self, store: Store, egress: Egress, id_prefix: str):
         self.store = store
         self.egress = egress
+        self._id_prefix = id_prefix
         self._lock = threading.Lock()
-        self._subs: dict[str, Subscription] = {}
-        self._delivered: set[tuple[str, Triple]] = set()
+        self._triggers: dict[str, Trigger] = {}
         self._ids = itertools.count(1)
 
-    def register(self, pattern: TriplePattern, endpoint: EgressTarget) -> str:
+    def _add(self, trigger_id: str | None, pattern: TriplePattern, endpoint: EgressTarget,
+             lookup: Query | None = None, response_template: object = None) -> str:
         with self._lock:
-            sub_id = f"sub-{next(self._ids)}"
-            self._subs[sub_id] = Subscription(sub_id, pattern, endpoint)
-            return sub_id
+            tid = trigger_id or f"{self._id_prefix}-{next(self._ids)}"
+            if tid in self._triggers:
+                raise ValueError(f"duplicate id {tid!r}")
+            self._triggers[tid] = Trigger(tid, pattern, endpoint, lookup, response_template)
+            return tid
+
+    def _fired(self, fact: Triple) -> list[tuple[Trigger, tuple[Term, ...]]]:
+        """The triggers the fact matches, each with its row of the fact."""
+        with self._lock:
+            triggers = list(self._triggers.values())
+        fired = []
+        for trigger in triggers:
+            rows = self.store.match(trigger.pattern, among=(fact,))
+            if rows:
+                fired.append((trigger, rows[0]))
+        return fired
+
+
+class SubscriptionManager(TriggerRegistry):
+    """Pattern-triggered envelope deliveries."""
+
+    def __init__(self, store: Store, egress: Egress):
+        super().__init__(store, egress, "sub")
+
+    def register(self, pattern: TriplePattern, endpoint: EgressTarget) -> str:
+        if pattern.concrete_count() == 0:
+            raise InvalidSubscription("pattern must have at least one concrete position")
+        return self._add(None, pattern, endpoint)
 
     def on_derived(self, fact: Triple, ctx: DerivedContext) -> int:
-        with self._lock:
-            due = [
-                sub
-                for sub in self._subs.values()
-                if (sub.id, fact) not in self._delivered
-                and self.store.match(sub.pattern, among=(fact,))
-            ]
-            for sub in due:
-                self._delivered.add((sub.id, fact))
-        return sum(self.egress.enqueue(sub.endpoint, fact_envelope(fact, ctx)) for sub in due)
+        fired = self._fired(fact)
+        return sum(self.egress.enqueue(sub.endpoint, fact_envelope(fact, ctx)) for sub, _ in fired)
 
 
-class CompositionManager:
+class CompositionManager(TriggerRegistry):
     """Derived-fact triggers that look up knowledge and emit payloads."""
 
     def __init__(self, store: Store, egress: Egress):
-        self.store = store
-        self.egress = egress
-        self._lock = threading.Lock()
-        self._pipelines: dict[str, CompositionPipeline] = {}
-        self._ids = itertools.count(1)
+        super().__init__(store, egress, "comp")
 
     def register(
         self,
@@ -217,24 +227,12 @@ class CompositionManager:
             raise TemplateError(
                 f"list placeholder {{{embedded[0]}}} must be the entire string value"
             )
-        with self._lock:
-            pid = pipeline_id or f"comp-{next(self._ids)}"
-            if pid in self._pipelines:
-                raise ValueError(f"duplicate composition id {pid!r}")
-            self._pipelines[pid] = CompositionPipeline(
-                pid, trigger, lookup, response_template, endpoint
-            )
-            return pid
+        return self._add(pipeline_id, trigger, endpoint, lookup, response_template)
 
     def on_derived(self, fact: Triple, ctx: DerivedContext) -> int:
-        with self._lock:
-            pipelines = list(self._pipelines.values())
         fired = 0
-        for pipe in pipelines:
-            rows = self.store.match(pipe.trigger, among=(fact,))
-            if not rows:
-                continue
-            bindings = dict(zip(pipe.trigger.names, rows[0]))
+        for pipe, terms in self._fired(fact):
+            bindings = dict(zip(pipe.pattern.names, terms))
             table = evaluate_query(pipe.lookup, self.store, bindings=bindings)
             scalars = {name: compact_term(term) for name, term in bindings.items()}
             arrays: dict[str, list[str]] = {}

@@ -13,7 +13,7 @@ from unittest import mock
 
 import pytest
 import requests
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from knotgate.annotation import (
     InvalidRegistration,
@@ -34,8 +34,8 @@ from knotgate.gateway import (
     Webhook,
 )
 from knotgate.lexer import GrammarError
-from knotgate.model import Iri, Triple, TripleParseError, make_iri, parse_triples
-from knotgate.query import UnsafeQuery, evaluate_query, parse_query
+from knotgate.model import Iri, Triple, TripleParseError, compact_term, make_iri, parse_triples, triple_to_line
+from knotgate.query import Query, UnsafeQuery, evaluate_query, parse_query
 from knotgate.rules import RuleSafetyError, parse_pattern, parse_rulepack
 from knotgate import services
 from knotgate.services import (
@@ -45,7 +45,7 @@ from knotgate.services import (
     BodyTooLarge,
     InvalidSubscription,
     Runtime,
-    Subscription,
+    SubscriptionManager,
     TemplateError,
     _ApiHandler,
     _ApiServer,
@@ -55,6 +55,7 @@ from knotgate.services import (
 from knotgate.store import Inferred, Store, TriplePattern, Variable
 
 from conftest import FIXTURES
+from oracles import oracle_alias_classes, oracle_match, oracle_query
 
 
 @pytest.fixture
@@ -361,8 +362,9 @@ def test_stats_endpoint(base_url):
 
 
 def test_subscription_invariant_needs_concrete_position():
+    subscriptions = SubscriptionManager(Store(), Egress())
     with pytest.raises(InvalidSubscription):
-        Subscription("s1", TriplePattern(Variable("a"), Variable("b"), Variable("c")), Webhook("http://x:1/h"))
+        subscriptions.register(TriplePattern(Variable("a"), Variable("b"), Variable("c")), Webhook("http://x:1/h"))
 
 
 def test_subscription_delivers_once_per_fact(base_url, runtime, capture_server):
@@ -420,10 +422,80 @@ def test_subscription_not_redelivered_after_rechain(base_url, runtime, capture_s
     requests.post(f"{base_url}/api/v1/observations", json=ingest_body(39.0))
     drained(runtime)
     assert len(capture_server.requests) == 1
-    # replacing the pack re-derives the same fact; at most once per (sub, fact)
+    # replacing the pack re-derives the fact, which the store held before: no new fact, no delivery
     requests.post(f"{base_url}/api/v1/rulepacks", data=fever_pack_text)
     drained(runtime)
     assert len(capture_server.requests) == 1
+
+
+def _bridged_runtime(fixtures_dir):
+    """A runtime from the fixture config with the MQTT bridge on, and the list that records
+    each delivery it makes, as (webhook URL or MQTT topic, payload), in delivery order."""
+    cfg, base = load_config(fixtures_dir / "gateway.toml")
+    rt = Runtime.from_config(cfg, base)
+    sent = []
+    rt.egress.http_post = lambda url, payload: sent.append((url, payload)) or 200
+    rt.egress.mqtt_publish = lambda topic, payload: sent.append((topic, payload))
+    rt.gateway.add_derived_hook(rt._bridge_derived_to_mqtt)
+    return rt, sent
+
+
+def _register_fever_triggers(rt):
+    fever = parse_pattern("?o m3:indicates m3:Fever")
+    rt.subscriptions.register(fever, Webhook("http://sub.test/h"))
+    rt.compositions.register(
+        fever, "SELECT ?r WHERE { m3:Fever m3:hasRemedy ?r }", {"observation": "{o}", "remedies": "{r}"},
+        MqttTopic("remedies"),
+    )
+
+
+def test_a_rechain_of_an_unchanged_pack_sends_nothing(fixtures_dir, fever_pack_text):
+    # one delivery per (trigger, fact) while the fact stays in the store, whichever write derives it again
+    rt, sent = _bridged_runtime(fixtures_dir)
+    try:
+        _register_fever_triggers(rt)
+        # a ground pattern, which only the one fact matches
+        ground = parse_pattern("<urn:obs:thermo1:1> m3:indicates m3:Fever")
+        rt.subscriptions.register(ground, Webhook("http://one.test/h"))
+        rt.gateway.ingest(fever_reading(1))
+        drained(rt)
+        targets = ["http://sub.test/h", "http://one.test/h", "remedies", "derived/health"]
+        assert [target for target, _ in sent] == targets
+        for _ in range(2):
+            stats = rt.gateway.set_rulepack(parse_rulepack(fever_pack_text), rechain=True)
+            assert len(stats.committed) == 1  # derived again
+        drained(rt)
+        assert len(sent) == 4
+    finally:
+        rt.stop()
+
+
+def test_a_fact_retracted_by_a_pack_replacement_is_delivered_again_when_derived_again(fixtures_dir, fever_pack_text):
+    rt, sent = _bridged_runtime(fixtures_dir)
+    try:
+        _register_fever_triggers(rt)
+        rt.gateway.ingest(fever_reading(1, 39.0))
+        assert rt.gateway.set_rulepack(parse_rulepack(_PACKS["hot"]), rechain=True).committed == []
+        rt.gateway.set_rulepack(parse_rulepack(fever_pack_text), rechain=True)
+        drained(rt)
+        assert [target for target, _ in sent] == ["http://sub.test/h", "remedies", "derived/health"] * 2
+        assert [json.loads(payload)["observation_iri"] for _, payload in sent[::3]] == ["urn:obs:thermo1:1", ""]
+    finally:
+        rt.stop()
+
+
+def test_a_trigger_registered_after_its_fact_was_derived_gets_nothing_from_a_rechain(fixtures_dir, fever_pack_text):
+    rt, sent = _bridged_runtime(fixtures_dir)
+    try:
+        rt.gateway.ingest(fever_reading(1))
+        _register_fever_triggers(rt)
+        rt.gateway.set_rulepack(parse_rulepack(fever_pack_text), rechain=True)
+        rt.gateway.ingest(fever_reading(2))
+        drained(rt)
+        assert [target for target, _ in sent] == ["derived/health", "http://sub.test/h", "remedies", "derived/health"]
+        assert json.loads(sent[1][1])["observation_iri"] == "urn:obs:thermo1:2"
+    finally:
+        rt.stop()
 
 
 def test_subscription_on_asserted_facts_never_fires(runtime, capture_server):
@@ -495,7 +567,6 @@ def test_ground_subscription_and_composition_fire_on_their_fact(remedies_pack_te
     )
     ctx = DerivedContext(rule_id="fever", observation_iri="urn:obs:thermo1:1", timestamp=1)
     assert subscriptions.on_derived(fever, ctx) == 1
-    assert subscriptions.on_derived(fever, ctx) == 0  # at most once per (sub, fact)
     assert subscriptions.on_derived(other, ctx) == 0
     assert compositions.on_derived(fever, ctx) == 1
     assert compositions.on_derived(other, ctx) == 0
@@ -784,25 +855,22 @@ _OPS = st.lists(
         st.tuples(st.just("subscribe"), st.sampled_from(_PATTERNS), st.booleans()),
         st.tuples(st.just("compose"), st.sampled_from(_COMPOSITIONS), st.booleans()),
         st.tuples(st.just("alias"), st.sampled_from(_ALIASES)),
-        st.tuples(st.just("rechain")),
+        st.tuples(st.just("pack"), st.sampled_from(["fever", "hot"]), st.booleans()),
     ),
     max_size=25,
 )
+_FEVER_PACK = (FIXTURES / "rules" / "fever.rules").read_text()
+#: the fever pack and a replacement under the same pack id that derives fever only above 60.0
+_PACKS = {"fever": _FEVER_PACK, "hot": _FEVER_PACK.replace("?v > 38.0", "?v > 60.0")}
 
 
 def _replay_ops(ops, fixtures_dir, synchronous):
     """Run ops on a fresh runtime whose MQTT bridge is on; return the receipts' notification
     counts and every (target, payload) sent, in order.  synchronous delivers on the writer,
     as before the outbox: the oracle."""
-    cfg, base = load_config(fixtures_dir / "gateway.toml")
-    rt = Runtime.from_config(cfg, base)
-    sent = []
-    rt.egress.http_post = lambda url, payload: sent.append((url, payload)) or 200
-    rt.egress.mqtt_publish = lambda topic, payload: sent.append((topic, payload))
+    rt, sent = _bridged_runtime(fixtures_dir)
     if synchronous:
         rt.egress.enqueue = lambda target, payload: rt.egress.deliver(target, payload).ok
-    rt.gateway.add_derived_hook(rt._bridge_derived_to_mqtt)
-    fever_pack = parse_rulepack((fixtures_dir / "rules" / "fever.rules").read_text())
     queued = []
     try:
         for n, op in enumerate(ops):
@@ -819,7 +887,7 @@ def _replay_ops(ops, fixtures_dir, synchronous):
             elif op[0] == "alias":
                 rt.gateway.load_knowledge_pack(op[1], f"alias{n}")
             else:
-                rt.gateway.set_rulepack(fever_pack, rechain=True)
+                rt.gateway.set_rulepack(parse_rulepack(_PACKS[op[1]]), rechain=op[2])
         drained(rt)
     finally:
         rt.stop()
@@ -831,6 +899,101 @@ def _replay_ops(ops, fixtures_dir, synchronous):
 def test_outbox_delivers_what_synchronous_delivery_would(ops):
     with mock.patch("knotgate.gateway.now_ms", return_value=0):  # a rechain stamps its facts with the clock
         assert _replay_ops(ops, FIXTURES, synchronous=False) == _replay_ops(ops, FIXTURES, synchronous=True)
+
+
+def _flat(payload):
+    """A delivered JSON object, its array values sorted: a lookup's rows come in no order the
+    oracle knows."""
+    return {key: sorted(value) if isinstance(value, list) else value for key, value in json.loads(payload).items()}
+
+
+def _composition_payload(store, canon, trigger, lookup_text, template, bindings):
+    """The composition's payload by the query oracle: the lookup with the trigger's bindings
+    put in, over every served triple."""
+    def ground(term):
+        return bindings[term.name] if isinstance(term, Variable) and term.name in bindings else canon(term)
+
+    lookup = parse_query(lookup_text, presumed_bound=trigger.variables())
+    patterns = tuple(TriplePattern(*map(ground, p.positions())) for p in lookup.patterns)
+    select = tuple(name for name in lookup.select if name not in bindings)
+    rows = oracle_query(list(store), Query(select, patterns, lookup.filters))
+    arrays = {name: sorted({compact_term(row[i]) for row in rows}) for i, name in enumerate(select)}
+    scalars = {name: compact_term(term) for name, term in bindings.items()}
+    return {key: arrays.get(value[1:-1], scalars.get(value[1:-1])) for key, value in template.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=_OPS)
+@example(ops=[  # writes that add several facts: a rechain after a replacement, a stale ingest
+    ("subscribe", _PATTERNS[0], False), ("compose", _COMPOSITIONS[0], True),
+    ("ingest", "thermo1", 390), ("ingest", "thermo1", 450), ("ingest", "ambient1", 700),
+    ("pack", "hot", True), ("alias", _ALIASES[0]), ("pack", "fever", True), ("pack", "fever", True),
+    ("subscribe", _PATTERNS[2], True), ("pack", "hot", True), ("pack", "fever", False), ("ingest", "thermo1", 380),
+])
+def test_each_write_notifies_the_derived_facts_it_adds(ops):
+    # the oracle: a write adds the derived facts that the store serves after it and did not serve
+    # before it under the same alias classes; each is notified in commit order, to the matching
+    # subscriptions, then compositions, then the bridge, each in registration order
+    packs = {name: parse_rulepack(text) for name, text in _PACKS.items()}
+    subscriptions, compositions, aliases, expected = [], [], [], []
+    with mock.patch("knotgate.gateway.now_ms", return_value=0):  # a rechain stamps its facts with the clock
+        rt, sent = _bridged_runtime(FIXTURES)
+        domains = {rule.id: pack.domains[0] for pack in rt.gateway.active_packs() for rule in pack.rules}
+        try:
+            for n, op in enumerate(ops):
+                before = set(rt.store)
+                committed, obs, ts = [], "", 0
+                if op[0] == "ingest":
+                    receipt = rt.gateway.ingest(RawReading(op[1], "temperature", op[2] / 10, "cel", n))
+                    committed, obs, ts = receipt.derived, receipt.observation_iri, n
+                elif op[0] in ("subscribe", "compose"):
+                    target = f"t{n}" if op[2] else f"http://t{n}.test/h"
+                    endpoint = MqttTopic(target) if op[2] else Webhook(target)
+                    if op[0] == "subscribe":
+                        subscriptions.append((parse_pattern(op[1]), target))
+                        rt.subscriptions.register(subscriptions[-1][0], endpoint)
+                    else:
+                        trigger, lookup, template = op[1]
+                        compositions.append((parse_pattern(trigger), lookup, template, target))
+                        rt.compositions.register(compositions[-1][0], lookup, template, endpoint)
+                    continue
+                elif op[0] == "alias":
+                    rt.gateway.load_knowledge_pack(op[1], f"alias{n}")
+                    [link] = parse_triples(op[1])
+                    aliases.append((link.subject.value, link.object.value))
+                else:
+                    pack = packs[op[1]]
+                    stats = rt.gateway.set_rulepack(pack, rechain=op[2])
+                    domains.update((rule.id, pack.domains[0]) for rule in pack.rules)
+                    committed = stats.committed if stats is not None else []
+                classes = oracle_alias_classes(aliases)
+                canon = lambda term: Iri(classes.get(term.value, term.value)) if isinstance(term, Iri) else term
+                held = {Triple(*map(canon, (t.subject, t.predicate, t.object))) for t in before}
+                added = {t for t in rt.store if t not in held and isinstance(rt.store.provenance(t), Inferred)}
+                fresh = [t for t in committed if t in added]
+                assert set(fresh) == added
+                items = []
+                for fact in fresh:
+                    rule_id = rt.store.provenance(fact).rule_id
+                    envelope = {
+                        "triple": triple_to_line(fact), "rule_id": rule_id, "observation_iri": obs, "timestamp": ts,
+                    }
+                    for pattern, target in subscriptions:
+                        if oracle_match([fact], TriplePattern(*map(canon, pattern.positions()))):
+                            items.append((target, envelope))
+                    for trigger, lookup, template, target in compositions:
+                        matched = oracle_match([fact], TriplePattern(*map(canon, trigger.positions())))
+                        if matched:
+                            bindings = matched[0][1]
+                            items.append((target, _composition_payload(rt.store, canon, trigger, lookup, template, bindings)))
+                    items.append((f"derived/{domains.get(rule_id, 'default')}", envelope))
+                if op[0] == "ingest":
+                    assert receipt.notifications_queued == len(items) - len(fresh)  # the bridge counts none
+                expected += items
+            drained(rt)
+        finally:
+            rt.stop()
+    assert [(target, _flat(payload)) for target, payload in sent] == expected
 
 
 # -- HTTP worker pool -----------------------------------------------------------------
