@@ -30,7 +30,7 @@ import urllib.parse
 from collections import deque
 from concurrent.futures import Future
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 from .annotation import Annotator, RawReading
 from .model import Triple, triple_to_line
@@ -174,13 +174,28 @@ def decode_reading(
         raise DecodeError(str(exc)) from None
 
 
-def _decode_json_fields(text: str) -> dict:
+def parse_json(text: str) -> object:
+    """The value of a JSON document; bad JSON is a DecodeError."""
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DecodeError(f"bad JSON: {exc.msg}") from None
+
+
+def read_json(text: str, required: Sequence[str] = ()) -> dict:
+    """The JSON object of a request body or reading.  Bad JSON, a value that
+    is not an object and a missing required key are each a DecodeError."""
+    obj = parse_json(text)
     if not isinstance(obj, dict):
         raise DecodeError("JSON payload must be an object")
+    for key in required:
+        if key not in obj:
+            raise DecodeError(f"missing field {key!r}")
+    return obj
+
+
+def _decode_json_fields(text: str) -> dict:
+    obj = read_json(text)
     fields: dict = {}
     for key in ("device_id", "sensor_kind", "unit"):
         if key in obj:
@@ -270,12 +285,10 @@ class Egress:
         self,
         mqtt_publish: Callable[[str, bytes], None] | None = None,
         http_post: Callable[[str, bytes], int] = _post_webhook,
-        attempts: int = RETRY_ATTEMPTS,
         spacing_s: float = RETRY_SPACING_S,
     ):
         self.mqtt_publish = mqtt_publish
         self.http_post = http_post
-        self.attempts = attempts
         self.spacing_s = spacing_s
         self._outbox: deque[tuple[EgressTarget, bytes]] = deque()
         self._changed = threading.Condition()
@@ -354,7 +367,7 @@ class Egress:
         if isinstance(target, MqttTopic) and self.mqtt_publish is None:
             return DeliveryRecord(target, ok=False, attempts=0, error="no MQTT client configured")
         last_error = None
-        for attempt in range(1, self.attempts + 1):
+        for attempt in range(1, RETRY_ATTEMPTS + 1):
             try:
                 if isinstance(target, MqttTopic):
                     self.mqtt_publish(target.topic, payload)
@@ -366,9 +379,9 @@ class Egress:
             except Exception as exc:  # delivery failures never propagate
                 last_error = str(exc)
                 log.warning("delivery to %s failed (attempt %d): %s", target, attempt, exc)
-                if attempt < self.attempts:
+                if attempt < RETRY_ATTEMPTS:
                     time.sleep(self.spacing_s)
-        return DeliveryRecord(target, ok=False, attempts=self.attempts, error=last_error)
+        return DeliveryRecord(target, ok=False, attempts=RETRY_ATTEMPTS, error=last_error)
 
 
 class Gateway:

@@ -234,13 +234,6 @@ class FamilyFire(dict):
         return [t for fire in self.values() for t in fire.triples]
 
 
-def _by_predicate(delta: AbstractSet[Triple]) -> dict[Term, list[Triple]]:
-    groups: dict[Term, list[Triple]] = {}
-    for t in delta:
-        groups.setdefault(t.predicate, []).append(t)
-    return groups
-
-
 #: run(rows, skipped) -> the rows that pass every guard
 _Guards = Callable[[list, list], list]
 
@@ -318,7 +311,7 @@ class _Member(NamedTuple):
 
 class _Plan(NamedTuple):
     """How a family evaluates from the matches of one body atom, the seeding
-    one, or from the whole store: found once per family and seeding atom."""
+    one: found once per family and seeding atom."""
 
     early: tuple[TriplePattern, ...]  # the atoms before it, joined off the delta
     late: tuple[TriplePattern, ...]  # the atoms after it
@@ -382,7 +375,7 @@ class RuleFamily:
         self.body = body
         #: per member, its name of each of the first member's variables
         self.renames = [_renaming(self.rules[0], r) for r in self.rules]
-        self.plans: dict[int | None, _Plan] = {}
+        self.plans: dict[int, _Plan] = {}
         #: per body atom, its predicate as the store serves it (None for a
         #: variable); canonical constant -> the members it routes rows to
         self.keys: list[Term | None] = []
@@ -399,15 +392,12 @@ class RuleFamily:
         for m, constant in enumerate(self.constants):
             self._routes.setdefault(store.resolve_alias(constant), []).append(m)
 
-    def _plan(self, k: int | None) -> _Plan:
-        """The plan seeded by body atom k, or by the whole store when k is None."""
+    def _plan(self, k: int) -> _Plan:
+        """The plan seeded by body atom k."""
         plan = self.plans.get(k)
         if plan is None:
-            if k is None:
-                early, seeded, late = (), (), self.body
-            else:
-                early, seeded, late = self.body[:k], self.body[k].names, self.body[k + 1:]
-            joined = layout(early, seeded)
+            early, late = self.body[:k], self.body[k + 1:]
+            joined = layout(early, self.body[k].names)
             names = layout(late, joined)
             members = tuple(
                 _member(rule, tuple(rename.get(n, n) for n in names))
@@ -430,28 +420,25 @@ class RuleFamily:
 
     def evaluate(self, store: Store, delta: AbstractSet[Triple] | None = None) -> FamilyFire:
         """See evaluate_rule."""
-        if delta is None:
-            plan = self._plan(None)
-            joins = [(plan, store.join(plan.late, [()]))]
-        else:
-            joins = []
-            groups = _by_predicate(delta)
-            for k, key in enumerate(self.keys):
-                # only the delta triples of the atom's predicate can match it
-                tries = delta if key is None else groups.get(key)
-                if not tries:
-                    continue
-                # a match row binds the atom's variables, in atom.names order
-                rows = store.match(self.body[k], among=tries)
-                if rows:
-                    # atoms before k match only non-delta triples, so each
-                    # binding is formed once: at the first of its atoms that
-                    # matches the delta
-                    plan = self._plan(k)
-                    early = store.join(plan.early, rows, self.body[k].names, exclude=delta)
-                    joins.append((plan, store.join(plan.late, early, plan.joined)))
+        seeds: list = [(0, None)]  # a whole-store round: every binding extends a match of atom 0
+        if delta is not None:
+            # only the delta triples of the atom's predicate can match it
+            groups: dict[Term, list[Triple]] = {}
+            for t in delta:
+                groups.setdefault(t.predicate, []).append(t)
+            tries = (delta if key is None else groups.get(key) for key in self.keys)
+            seeds = [(k, among) for k, among in enumerate(tries) if among]
         fires = FamilyFire()
-        for plan, rows in joins:
+        for k, among in seeds:
+            # a match row binds the atom's variables, in atom.names order
+            rows = store.match(self.body[k], among=among)
+            if not rows:
+                continue
+            # atoms before k match only non-delta triples, so each binding
+            # is formed once: at the first of its atoms that matches the delta
+            plan = self._plan(k)
+            early = store.join(plan.early, rows, self.body[k].names, exclude=delta)
+            rows = store.join(plan.late, early, plan.joined)
             if not rows:
                 continue
             for m, routed in self._route(plan.hole, rows).items():
@@ -495,6 +482,7 @@ def evaluate_rule(
     With a delta (stored triples), only body matches that use at least one
     delta triple count; the other atoms match anywhere in the store.  That
     is exact while the alias map is as it was when the delta was stored.
+    Without one, the same path is seeded by every match of the first atom.
 
     Guards compare exact numeric values, so lexical form is irrelevant
     ("38.0" equals "38").  A guard variable bound to a non-numeric term
@@ -697,17 +685,16 @@ def forward_chain(store: Store, rules: RuleSet, delta: AbstractSet[Triple] | Non
         for family, members in rules.reached(store, delta):
             for m, fire in evaluate_rule(family, store, delta).items():
                 found[members[m]] = fire
-        pending: list[tuple[Inferred, Triple]] = []
+        # every family was evaluated before this first insert
+        committed: list[Triple] = []
         for i in sorted(found):
             fire = found[i]
             skipped.update((i, b) for b in fire.guard_skips)
             prov = rules.inferred[i]
-            pending.extend((prov, t) for t in sorted(fire.triples, key=_triple_sort_key))
-        committed: list[Triple] = []
-        for prov, triple in pending:
-            if store.insert(triple, prov):
-                stats.per_rule[prov.rule_id] += 1
-                committed.append(store.canonical(triple))
+            for triple in sorted(fire.triples, key=_triple_sort_key):
+                if store.insert(triple, prov):
+                    stats.per_rule[prov.rule_id] += 1
+                    committed.append(store.canonical(triple))
         if not committed:
             break
         stats.committed.extend(committed)

@@ -54,6 +54,8 @@ from .gateway import (
     decode_reading,
     fact_envelope,
     now_ms,
+    parse_json,
+    read_json,
     sniff_format,
     topic_to_route,
 )
@@ -153,7 +155,8 @@ class TriggerRegistry:
     def _add(self, trigger_id: str | None, pattern: TriplePattern, endpoint: EgressTarget,
              lookup: Query | None = None, response_template: object = None) -> str:
         with self._lock:
-            tid = trigger_id or f"{self._id_prefix}-{next(self._ids)}"
+            unnamed = (f"{self._id_prefix}-{n}" for n in self._ids)
+            tid = trigger_id or next(t for t in unnamed if t not in self._triggers)
             if tid in self._triggers:
                 raise ValueError(f"duplicate id {tid!r}")
             self._triggers[tid] = Trigger(tid, pattern, endpoint, lookup, response_template)
@@ -270,8 +273,9 @@ _ERROR_STATUS: list[tuple[type, int]] = [
 ]
 
 
-#: error_body's HTTP statuses as CoAP response codes; a 500 is re-raised
+#: Api.ingest's HTTP statuses as CoAP response codes; a 500 is re-raised
 _COAP_STATUS = {
+    202: coap_proto.CREATED,
     404: coap_proto.NOT_FOUND,
     422: coap_proto.UNPROCESSABLE,
     400: coap_proto.BAD_REQUEST,
@@ -299,8 +303,10 @@ class Api:
     def __init__(self, runtime: "Runtime"):
         self.runtime = runtime
 
-    def ingest(self, body: bytes) -> tuple[int, dict]:
-        reading = decode_reading(body, "json", received_at=now_ms())
+    def ingest(self, body: bytes, fmt: str = "json",
+               route_hint: tuple[str, str] | None = None) -> tuple[int, dict]:
+        """The one entry of a reading, over HTTP, CoAP or MQTT (see decode_reading)."""
+        reading = decode_reading(body, fmt, received_at=now_ms(), route_hint=route_hint)
         receipt = self.runtime.gateway.ingest(reading)
         return 202, receipt.to_json()
 
@@ -315,7 +321,7 @@ class Api:
     def register_sensors(self, body: bytes, content_type: str) -> tuple[int, dict]:
         text = body.decode("utf-8")
         if "json" in content_type or text.lstrip().startswith(("{", "[")):
-            obj = json.loads(text)
+            obj = parse_json(text)
             entries = obj if isinstance(obj, list) else [obj]
             count = 0
             for entry in entries:
@@ -356,14 +362,14 @@ class Api:
         return 200, {**self.runtime.gateway.stats(), "deliveries": self.runtime.egress.counts()}
 
     def subscribe(self, body: bytes) -> tuple[int, dict]:
-        obj = json.loads(body.decode("utf-8"))
+        obj = read_json(body.decode("utf-8"), ("pattern",))
         pattern = parse_pattern(str(obj["pattern"]))
         endpoint = parse_endpoint(obj.get("endpoint"))
         sub_id = self.runtime.subscriptions.register(pattern, endpoint)
         return 201, {"id": sub_id}
 
     def compose(self, body: bytes) -> tuple[int, dict]:
-        obj = json.loads(body.decode("utf-8"))
+        obj = read_json(body.decode("utf-8"), ("trigger", "lookup"))
         trigger = parse_pattern(str(obj["trigger"]))
         endpoint = parse_endpoint(obj.get("endpoint"))
         comp_id = self.runtime.compositions.register(
@@ -478,13 +484,6 @@ class _ApiHandler(BaseHTTPRequestHandler):
                 status, body = 404, {"error": "NotFound", "detail": parsed.path}
         except TimeoutError:
             raise  # the client stalled mid-body: handle_one_request drops the connection
-        except json.JSONDecodeError as exc:
-            status, body = 400, {"error": "DecodeError", "detail": f"bad JSON: {exc.msg}"}
-        except KeyError as exc:
-            if isinstance(exc, UnregisteredDevice):
-                status, body = error_body(exc)
-            else:
-                status, body = 400, {"error": "DecodeError", "detail": f"missing field {exc.args[0]!r}"}
         except Exception as exc:  # noqa: BLE001 - every error becomes a JSON body
             status, body = error_body(exc)
             if status == 500:
@@ -638,20 +637,22 @@ class Runtime:
         if self.coap_server is not None:
             self.coap_server.stop()
             self.coap_server = None
+        if self.mqtt_client is not None:
+            self.mqtt_client.on_message = None
+        self.gateway.shutdown()  # with no reading taken, the write under way is the last
         self.egress.close()  # before the MQTT client goes: the bridge publishes through it
         if self.mqtt_client is not None:
             self.mqtt_client.disconnect()
             self.mqtt_client = None
-        self.gateway.shutdown()
 
     # -- adapters ----------------------------------------------------------
 
     def _handle_mqtt(self, topic: str, payload: bytes) -> None:
         try:
-            hint = topic_to_route(topic)
-            reading = decode_reading(payload, sniff_format(payload), received_at=now_ms(), route_hint=hint)
-            self.gateway.ingest(reading)
-        except (ValueError, UnregisteredDevice) as exc:
+            self.api.ingest(payload, sniff_format(payload), topic_to_route(topic))
+        except Exception as exc:
+            if error_body(exc)[0] == 500:
+                raise
             log.warning("dropping mqtt message on %s: %s", topic, exc)
 
     def _handle_coap(self, method: int, path: list[str], payload: bytes) -> tuple[int, bytes]:
@@ -660,14 +661,12 @@ class Runtime:
         if method != coap_proto.POST:
             return coap_proto.METHOD_NOT_ALLOWED, b""
         try:
-            reading = decode_reading(payload, "json", received_at=now_ms())
-            receipt = self.gateway.ingest(reading)
+            status, body = self.api.ingest(payload)
         except Exception as exc:
             status, body = error_body(exc)
             if status not in _COAP_STATUS:
                 raise
-            return _COAP_STATUS[status], json.dumps(body).encode("utf-8")
-        return coap_proto.CREATED, json.dumps(receipt.to_json()).encode("utf-8")
+        return _COAP_STATUS[status], json.dumps(body).encode("utf-8")
 
     def _bridge_derived_to_mqtt(self, fact: Triple, ctx: DerivedContext) -> int:
         domains = self.gateway.domains_for_rule(ctx.rule_id) or ("default",)

@@ -1,3 +1,4 @@
+import logging
 import random
 import sys
 import threading
@@ -247,6 +248,25 @@ def test_derived_hooks_receive_context(fever_pack_text):
     assert ctx.rule_id == "fever"
     assert ctx.observation_iri == "urn:obs:thermo1:1"
     assert ctx.timestamp == 777
+    gateway.shutdown()
+
+
+def test_a_failing_hook_is_logged_and_neither_the_write_nor_later_hooks_stop(fever_pack_text, caplog):
+    gateway = make_gateway([parse_rulepack(fever_pack_text)])
+    seen = []
+
+    def broken(fact, ctx):
+        raise RuntimeError("hook bug")
+
+    gateway.add_derived_hook(lambda fact, ctx: 2)
+    gateway.add_derived_hook(broken)
+    gateway.add_derived_hook(lambda fact, ctx: (seen.append(fact), 1)[1])
+    with caplog.at_level(logging.ERROR, logger="knotgate.gateway"):
+        receipt = gateway.ingest(RawReading("thermo1", "temperature", 39.5, "cel", 777))
+    assert "derived-fact hook failed" in caplog.text
+    assert len(receipt.derived) == 1 and seen == receipt.derived
+    assert receipt.notifications_queued == 3  # what the other two hooks queued
+    assert set(receipt.derived) <= set(gateway.store) and len(gateway.store) == 7
     gateway.shutdown()
 
 

@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import json
 import logging
@@ -32,12 +33,13 @@ from knotgate.gateway import (
     Egress,
     MqttTopic,
     Webhook,
+    fact_envelope,
 )
 from knotgate.lexer import GrammarError
 from knotgate.model import Iri, Triple, TripleParseError, compact_term, make_iri, parse_triples, triple_to_line
 from knotgate.query import Query, UnsafeQuery, evaluate_query, parse_query
 from knotgate.rules import RuleSafetyError, parse_pattern, parse_rulepack
-from knotgate import services
+from knotgate import coap, services
 from knotgate.services import (
     HTTP_READ_TIMEOUT_S,
     HTTP_WORKERS,
@@ -138,6 +140,82 @@ def test_ingest_endpoint_malformed_json(base_url):
     )
     assert resp.status_code == 400
     assert resp.json()["error"] == "DecodeError"
+
+
+WEBHOOK = {"kind": "webhook", "url": "http://sink.test/h"}
+NOT_AN_OBJECT = b'{"error": "DecodeError", "detail": "JSON payload must be an object"}'
+BAD_JSON = b'{"error": "DecodeError", "detail": "bad JSON: Expecting property name enclosed in double quotes"}'
+
+
+@pytest.mark.parametrize("path, data, reply", [
+    ("/api/v1/subscriptions", b"[1,2]", NOT_AN_OBJECT),
+    ("/api/v1/subscriptions", b"null", NOT_AN_OBJECT),
+    ("/api/v1/compositions", b'"x"', NOT_AN_OBJECT),
+    ("/api/v1/observations", b"{not json", BAD_JSON),
+    ("/api/v1/subscriptions", b"{", BAD_JSON),
+    ("/api/v1/subscriptions", json.dumps({"endpoint": WEBHOOK}).encode(),
+     b'{"error": "DecodeError", "detail": "missing field \'pattern\'"}'),
+    ("/api/v1/compositions", json.dumps({"trigger": "?o m3:indicates ?s", "endpoint": WEBHOOK}).encode(),
+     b'{"error": "DecodeError", "detail": "missing field \'lookup\'"}'),
+])
+def test_a_json_body_that_is_bad_not_an_object_or_short_of_a_field_is_a_400(base_url, caplog, path, data, reply):
+    with caplog.at_level(logging.ERROR):
+        resp = requests.post(f"{base_url}{path}", data=data, headers={"Content-Type": "application/json"})
+    assert (resp.status_code, resp.content) == (400, reply)
+    assert not caplog.records  # a client's fault logs no traceback
+
+
+def test_a_key_error_from_a_server_fault_is_a_500(runtime, base_url, monkeypatch):
+    def broken():
+        raise KeyError("store_size")
+
+    monkeypatch.setattr(runtime.api, "stats", broken)
+    resp = requests.get(f"{base_url}/api/v1/stats")
+    assert resp.status_code == 500
+    assert resp.json()["error"] == "KeyError"
+
+
+@pytest.mark.parametrize("payload, status, coap_code", [
+    (b"{not json", 400, coap.BAD_REQUEST),
+    (json.dumps(ingest_body(39.0, device="ghost")).encode(), 404, coap.NOT_FOUND),
+    (json.dumps(ingest_body(39.0, unit="parsec")).encode(), 422, coap.UNPROCESSABLE),
+])
+def test_a_bad_reading_is_rejected_alike_over_http_coap_and_mqtt(runtime, base_url, caplog, payload, status,
+                                                                 coap_code):
+    before = len(runtime.store)
+    resp = requests.post(f"{base_url}/api/v1/observations", data=payload)
+    code, body = runtime._handle_coap(coap.POST, ["ingest"], payload)
+    with caplog.at_level(logging.WARNING, logger="knotgate.services"):
+        runtime._handle_mqtt("iot/thermo1/temperature", payload)  # dropped, not raised
+    assert (resp.status_code, code) == (status, coap_code)
+    assert json.loads(body) == resp.json()
+    assert "dropping mqtt message on iot/thermo1/temperature" in caplog.text
+    assert len(runtime.store) == before
+
+
+def test_a_server_fault_while_ingesting_is_raised_over_every_transport(runtime, base_url, monkeypatch):
+    monkeypatch.setattr(runtime.gateway, "ingest", mock.Mock(side_effect=RuntimeError("bug")))
+    payload = json.dumps(ingest_body(39.0)).encode()
+    assert requests.post(f"{base_url}/api/v1/observations", data=payload).status_code == 500
+    with pytest.raises(RuntimeError, match="bug"):
+        runtime._handle_coap(coap.POST, ["ingest"], payload)  # the CoAP server answers 5.00
+    with pytest.raises(RuntimeError, match="bug"):
+        runtime._handle_mqtt("iot/thermo1/temperature", payload)  # the MQTT client logs it
+
+
+def test_coap_ingest_answers_post_only(fixtures_dir):
+    cfg, base = load_config(fixtures_dir / "gateway.toml")
+    cfg.coap.port = 0
+    rt = Runtime.from_config(cfg, base)
+    port = rt.start_coap()
+    try:
+        assert coap.request("127.0.0.1", port, coap.GET, ["ingest"]) == (coap.METHOD_NOT_ALLOWED, b"")
+        assert coap.request("127.0.0.1", port, coap.POST, ["nope"])[0] == coap.NOT_FOUND
+        code, body = coap.request("127.0.0.1", port, coap.POST, ["ingest"], json.dumps(ingest_body(39.0)).encode())
+        assert code == coap.CREATED
+        assert FEVER_LINE in json.loads(body)["derived"]
+    finally:
+        rt.stop()
 
 
 def test_unknown_path_is_404(base_url):
@@ -621,6 +699,18 @@ def test_composition_without_pack_yields_empty_suggestions(capture_server, fever
         rt.stop()
 
 
+def test_unnamed_trigger_ids_skip_taken_ones(runtime, capture_server):
+    def register(pipeline_id=None):
+        return runtime.compositions.register(parse_pattern("?o m3:indicates ?s"),
+                                             "SELECT ?r WHERE { ?s m3:hasRemedy ?r }", {"r": "{r}"},
+                                             Webhook(capture_server.url), pipeline_id=pipeline_id)
+
+    assert register("comp-2") == "comp-2"
+    assert [register(), register()] == ["comp-1", "comp-3"]
+    with pytest.raises(ValueError, match="duplicate id 'comp-3'"):
+        register("comp-3")
+
+
 def test_composition_template_validation(runtime, capture_server):
     with pytest.raises(TemplateError, match="not a trigger or lookup"):
         runtime.compositions.register(
@@ -822,6 +912,42 @@ def test_stop_delivers_what_is_queued(fixtures_dir):
     finally:
         rt.stop()
     assert posted == [f"urn:obs:thermo1:{i}" for i in range(1, 11)]
+
+
+def test_stop_waits_for_the_write_under_way_and_delivers_what_it_queued(fixtures_dir):
+    cfg, base = load_config(fixtures_dir / "gateway.toml")
+    cfg.coap.port = 0
+    rt = Runtime.from_config(cfg, base)
+    posted = []
+    rt.egress.http_post = lambda url, payload: posted.append(url) or 200
+    entered, release = threading.Event(), threading.Event()
+
+    def held(fact, ctx):
+        entered.set()
+        release.wait(5)
+        return rt.egress.enqueue(Webhook("http://sink.test/late"), fact_envelope(fact, ctx))
+
+    rt.gateway.add_derived_hook(held)
+    port = rt.start_coap()
+    earlier = set(threading.enumerate())
+
+    def post():
+        with contextlib.suppress(TimeoutError):  # the server closes before it can answer
+            coap.request("127.0.0.1", port, coap.POST, ["ingest"], json.dumps(ingest_body(39.0)).encode(),
+                         timeout=0.5, retries=0)
+
+    client = threading.Thread(target=post)
+    client.start()
+    assert entered.wait(5)
+    stopper = threading.Thread(target=rt.stop)
+    stopper.start()
+    time.sleep(0.2)  # stop has stopped taking readings by now, and waits for the held write
+    release.set()
+    stopper.join(10)
+    client.join(5)
+    assert not stopper.is_alive()
+    assert posted == ["http://sink.test/late"]
+    assert [t for t in threading.enumerate() if t.name == "egress" and t not in earlier] == []
 
 
 def test_close_leaves_what_its_deadline_cannot_deliver_and_logs_it(caplog):

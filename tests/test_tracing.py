@@ -44,6 +44,10 @@ def test_the_span_tracer_wraps_every_target_and_restores_it():
             with tracer.request():
                 rt.gateway.ingest(RawReading("thermo1", "temperature", 39.0, "cel", 1))
             assert rt.egress.drain(5) == 0
+            first = len(tracer.spans)
+            with tracer.request():
+                rt.gateway.set_rulepack(rt.gateway.active_packs()[0], rechain=True)
+            rechain = tracer.spans[first:]
         finally:
             rt.stop()
     finally:
@@ -55,5 +59,9 @@ def test_the_span_tracer_wraps_every_target_and_restores_it():
         "Gateway.ingest", "Annotator.annotate", "Store.insert", "forward_chain", "evaluate_rule", "Store.match",
         "SubscriptionManager.on_derived", "CompositionManager.on_derived", "evaluate_query", "Egress.deliver",
     } <= names
-    metrics = spans.layer_metrics(tracer.spans, n_ops=1)
+    # a rechain's whole-store rounds seed each family's join through Store.match, as delta rounds do
+    evaluations = {span.sid for span in rechain if span.name == "evaluate_rule"}
+    assert evaluations
+    assert any(span.name == "Store.match" and span.parent in evaluations for span in rechain)
+    metrics = spans.layer_metrics(tracer.spans[:first], n_ops=1)
     assert metrics["services.notifications"] == 2
