@@ -159,8 +159,6 @@ def cmd_replay(args: argparse.Namespace) -> int:
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        runtime.gateway.shutdown()
     _print_summary(runtime, summary)
     if args.verbose:
         print(f"elapsed {time.monotonic() - started:.3f}s")
@@ -179,8 +177,6 @@ def cmd_query(args: argparse.Namespace) -> int:
     except (GrammarError, UnsafeQuery) as exc:
         print(f"query error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    finally:
-        runtime.gateway.shutdown()
     cells = [list(table.columns)] + [
         [compact_term(term) for term in row] for row in table.rows
     ]
@@ -237,8 +233,6 @@ def cmd_export(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"cannot write {args.output}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        runtime.gateway.shutdown()
     print(f"exported {len(runtime.store)} triple(s) to {args.output}")
     return EXIT_OK
 

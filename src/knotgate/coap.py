@@ -164,18 +164,25 @@ class CoapServer:
         self._thread.start()
 
     def stop(self) -> None:
+        """Stop taking datagrams, give the request in hand up to 5 s to be
+        answered, then close the socket."""
         self._closing = True
-        if self._sock is not None:
-            try:
-                self._sock.close()
-            except OSError:
-                pass
+        if self._sock is None:
+            return
+        try:  # on Linux this wakes a blocked recvfrom, though it raises ENOTCONN
+            self._sock.shutdown(socket.SHUT_RD)
+        except OSError:
+            pass
+        self._thread.join(5.0)
+        self._sock.close()
 
     def _serve(self) -> None:
-        while not self._closing:
+        while True:
             try:
                 data, addr = self._sock.recvfrom(65536)
             except OSError:
+                return
+            if self._closing:
                 return
             try:
                 request = decode_message(data)

@@ -5,8 +5,8 @@ ingest each on the thread that received it.  Every gateway write (an
 ingest, a rule-pack install, a knowledge-pack load) holds one lock, so
 the store has one writer at a time, and per-device observation sequences
 follow the order in which the writes take that lock.  Each ingest runs
-annotate -> insert -> chain -> notify and either commits completely or
-leaves the store untouched.
+annotate -> insert -> chain -> notify; one whose annotation fails leaves
+the store untouched.
 
 Egress keeps one bounded outbox.  Derived-fact hooks build each payload
 on the ingesting thread, under the write lock, and enqueue it with its
@@ -388,7 +388,8 @@ class Gateway:
     """Owns the store, the active rule packs, and the pipeline.
 
     Every write (ingest, set_rulepack, load_knowledge_pack) runs on the
-    calling thread and holds one lock, so writes never interleave.  A write
+    calling thread and holds one lock, so writes never interleave.  Each
+    ends in one tail, _chain: it chains the active packs to a fixpoint and
     calls the derived-fact hooks once per derived fact that the store did
     not hold before the write, in commit order, so no fact is notified
     twice while it stays in the store.  The hooks run inside the write and
@@ -396,12 +397,12 @@ class Gateway:
     They build what they send and hand it to Egress.enqueue, so that no
     write waits on a delivery.
 
-    Ingest chains only from the triples a reading inserted, which is exact
-    while the store is a fixpoint of the active packs.  Installing a pack
-    without rechain or loading a knowledge pack can break that, so they
-    mark the store stale and the next chain evaluates the whole store.
-    Writes made to the store behind the gateway's back are not tracked;
-    follow them with set_rulepack(..., rechain=True).
+    So every write leaves the store a fixpoint, and an ingest chains only
+    from the triples its reading inserted.  A write whose chain raises
+    keeps what it stated and what the chain committed before raising,
+    unnotified and uncounted, and the next write chains the whole store.
+    Writes made behind the gateway's back are not tracked; follow them
+    with set_rulepack(..., rechain=True).
     """
 
     def __init__(self, store: Store, annotator: Annotator):
@@ -429,19 +430,21 @@ class Gateway:
         owner = self.rules.owners.get(rule_id)
         return owner.domains if owner is not None else ()
 
-    def set_rulepack(self, pack: RulePack, rechain: bool = False) -> ChainStats | None:
-        """Install or replace a rule pack, and compile the active packs.
+    def set_rulepack(self, pack: RulePack, rechain: bool = False) -> ChainStats:
+        """Install or replace a rule pack, compile the active packs, and
+        chain them over the whole store.
 
         A rule id names one rule among the active packs, as provenance and
         per-rule counts know rules by id: a pack using an id that another
         active pack uses raises ValueError and installs nothing.  Replacing
         a pack under its own pack_id may reuse its ids.
 
-        With rechain=True all inferred triples are retracted and chaining
-        reruns from the asserted/loaded base, so the store ends up exactly
-        as if the new pack had been active from the start; cumulative
-        per-rule counts are reset to that fresh run's counts.  The hooks
-        hear only of the derived facts the store did not hold before.
+        Without rechain the facts a replaced pack derived stay, and per-rule
+        counts accumulate.  With rechain=True all inferred triples are
+        retracted first, so the store ends up exactly as if the new pack had
+        been active from the start, and per-rule counts are that fresh
+        chain's.  The hooks hear only of the derived facts the store did
+        not hold before.
         """
         with self._write_lock:
             owners = self.rules.owners
@@ -452,47 +455,55 @@ class Gateway:
                 )
             self.rulepacks[pack.pack_id] = pack
             self.rules = RuleSet(self.active_packs())
-            for rule in pack.rules:
-                self.per_rule.setdefault(rule.id, 0)
-            self._stale = True
-            if not rechain:
-                return None
-            held = set(self.store) if self._derived_hooks else None
-            self.store.retract(Inferred)
-            stats = self._chain(delta=None)
-            self.per_rule = dict(stats.per_rule)
-            if held is not None:
-                fresh = [t for t in stats.committed if t not in held]
-                self._notify(fresh, observation_iri="", timestamp=now_ms())
-            return stats
+            held = set(self.store) if rechain and self._derived_hooks else None
+            if rechain:
+                self.store.retract(Inferred)
+                self.per_rule = {}
+            return self._chain(None, "", now_ms(), held)[0]
 
     def load_knowledge_pack(self, document: str, pack_id: str) -> int:
+        """Store.load_pack, then a whole-store chain if it stated anything."""
         with self._write_lock:
             loaded = self.store.load_pack(document, pack_id)
-            self._stale = True
+            if loaded:
+                self._chain(None, "", now_ms())
             return loaded
 
-    def _chain(self, delta: list[Triple] | None) -> ChainStats:
-        """Chain the active packs from delta, or from the whole store when
-        there is none or the store is stale.
+    def _chain(self, delta: list[Triple] | None, observation_iri: str, timestamp: int,
+               held: set[Triple] | None = None) -> tuple[ChainStats, int]:
+        """The tail of every write: chain the active packs from delta, or
+        from the whole store when there is none or the store is stale, then
+        count what the chain did and notify each committed fact not in held.
+        Returns the chain's stats and the notifications the hooks queued.
 
         guard_type_errors keeps the count of guard-skipped bindings in the
         store: a chain that evaluated the whole store recounts them all, a
-        delta chain adds the new ones.  The stale mark is cleared before the
-        chain starts; a chain that raises sets it again.
+        delta chain adds the new ones.  A chain that raises marks the store
+        stale, so the next chain evaluates the whole store.
         """
-        whole = delta is None or self._stale
-        self._stale = False
         try:
-            stats = forward_chain(self.store, self.rules, None if whole else set(delta))
+            stats = forward_chain(self.store, self.rules, None if delta is None or self._stale else set(delta))
         except BaseException:
             self._stale = True
             raise
+        self._stale = False
         if stats.whole_store:
             self.guard_type_errors = stats.guard_type_errors
         else:
             self.guard_type_errors += stats.guard_type_errors
-        return stats
+        for rule_id, count in stats.per_rule.items():
+            self.per_rule[rule_id] = self.per_rule.get(rule_id, 0) + count
+        queued = 0
+        for fact in stats.committed if self._derived_hooks else ():
+            if held is not None and fact in held:
+                continue
+            ctx = DerivedContext(self.store.provenance(fact).rule_id, observation_iri, timestamp)
+            for hook in self._derived_hooks:
+                try:
+                    queued += hook(fact, ctx)
+                except Exception:
+                    log.exception("derived-fact hook failed")
+        return stats, queued
 
     # -- pipeline ------------------------------------------------------------
 
@@ -515,30 +526,9 @@ class Gateway:
             if source is None:
                 source = self._sources[reading.device_id] = Asserted(f"urn:dev:{reading.device_id}")
             inserted = [self.store.canonical(t) for t in graph.triples if self.store.insert(t, source)]
-            stats = self._chain(delta=inserted)
-            for rule_id, count in stats.per_rule.items():
-                self.per_rule[rule_id] = self.per_rule.get(rule_id, 0) + count
             obs = graph.observation_iri.value
-            notified = self._notify(stats.committed, observation_iri=obs, timestamp=reading.timestamp)
-            return IngestReceipt(
-                observation_iri=obs,
-                triples_added=len(inserted),
-                derived=stats.committed,
-                notifications_queued=notified,
-            )
-
-    def _notify(self, derived: list[Triple], observation_iri: str, timestamp: int) -> int:
-        queued = 0
-        for fact in derived:
-            prov = self.store.provenance(fact)
-            rule_id = prov.rule_id if isinstance(prov, Inferred) else ""
-            ctx = DerivedContext(rule_id=rule_id, observation_iri=observation_iri, timestamp=timestamp)
-            for hook in self._derived_hooks:
-                try:
-                    queued += hook(fact, ctx)
-                except Exception:
-                    log.exception("derived-fact hook failed")
-        return queued
+            stats, notified = self._chain(inserted, obs, reading.timestamp)
+            return IngestReceipt(obs, len(inserted), stats.committed, notified)
 
     def stats(self) -> dict:
         return {

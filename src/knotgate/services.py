@@ -566,7 +566,9 @@ class Runtime:
 
     @classmethod
     def from_config(cls, config: AppConfig, base_dir: Path | None = None) -> "Runtime":
-        """Build a runtime and load every configured file before traffic."""
+        """Build a runtime and load every configured file before traffic.
+        Each pack install and load chains, so a query or an export sees what
+        the configured packs derive before any reading arrives."""
         runtime = cls(config)
         base = base_dir or Path.cwd()
         for name in config.load.sensors:

@@ -27,6 +27,11 @@ def remedies_pack_text() -> str:
     return (FIXTURES / "packs" / "remedies.nt").read_text(encoding="utf-8")
 
 
+@pytest.fixture
+def fever_observation_text() -> str:
+    return (FIXTURES / "packs" / "fever-observation.nt").read_text(encoding="utf-8")
+
+
 class CaptureServer:
     """Local HTTP sink recording webhook deliveries; can fail on demand."""
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from knotgate.cli import main
-from knotgate.model import parse_triples
+from knotgate.model import Iri, Triple, make_iri, parse_triples
 
 REPO = Path(__file__).resolve().parent.parent
 FIXTURES = REPO / "fixtures"
@@ -215,7 +215,33 @@ def test_query_command_malformed_number(config_path, capsys, number):
     assert capsys.readouterr().err.startswith("query error: malformed number")
 
 
+def _observation_config(tmp_path: Path) -> Path:
+    """A config that installs the fever pack and loads one 40 °C observation, and ingests nothing."""
+    cfg = tmp_path / "observed.toml"
+    cfg.write_text(
+        "[load]\n"
+        f'rulepacks = ["{FIXTURES}/rules/fever.rules"]\n'
+        f'packs = ["{FIXTURES}/packs/fever-observation.nt"]\n',
+        encoding="utf-8",
+    )
+    return cfg
+
+
+def test_query_command_reports_what_the_configured_packs_derive(tmp_path, capsys):
+    text = "SELECT ?o WHERE { ?o m3:indicates m3:Fever }"
+    assert run_cli("query", text, "--config", str(_observation_config(tmp_path))) == 0
+    assert capsys.readouterr().out.splitlines() == ["o", "urn:obs:x:1"]
+
+
 # -- export -----------------------------------------------------------------------
+
+
+def test_export_reports_what_the_configured_packs_derive(tmp_path):
+    out = tmp_path / "dump.nt"
+    assert run_cli("export", str(out), "--config", str(_observation_config(tmp_path))) == 0
+    triples = parse_triples(out.read_text(encoding="utf-8"))
+    assert len(triples) == 7
+    assert Triple(Iri("urn:obs:x:1"), make_iri("m3:indicates"), make_iri("m3:Fever")) in triples
 
 
 def test_export_round_trips_store(tmp_path, config_path):

@@ -5,6 +5,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from knotgate.annotation import (
     Annotator,
@@ -39,10 +40,25 @@ from knotgate.model import (
 from knotgate.rules import RuleSet, forward_chain, parse_rulepack
 from knotgate.store import Asserted, Inferred, Store
 
+from conftest import FIXTURES
 from generators import Vocab
+from oracles import oracle_closure
 
 JSON_READING = b'{"device_id":"thermo1","sensor_kind":"temperature","value":39.0,"unit":"cel","timestamp":1700000000000}'
 CSV_READING = b"thermo1,temperature,39.0,cel,1700000000000"
+
+
+def recorded_chains(monkeypatch) -> list:
+    """The stats of every forward_chain the gateway runs from now on, in order."""
+    chains = []
+    real = gateway_module.forward_chain
+
+    def recording(store, packs, delta=None):
+        chains.append(real(store, packs, delta))
+        return chains[-1]
+
+    monkeypatch.setattr(gateway_module, "forward_chain", recording)
+    return chains
 
 
 def make_gateway(packs=()) -> Gateway:
@@ -315,10 +331,12 @@ def test_provenance_is_made_once_per_device_and_per_rule(fever_pack_text):
 def test_pack_installed_without_rechain_applies_to_earlier_readings(fever_pack_text):
     gateway = make_gateway()
     assert gateway.ingest(RawReading("thermo1", "temperature", 39.5, "cel", 1)).derived == []
-    gateway.set_rulepack(parse_rulepack(fever_pack_text))
-    receipt = gateway.ingest(RawReading("thermo1", "temperature", 36.0, "cel", 2))
+    stats = gateway.set_rulepack(parse_rulepack(fever_pack_text))
     fever = Triple(Iri("urn:obs:thermo1:1"), make_iri("m3:indicates"), make_iri("m3:Fever"))
-    assert receipt.derived == [fever]
+    assert stats.committed == [fever] and fever in set(gateway.store)
+    assert gateway.stats()["per_rule"] == {"fever": 1}
+    # the install chained it, so an unrelated reading derives nothing
+    assert gateway.ingest(RawReading("thermo1", "temperature", 36.0, "cel", 2)).derived == []
     gateway.shutdown()
 
 
@@ -353,14 +371,25 @@ def test_replacing_a_pack_may_reuse_its_rule_ids():
     gateway.shutdown()
 
 
-def test_knowledge_pack_applies_to_earlier_readings(fever_pack_text, remedies_pack_text):
+def test_knowledge_pack_applies_to_earlier_readings(monkeypatch, fever_pack_text, remedies_pack_text):
     gateway = make_gateway([parse_rulepack(fever_pack_text), parse_rulepack(SUGGEST_PACK)])
     gateway.ingest(RawReading("thermo1", "temperature", 39.5, "cel", 1))
+    chains = recorded_chains(monkeypatch)
     gateway.load_knowledge_pack(remedies_pack_text, "remedies")
-    receipt = gateway.ingest(RawReading("thermo1", "temperature", 36.0, "cel", 2))
-    assert [(t.subject.value, t.predicate) for t in receipt.derived] == [
-        ("urn:obs:thermo1:1", make_iri("m3:suggests"))
-    ] * 3
+    assert [stats.committed for stats in chains] == [SUGGESTS]
+    assert set(SUGGESTS) <= set(gateway.store)
+    # the load chained them, so an unrelated reading derives nothing
+    assert gateway.ingest(RawReading("thermo1", "temperature", 36.0, "cel", 2)).derived == []
+    gateway.shutdown()
+
+
+def test_reloading_an_unchanged_knowledge_pack_chains_nothing(monkeypatch, remedies_pack_text):
+    gateway = make_gateway([parse_rulepack(SUGGEST_PACK)])
+    chains = recorded_chains(monkeypatch)
+    assert gateway.load_knowledge_pack(remedies_pack_text, "remedies") == 3
+    assert len(chains) == 1
+    assert gateway.load_knowledge_pack(remedies_pack_text, "remedies") == 0
+    assert len(chains) == 1
     gateway.shutdown()
 
 
@@ -368,12 +397,17 @@ SUGGEST_PACK = (
     "PACK suggest RULE suggest : IF ?o m3:indicates ?s . ?s m3:hasRemedy ?r "
     "THEN ?o m3:suggests ?r ."
 )
+#: what SUGGEST_PACK derives, in commit order, for a fever at urn:obs:thermo1:1 once the remedies are loaded
+SUGGESTS = [
+    Triple(Iri("urn:obs:thermo1:1"), make_iri("m3:suggests"), make_iri(f"m3:{remedy}"))
+    for remedy in ("ColdCompress", "GingerTea", "Hydration")
+]
 
 
 @pytest.mark.parametrize("write", ["load_knowledge_pack", "set_rulepack rechain"])
 def test_pack_writes_wait_for_the_ingest_under_way(write, fever_pack_text, remedies_pack_text):
     # one writer: a pack write issued while an ingest is still notifying
-    # changes nothing until that ingest ends, and the next ingest chains it
+    # changes nothing until that ingest ends, and then chains what it changed
     gateway = make_gateway([parse_rulepack(fever_pack_text)])
     if write == "load_knowledge_pack":
         gateway.set_rulepack(parse_rulepack(SUGGEST_PACK))
@@ -406,12 +440,7 @@ def test_pack_writes_wait_for_the_ingest_under_way(write, fever_pack_text, remed
     for t in threads:
         t.join(timeout=5)
         assert not t.is_alive()
-    gateway.ingest(RawReading("thermo1", "temperature", 36.0, "cel", 2))
-    suggests = {
-        Triple(Iri("urn:obs:thermo1:1"), make_iri("m3:suggests"), make_iri(f"m3:{remedy}"))
-        for remedy in ("ColdCompress", "GingerTea", "Hydration")
-    }
-    assert suggests <= set(gateway.store)
+    assert set(SUGGESTS) <= set(gateway.store)
     assert gateway.stats()["per_rule"] == {"fever": 1, "suggest": 3}
     gateway.shutdown()
 
@@ -420,26 +449,18 @@ ALIAS = "<urn:knotgate:m3#Fever> <urn:knotgate:m3#equivalentTo> <urn:knotgate:m3
 
 
 def test_ingest_on_an_alias_store_chains_by_delta(monkeypatch, fever_pack_text, remedies_pack_text):
-    chains = []
-    real = gateway_module.forward_chain
-
-    def recording(store, packs, delta=None):
-        chains.append(real(store, packs, delta))
-        return chains[-1]
-
-    monkeypatch.setattr(gateway_module, "forward_chain", recording)
+    chains = recorded_chains(monkeypatch)
     derived = {}
     for order in ("alias first", "alias last"):
         gateway = make_gateway([parse_rulepack(fever_pack_text), parse_rulepack(SUGGEST_PACK)])
         packs = [(ALIAS, "alias"), (remedies_pack_text, "remedies")]
         for document, pack_id in packs if order == "alias first" else reversed(packs):
             gateway.load_knowledge_pack(document, pack_id)
-        gateway.ingest(RawReading("thermo1", "temperature", 36.0, "cel", 1))  # chains the loads
         del chains[:]
-        derived[order] = gateway.ingest(RawReading("thermo1", "temperature", 39.5, "cel", 2)).derived
+        derived[order] = gateway.ingest(RawReading("thermo1", "temperature", 39.5, "cel", 1)).derived
         assert [stats.whole_store for stats in chains] == [False]
         gateway.shutdown()
-    obs = Iri("urn:obs:thermo1:2")
+    obs = Iri("urn:obs:thermo1:1")
     assert derived["alias last"] == derived["alias first"]
     assert derived["alias first"] == [Triple(obs, make_iri("m3:indicates"), make_iri("m3:AFever"))] + [
         Triple(obs, make_iri("m3:suggests"), make_iri(f"m3:{remedy}"))
@@ -447,23 +468,21 @@ def test_ingest_on_an_alias_store_chains_by_delta(monkeypatch, fever_pack_text, 
     ]
 
 
-def test_chain_during_a_knowledge_pack_load_leaves_it_to_be_chained(
-    monkeypatch, fever_pack_text, remedies_pack_text
-):
-    # a chain that runs while the pack is being loaded must not clear the
-    # mark the load leaves behind
+def test_a_chain_run_mid_load_does_not_stop_the_loads_own_chain(monkeypatch, fever_pack_text, remedies_pack_text):
+    # a chain that runs while the pack is being loaded, before its triples
+    # are stated, leaves them to the chain that ends the load
     gateway = make_gateway([parse_rulepack(fever_pack_text), parse_rulepack(SUGGEST_PACK)])
     gateway.ingest(RawReading("thermo1", "temperature", 39.5, "cel", 1))
     real = gateway.store.load_pack
 
     def chain_mid_load(document, pack_id):
-        gateway._chain(delta=[])
+        gateway._chain([], "", 0)
         return real(document, pack_id)
 
     monkeypatch.setattr(gateway.store, "load_pack", chain_mid_load)
     gateway.load_knowledge_pack(remedies_pack_text, "remedies")
-    receipt = gateway.ingest(RawReading("thermo1", "temperature", 36.0, "cel", 2))
-    assert len(receipt.derived) == 3
+    assert set(SUGGESTS) <= set(gateway.store)
+    assert gateway.ingest(RawReading("thermo1", "temperature", 36.0, "cel", 2)).derived == []
     gateway.shutdown()
 
 
@@ -482,6 +501,55 @@ def test_reading_whose_chain_failed_is_chained_next(monkeypatch, fever_pack_text
     receipt = gateway.ingest(RawReading("thermo1", "temperature", 36.5, "cel", 3))
     fever = Triple(Iri("urn:obs:thermo1:2"), make_iri("m3:indicates"), make_iri("m3:Fever"))
     assert receipt.derived == [fever]
+    gateway.shutdown()
+
+
+#: rule packs by name; "hot" replaces "fever" under its pack id and derives fever only above 60.0
+_CLOSURE_PACKS = {
+    "fever": (FIXTURES / "rules" / "fever.rules").read_text(encoding="utf-8"),
+    "fire": (FIXTURES / "rules" / "fire.rules").read_text(encoding="utf-8"),
+    "suggest": SUGGEST_PACK,
+}
+_CLOSURE_PACKS["hot"] = _CLOSURE_PACKS["fever"].replace("?v > 38.0", "?v > 60.0")
+#: alias-free knowledge packs by name
+_KNOWLEDGE = {
+    "remedies": (FIXTURES / "packs" / "remedies.nt").read_text(encoding="utf-8"),
+    "observation": (FIXTURES / "packs" / "fever-observation.nt").read_text(encoding="utf-8"),
+    "fire-remedy": "<urn:knotgate:m3#FireRisk> <urn:knotgate:m3#hasRemedy> <urn:knotgate:m3#Evacuate> .\n",
+}
+_WRITES = st.lists(
+    st.one_of(
+        st.tuples(st.just("ingest"), st.sampled_from(["thermo1", "ambient1"]), st.integers(300, 900)),
+        st.tuples(st.just("install"), st.sampled_from(sorted(_CLOSURE_PACKS)), st.booleans()),
+        st.tuples(st.just("load"), st.sampled_from(sorted(_KNOWLEDGE))),
+    ),
+    max_size=20,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(writes=_WRITES)
+@example(writes=[("ingest", "thermo1", 395), ("install", "fever", False), ("load", "observation"),
+                 ("install", "suggest", False), ("load", "remedies"), ("install", "hot", True)])
+def test_every_write_leaves_the_store_the_closure_of_what_was_stated(writes):
+    # installs add a pack id, with or without rechain, or replace one with rechain
+    gateway = make_gateway()
+    annotator = Annotator(gateway.annotator.registry)  # the oracle's copy of the readings' triples
+    active, stated = {}, set()
+    for n, write in enumerate(writes):
+        if write[0] == "ingest":
+            reading = RawReading(write[1], "temperature", write[2] / 10, "cel", n)
+            stated.update(annotator.annotate(reading).triples)
+            gateway.ingest(reading)
+        elif write[0] == "install":
+            pack = parse_rulepack(_CLOSURE_PACKS[write[1]])
+            gateway.set_rulepack(pack, rechain=write[2] or pack.pack_id in active)
+            active[pack.pack_id] = pack
+        else:
+            stated.update(parse_triples(_KNOWLEDGE[write[1]]))
+            gateway.load_knowledge_pack(_KNOWLEDGE[write[1]], write[1])
+        rules = [rule for pack in active.values() for rule in pack.rules]
+        assert set(gateway.store) == oracle_closure(stated, rules)
     gateway.shutdown()
 
 

@@ -1,4 +1,3 @@
-import contextlib
 import errno
 import json
 import logging
@@ -562,6 +561,30 @@ def test_a_fact_retracted_by_a_pack_replacement_is_delivered_again_when_derived_
         rt.stop()
 
 
+def test_a_knowledge_pack_load_notifies_what_it_derives_once(fixtures_dir, fever_observation_text):
+    rt, sent = _bridged_runtime(fixtures_dir)
+    try:
+        _register_fever_triggers(rt)
+        with mock.patch("knotgate.gateway.now_ms", return_value=5):  # a load stamps its facts with the clock
+            for _ in range(2):  # the second load states nothing new
+                rt.gateway.load_knowledge_pack(fever_observation_text, "observation")
+        drained(rt)
+        assert [target for target, _ in sent] == ["http://sub.test/h", "remedies", "derived/health"]
+        envelope = {"triple": "<urn:obs:x:1> <urn:knotgate:m3#indicates> <urn:knotgate:m3#Fever> .",
+                    "rule_id": "fever", "observation_iri": "", "timestamp": 5}
+        assert [json.loads(payload) for _, payload in sent[::2]] == [envelope] * 2
+        assert _flat(sent[1][1]) == {"observation": "urn:obs:x:1",
+                                     "remedies": ["m3:ColdCompress", "m3:GingerTea", "m3:Hydration"]}
+        # the next ingest notifies only its own facts
+        assert rt.gateway.ingest(fever_reading(1, 36.0)).notifications_queued == 0
+        assert rt.gateway.ingest(fever_reading(2)).notifications_queued == 2
+        drained(rt)
+        assert [target for target, _ in sent[3:]] == ["http://sub.test/h", "remedies", "derived/health"]
+        assert {json.loads(payload)["observation_iri"] for _, payload in sent[3::2]} == {"urn:obs:thermo1:2"}
+    finally:
+        rt.stop()
+
+
 def test_a_trigger_registered_after_its_fact_was_derived_gets_nothing_from_a_rechain(fixtures_dir, fever_pack_text):
     rt, sent = _bridged_runtime(fixtures_dir)
     try:
@@ -931,10 +954,11 @@ def test_stop_waits_for_the_write_under_way_and_delivers_what_it_queued(fixtures
     port = rt.start_coap()
     earlier = set(threading.enumerate())
 
+    replies = []
+
     def post():
-        with contextlib.suppress(TimeoutError):  # the server closes before it can answer
-            coap.request("127.0.0.1", port, coap.POST, ["ingest"], json.dumps(ingest_body(39.0)).encode(),
-                         timeout=0.5, retries=0)
+        replies.append(coap.request("127.0.0.1", port, coap.POST, ["ingest"],
+                                    json.dumps(ingest_body(39.0)).encode(), timeout=5, retries=0)[0])
 
     client = threading.Thread(target=post)
     client.start()
@@ -946,6 +970,7 @@ def test_stop_waits_for_the_write_under_way_and_delivers_what_it_queued(fixtures
     stopper.join(10)
     client.join(5)
     assert not stopper.is_alive()
+    assert replies == [coap.CREATED]  # the reading in flight is answered before the socket closes
     assert posted == ["http://sink.test/late"]
     assert [t for t in threading.enumerate() if t.name == "egress" and t not in earlier] == []
 
