@@ -9,6 +9,7 @@ Exits nonzero on the first failed check.
 """
 
 import json
+import os
 import subprocess
 import sys
 import threading
@@ -101,6 +102,9 @@ def main() -> None:
         stderr=subprocess.STDOUT,
         text=True,
         cwd=REPO,
+        # src first on the child's path, so that a checkout that is not installed runs too
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))},
     )
     http_port = coap_port = None
     deadline = time.monotonic() + 15

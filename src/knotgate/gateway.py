@@ -462,12 +462,13 @@ class Gateway:
             return self._chain(None, "", now_ms(), held)[0]
 
     def load_knowledge_pack(self, document: str, pack_id: str) -> int:
-        """Store.load_pack, then a whole-store chain if it stated anything."""
+        """Store.load_pack, then a chain from the triples it newly stated (of
+        the whole store, if they link aliases); returns their count."""
         with self._write_lock:
-            loaded = self.store.load_pack(document, pack_id)
-            if loaded:
-                self._chain(None, "", now_ms())
-            return loaded
+            fresh = self.store.load_pack(document, pack_id)
+            if fresh:
+                self._chain(fresh, "", now_ms())
+            return len(fresh)
 
     def _chain(self, delta: list[Triple] | None, observation_iri: str, timestamp: int,
                held: set[Triple] | None = None) -> tuple[ChainStats, int]:

@@ -18,20 +18,20 @@ corresponding module operation's result and nothing else.
 
 from __future__ import annotations
 
-import io
+import contextlib
 import itertools
 import json
 import logging
 import re
 import socket
-import sys
 import threading
 import time
 import urllib.parse
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from email.utils import formatdate
+from http import HTTPStatus
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from . import coap as coap_proto
 from .annotation import (
@@ -78,6 +78,9 @@ HTTP_READ_TIMEOUT_S = 5.0
 RETRY_AFTER_S = 1
 #: seconds a POST waits for one of the HTTP_WORKERS - 1 writer slots before a 503
 HTTP_WRITE_WAIT_S = 0.1
+#: longest HTTP request head, through its blank line, and most header lines; past either, a 431
+MAX_HEAD_BYTES = 64 * 1024
+MAX_HEADER_LINES = 100
 
 
 class TemplateError(ValueError):
@@ -262,6 +265,11 @@ def parse_endpoint(obj: object) -> EgressTarget:
 
 # -- HTTP API ----------------------------------------------------------------
 
+_HEAD_END = re.compile(rb"\r?\n\r?\n")
+_LINE_END = re.compile(rb"\r?\n")
+_VERSION = re.compile(rb"HTTP/[0-9]+\.[0-9]+")
+_HEADER_LINE = re.compile(rb"([!#$%&'*+.^_`|~0-9A-Za-z-]+):[ \t]*(.*?)[ \t]*")
+
 #: first match wins; every other ValueError (a syntax or validation error) is a 400
 _ERROR_STATUS: list[tuple[type, int]] = [
     (UnregisteredDevice, 404),
@@ -382,132 +390,161 @@ class Api:
         return 201, {"id": comp_id}
 
 
-class _DeadlineReader(io.RawIOBase):
-    """A socket's reads, each allowed only what is left of one deadline, so that a
-    client trickling bytes cannot hold a worker longer than a silent one."""
+class BadFraming(ValueError):
+    """A request the server refuses for its HTTP framing; status is the reply's."""
 
-    def __init__(self, sock: socket.socket, seconds: float) -> None:
-        self._sock = sock
-        self._seconds = seconds
-        self._deadline = time.monotonic() + seconds
+    def __init__(self, status: int, detail: str) -> None:
+        super().__init__(detail)
+        self.status = status
 
-    def readable(self) -> bool:
-        return True
 
-    def readinto(self, buf) -> int:
+def _request_line(line: bytes) -> list[bytes]:
+    """The method, target and version of METHOD SP target SP HTTP/1.x; any
+    other line is a BadFraming 505 if it names another HTTP version, else 400."""
+    words = line.split(b" ")
+    if len(words) != 3 or not all(words) or not _VERSION.fullmatch(words[2]):
+        raise BadFraming(400, f"malformed request line {line[:80]!r}")
+    if words[2] not in (b"HTTP/1.0", b"HTTP/1.1"):
+        raise BadFraming(505, f"{words[2].decode()} not supported")
+    return words
+
+
+class _ApiHandler:
+    """One request off an accepted connection: read within one deadline of
+    timeout, dispatched through the routes, answered in one write."""
+
+    timeout = HTTP_READ_TIMEOUT_S
+
+    def __init__(self, server: _ApiServer, connection: socket.socket, buf: memoryview) -> None:
+        self.server = server
+        self.connection = connection
+        self._buf = buf
+        self._deadline = time.monotonic() + self.timeout
+
+    def handle(self) -> None:
+        try:
+            method, target, headers, data = self._read_request()
+        except ValueError as exc:  # BadFraming or BodyTooLarge: refused before any route runs
+            status, body = error_body(exc)
+            self._reply(getattr(exc, "status", status), body)
+            return
+        self._reply(*self._dispatch(method, target, headers, data))
+
+    def _recv_into(self, view: memoryview) -> int:
         left = self._deadline - time.monotonic()
         if left <= 0:
             raise TimeoutError("request not received in time")
-        self._sock.settimeout(left)
-        try:
-            return self._sock.recv_into(buf)
-        finally:
-            self._sock.settimeout(self._seconds)  # the reply's writes get the full timeout
+        self.connection.settimeout(left)
+        n = self.connection.recv_into(view)
+        if not n:
+            raise ConnectionAbortedError("connection closed before the request ended")
+        return n
 
+    def _read_request(self) -> tuple[str, str, dict[bytes, bytes], bytes]:
+        """Method, target, headers by lower-case name, and the Content-Length body."""
+        data = bytearray()
+        while (end := _HEAD_END.search(data, 0, MAX_HEAD_BYTES)) is None:
+            if len(data) >= MAX_HEAD_BYTES:
+                raise BadFraming(431, f"request head over {MAX_HEAD_BYTES} bytes")
+            if b"\n" in data:  # refuse a bad request line, HTTP/0.9's too, before the rest arrives
+                _request_line(_LINE_END.split(data, 1)[0])
+            data += self._buf[: self._recv_into(self._buf)]
+        request_line, *lines = _LINE_END.split(data[: end.start()])
+        method, target, version = _request_line(request_line)
+        if len(lines) > MAX_HEADER_LINES:
+            raise BadFraming(431, f"over {MAX_HEADER_LINES} header lines")
+        headers: dict[bytes, bytes] = {}
+        for line in lines:
+            field = _HEADER_LINE.fullmatch(line)
+            if field is None:  # also a folded line, which starts with whitespace
+                raise BadFraming(400, f"malformed header line {line[:80]!r}")
+            name, value = field[1].lower(), field[2]
+            if headers.setdefault(name, value) != value and name == b"content-length":
+                raise BadFraming(400, "differing Content-Length values")
+        if method not in (b"GET", b"POST"):
+            raise BadFraming(501, f"method {method.decode('latin-1')} not supported")
+        length = headers.get(b"content-length", b"0" if method == b"GET" else None)
+        if length is None:
+            raise BadFraming(411, "a POST needs a Content-Length")
+        if not length.isdigit():
+            raise BadFraming(400, f"bad Content-Length {length[:80]!r}")
+        size = int(length)
+        if size > MAX_BODY_BYTES:
+            raise BodyTooLarge(f"Content-Length {size} exceeds {MAX_BODY_BYTES} bytes")
+        body = data[end.end() : end.end() + size]
+        expects = version == b"HTTP/1.1" and headers.get(b"expect", b"").lower() == b"100-continue"
+        if expects and len(body) < size:  # the client waits for this before it sends the body
+            self.connection.sendall(b"HTTP/1.1 100 Continue\r\n\r\n")
+        while len(body) < size:
+            body += self._buf[: self._recv_into(self._buf[: size - len(body)])]
+        return method.decode(), target.decode("latin-1"), headers, bytes(body)
 
-class _ApiHandler(BaseHTTPRequestHandler):
-    server_version = "knotgate/0.1"
-    timeout = HTTP_READ_TIMEOUT_S
-    server: _ApiServer
-
-    @property
-    def api(self) -> Api:
-        return self.server.api
-
-    def setup(self) -> None:
-        super().setup()
-        self.rfile.close()
-        self.rfile = io.BufferedReader(_DeadlineReader(self.connection, self.timeout))
-
-    def log_message(self, fmt: str, *args: object) -> None:
-        log.debug("http: " + fmt, *args)
-
-    def _reply(self, status: int, body: dict, headers: Sequence[tuple[str, str]] = ()) -> None:
-        data = json.dumps(body).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        for name, value in headers:
-            self.send_header(name, value)
-        # status line, headers and body in one write: a body sent apart from its headers
-        # waits, under Nagle's algorithm, for the client to ACK them (RFC 896)
-        if self.request_version != "HTTP/0.9":  # an HTTP/0.9 reply is the body alone
-            self._headers_buffer.append(b"\r\n")
-            data = b"".join(self._headers_buffer) + data
-            self._headers_buffer = []
-        self.wfile.write(data)
-
-    def _read_body(self) -> bytes:
-        length = int(self.headers.get("Content-Length", "0"))
-        if length < 0:
-            raise ValueError(f"negative Content-Length {length}")
-        if length > MAX_BODY_BYTES:
-            raise BodyTooLarge(f"Content-Length {length} exceeds {MAX_BODY_BYTES} bytes")
-        return self.rfile.read(length)
-
-    def _dispatch(self, method: str) -> None:
-        parsed = urllib.parse.urlparse(self.path)
+    def _dispatch(self, method: str, target: str, headers: dict[bytes, bytes], data: bytes) -> tuple[int, dict]:
+        parsed = urllib.parse.urlparse(target)
         params = urllib.parse.parse_qs(parsed.query)
         route = (method, parsed.path)
+        api, server = self.server.api, self.server
         writing = False
         try:
-            data = b""
             if method == "POST":
-                data = self._read_body()
                 # wait for a slot only while writes move; after one wait in vain, refuse at once
                 # until a slot frees, so that reads queued behind many POSTs are not held up
-                wait = 0.0 if self.server.writes_stalled else HTTP_WRITE_WAIT_S
-                writing = self.server.writers.acquire(timeout=wait)
-                self.server.writes_stalled = not writing
+                wait = 0.0 if server.writes_stalled else HTTP_WRITE_WAIT_S
+                writing = server.writers.acquire(timeout=wait)
+                server.writes_stalled = not writing
                 if not writing:
                     raise ServerBusy(f"{HTTP_WORKERS - 1} HTTP writes already in progress")
             if route == ("POST", "/api/v1/observations"):
-                status, body = self.api.ingest(data)
-            elif route == ("GET", "/api/v1/query"):
+                return api.ingest(data)
+            if route == ("GET", "/api/v1/query"):
                 q = params.get("q", [""])[0]
                 if not q:
                     raise ValueError("missing 'q' query parameter")
-                status, body = self.api.query(q)
-            elif route == ("POST", "/api/v1/sensors"):
-                status, body = self.api.register_sensors(data, self.headers.get("Content-Type", ""))
-            elif route == ("POST", "/api/v1/rulepacks"):
-                status, body = self.api.put_rulepack(data)
-            elif route == ("POST", "/api/v1/packs"):
-                status, body = self.api.put_pack(data, params.get("id", [""])[0])
-            elif route == ("GET", "/api/v1/stats"):
-                status, body = self.api.stats()
-            elif route == ("POST", "/api/v1/subscriptions"):
-                status, body = self.api.subscribe(data)
-            elif route == ("POST", "/api/v1/compositions"):
-                status, body = self.api.compose(data)
-            else:
-                status, body = 404, {"error": "NotFound", "detail": parsed.path}
-        except TimeoutError:
-            raise  # the client stalled mid-body: handle_one_request drops the connection
+                return api.query(q)
+            if route == ("POST", "/api/v1/sensors"):
+                return api.register_sensors(data, headers.get(b"content-type", b"").decode("latin-1"))
+            if route == ("POST", "/api/v1/rulepacks"):
+                return api.put_rulepack(data)
+            if route == ("POST", "/api/v1/packs"):
+                return api.put_pack(data, params.get("id", [""])[0])
+            if route == ("GET", "/api/v1/stats"):
+                return api.stats()
+            if route == ("POST", "/api/v1/subscriptions"):
+                return api.subscribe(data)
+            if route == ("POST", "/api/v1/compositions"):
+                return api.compose(data)
+            return 404, {"error": "NotFound", "detail": parsed.path}
         except Exception as exc:  # noqa: BLE001 - every error becomes a JSON body
             status, body = error_body(exc)
             if status == 500:
                 log.exception("unhandled API error")
+            return status, body
         finally:
             if writing:
-                self.server.writers.release()
+                server.writers.release()
+
+    def _reply(self, status: int, body: dict) -> None:
+        data = json.dumps(body).encode("utf-8")
         # a 503 (ServerBusy) tells the client how long to back off before a retry
-        self._reply(status, body, (("Retry-After", str(RETRY_AFTER_S)),) if status == 503 else ())
+        retry = f"Retry-After: {RETRY_AFTER_S}\r\n" if status == 503 else ""
+        head = (
+            f"HTTP/1.0 {status} {HTTPStatus(status).phrase}\r\nServer: knotgate/0.1\r\n"
+            f"Date: {formatdate(usegmt=True)}\r\nContent-Type: application/json\r\n"
+            f"Content-Length: {len(data)}\r\n{retry}\r\n"
+        )
+        self.connection.settimeout(self.timeout)  # the reply gets the whole timeout again
+        # status line, headers and body in one write: a body sent apart from its headers
+        # waits, under Nagle's algorithm, for the client to ACK them (RFC 896)
+        self.connection.sendall(head.encode("latin-1") + data)
 
-    def do_GET(self) -> None:
-        self._dispatch("GET")
 
-    def do_POST(self) -> None:
-        self._dispatch("POST")
-
-
-class _ApiServer(HTTPServer):
+class _ApiServer:
     """The HTTP API, served by threads that each accept and handle their own connections."""
 
-    request_queue_size = 64  # a burst beyond the workers waits in the kernel's backlog
-
     def __init__(self, address: tuple[str, int], api: Api) -> None:
-        super().__init__(address, _ApiHandler)
+        # a burst beyond the workers waits in the kernel's backlog
+        self.socket = socket.create_server(address, backlog=64)
+        self.server_address = self.socket.getsockname()
         self.api = api
         self.stopping = threading.Event()
         # POSTs in progress at once; one worker is always left to answer reads
@@ -516,6 +553,7 @@ class _ApiServer(HTTPServer):
 
     def serve_worker(self) -> None:
         """Accept and serve connections on the shared listening socket until stopping is set."""
+        buf = memoryview(bytearray(8192))  # this worker's reads, connection after connection
         while True:
             try:
                 conn, addr = self.socket.accept()
@@ -526,20 +564,20 @@ class _ApiServer(HTTPServer):
                 time.sleep(0.1)  # ECONNABORTED passes at once; EMFILE only once a descriptor is freed
                 continue
             try:
-                self.finish_request(conn, addr)
+                _ApiHandler(self, conn, buf).handle()
+            except TimeoutError:
+                log.debug("http: client %s timed out", addr)
+            except ConnectionError as exc:
+                log.debug("http: client %s hung up: %r", addr, exc)
             except Exception:  # noqa: BLE001 - one bad connection must not end the worker
-                self.handle_error(conn, addr)
+                log.exception("http: error serving %s", addr)
             finally:
-                self.shutdown_request(conn)
+                with contextlib.suppress(OSError):
+                    conn.shutdown(socket.SHUT_WR)  # the client reads the reply to its end
+                conn.close()
 
-    def handle_error(self, request: socket.socket, client_address: tuple) -> None:
-        """Log a failed connection: a client that hung up (a broken pipe or a
-        reset) at debug level, any other error with its traceback."""
-        exc = sys.exc_info()[1]
-        if isinstance(exc, ConnectionError):
-            log.debug("http: client %s hung up: %r", client_address, exc)
-        else:
-            log.exception("http: error serving %s", client_address)
+    def server_close(self) -> None:
+        self.socket.close()
 
 
 class Runtime:

@@ -304,11 +304,11 @@ class Store:
                 self._rebuild()
             return len(victims)
 
-    def load_pack(self, document: str, pack_id: str) -> int:
+    def load_pack(self, document: str, pack_id: str) -> list[Triple]:
         """Parse and state a whole pack with Loaded provenance, all or nothing.
 
         Rebuilds the view at most once, however many aliases the pack holds.
-        Returns the count of newly stated triples.
+        Returns the newly stated triples in served form, a chain's delta.
         """
         parsed = parse_triples(document)  # raises before anything is stated
         prov = Loaded(pack_id)
@@ -320,7 +320,7 @@ class Store:
             else:
                 for t in fresh:
                     self._serve(t, prov)
-            return len(fresh)
+            return [self._canonical_triple(t) for t in fresh]
 
     # -- reads -------------------------------------------------------------
 

@@ -468,6 +468,45 @@ def test_ingest_on_an_alias_store_chains_by_delta(monkeypatch, fever_pack_text, 
     ]
 
 
+def recorded_deltas(monkeypatch) -> list:
+    """The (delta, stats) of every forward_chain the gateway runs from now on, in order."""
+    calls = []
+    real = gateway_module.forward_chain
+
+    def recording(store, packs, delta=None):
+        calls.append((None if delta is None else set(delta), real(store, packs, delta)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(gateway_module, "forward_chain", recording)
+    return calls
+
+
+def test_an_alias_free_knowledge_pack_load_chains_from_what_it_states(monkeypatch, fever_pack_text,
+                                                                      remedies_pack_text):
+    gateway = make_gateway([parse_rulepack(fever_pack_text), parse_rulepack(SUGGEST_PACK)])
+    gateway.ingest(RawReading("thermo1", "temperature", 39.5, "cel", 1))
+    calls = recorded_deltas(monkeypatch)
+    unread = "<urn:x:label> <urn:x:says> <urn:x:nothing> .\n"  # a triple no rule reads
+    gateway.load_knowledge_pack(unread, "unread")
+    gateway.load_knowledge_pack(remedies_pack_text, "remedies")
+    assert [delta for delta, _ in calls] == [set(parse_triples(unread)), set(parse_triples(remedies_pack_text))]
+    assert [stats.whole_store for _, stats in calls] == [False, False]
+    assert [stats.committed for _, stats in calls] == [[], SUGGESTS]
+    gateway.shutdown()
+
+
+def test_a_knowledge_pack_load_that_links_aliases_chains_the_whole_store(monkeypatch, fever_pack_text,
+                                                                         remedies_pack_text):
+    gateway = make_gateway([parse_rulepack(fever_pack_text), parse_rulepack(SUGGEST_PACK)])
+    gateway.load_knowledge_pack(remedies_pack_text, "remedies")
+    gateway.ingest(RawReading("thermo1", "temperature", 39.5, "cel", 1))
+    calls = recorded_deltas(monkeypatch)
+    gateway.load_knowledge_pack(ALIAS, "alias")
+    assert [stats.whole_store for _, stats in calls] == [True]
+    assert set(SUGGESTS) <= set(gateway.store)
+    gateway.shutdown()
+
+
 def test_a_chain_run_mid_load_does_not_stop_the_loads_own_chain(monkeypatch, fever_pack_text, remedies_pack_text):
     # a chain that runs while the pack is being loaded, before its triples
     # are stated, leaves them to the chain that ends the load

@@ -1,8 +1,8 @@
 import errno
 import json
 import logging
+import re
 import socket
-import socketserver
 import statistics
 import struct
 import sys
@@ -13,7 +13,7 @@ from unittest import mock
 
 import pytest
 import requests
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from knotgate.annotation import (
     InvalidRegistration,
@@ -43,6 +43,8 @@ from knotgate.services import (
     HTTP_READ_TIMEOUT_S,
     HTTP_WORKERS,
     MAX_BODY_BYTES,
+    MAX_HEAD_BYTES,
+    MAX_HEADER_LINES,
     BodyTooLarge,
     InvalidSubscription,
     Runtime,
@@ -1242,16 +1244,23 @@ def test_writes_past_the_writer_slots_get_503_and_reads_stay_live(runtime, base_
     assert len(fevers.rows) == HTTP_WORKERS - 1
 
 
-def test_each_reply_leaves_in_one_write(base_url, monkeypatch):
-    # the handler's socket writer is unbuffered (wbufsize 0): one write, one send
-    writes = []
-    real_write = socketserver._SocketWriter.write
+@pytest.fixture
+def server_sends(runtime, monkeypatch):
+    """Every sendall on a socket the server accepted (its local port is the server's), in order."""
+    sends = []
+    real_sendall = socket.socket.sendall
 
-    def counting_write(writer, data):
-        writes.append(bytes(data))
-        return real_write(writer, data)
+    def counting_sendall(sock, data, *flags):
+        if sock.getsockname()[1] == runtime.http_port:
+            sends.append(bytes(data))
+        return real_sendall(sock, data, *flags)
 
-    monkeypatch.setattr(socketserver._SocketWriter, "write", counting_write)
+    monkeypatch.setattr(socket.socket, "sendall", counting_sendall)
+    return sends
+
+
+def test_each_reply_leaves_in_one_write(base_url, server_sends):
+    writes = server_sends
     replies = [
         requests.post(f"{base_url}/api/v1/observations", json=ingest_body(39.0)),
         requests.get(f"{base_url}/api/v1/query", params={"q": "SELECT ?o WHERE { ?o m3:indicates m3:Fever }"}),
@@ -1264,6 +1273,158 @@ def test_each_reply_leaves_in_one_write(base_url, monkeypatch):
         head, _, body = write.partition(b"\r\n\r\n")
         assert head.startswith(b"HTTP/1.0 %d " % reply.status_code)
         assert body == reply.content
+
+
+def _exchange(port: int, request: bytes) -> bytes:
+    """Send the request on a new connection; what the server sent before it closed."""
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(request)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    return reply
+
+
+_POST_HEAD = b"POST /api/v1/observations HTTP/1.1\r\nHost: x\r\n"
+
+
+@pytest.mark.parametrize("request_bytes, status", [
+    pytest.param(b"GARBAGE\r\n\r\n", 400, id="malformed-request-line"),
+    pytest.param(b"GET /api/v1/stats\r\n", 400, id="HTTP/0.9"),
+    pytest.param(b"GET /api/v1/stats HTTP/1.1\r\nno colon\r\n\r\n", 400, id="malformed-header-line"),
+    pytest.param(b"GET /api/v1/stats HTTP/1.1\r\nX-A: 1\r\n folded\r\n\r\n", 400, id="folded-header-line"),
+    pytest.param(_POST_HEAD + b"Content-Length: 2\r\nContent-Length: 3\r\n\r\n{}", 400, id="differing-Content-Length"),
+    pytest.param(_POST_HEAD + b"Content-Length: 1e3\r\n\r\n", 400, id="bad-Content-Length"),
+    pytest.param(_POST_HEAD + b"\r\n", 411, id="POST-without-Content-Length"),
+    pytest.param(_POST_HEAD + b"Transfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n", 411, id="chunked-POST"),
+    pytest.param(_POST_HEAD + b"Content-Length: %d\r\n\r\n" % (MAX_BODY_BYTES + 1), 413, id="body-too-large"),
+    pytest.param(b"GET /api/v1/stats HTTP/1.1\r\n" + b"X-A: 1\r\n" * (MAX_HEADER_LINES + 1) + b"\r\n", 431,
+                 id="too-many-header-lines"),
+    # exactly MAX_HEAD_BYTES with no blank line, so that the server reads all it was sent
+    pytest.param((b"GET /api/v1/stats HTTP/1.1\r\nX-Long: " + b"a" * MAX_HEAD_BYTES)[:MAX_HEAD_BYTES], 431,
+                 id="head-too-long"),
+    pytest.param(b"PUT /api/v1/stats HTTP/1.1\r\nHost: x\r\n\r\n", 501, id="PUT"),
+    pytest.param(b"GET /api/v1/stats HTTP/2.0\r\nHost: x\r\n\r\n", 505, id="HTTP/2.0"),
+])
+def test_a_request_refused_for_its_framing_gets_a_json_error_body_in_one_write(runtime, server_sends,
+                                                                              request_bytes, status):
+    reply = _exchange(runtime.http_port, request_bytes)
+    assert server_sends == [reply]
+    head, _, body = reply.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = dict(line.split(": ", 1) for line in lines)
+    assert status_line.startswith(f"HTTP/1.0 {status} ")
+    assert headers["Content-Type"] == "application/json"
+    assert int(headers["Content-Length"]) == len(body)
+    assert set(json.loads(body)) == {"error", "detail"}
+
+
+def test_expect_100_continue_is_answered_before_the_body_is_sent(runtime):
+    body = json.dumps(ingest_body(37.0)).encode()
+    with socket.create_connection(("127.0.0.1", runtime.http_port), timeout=5) as sock:
+        sock.sendall(_POST_HEAD + b"Expect: 100-continue\r\nContent-Length: %d\r\n\r\n" % len(body))
+        sock.settimeout(0.5)  # a client that hears nothing sends the body after its own wait, curl's is 1 s
+        assert sock.recv(4096) == b"HTTP/1.1 100 Continue\r\n\r\n"
+        sock.settimeout(5)
+        sock.sendall(body)
+        reply = b""
+        while chunk := sock.recv(65536):
+            reply += chunk
+    assert reply.startswith(b"HTTP/1.0 202 ")
+    assert json.loads(reply.partition(b"\r\n\r\n")[2])["observation_iri"] == "urn:obs:thermo1:1"
+
+
+@pytest.mark.parametrize("length_header, status", [
+    (b"Content-Length: %d\r\n" % (MAX_BODY_BYTES + 1), 413),
+    (b"", 411),
+])
+def test_a_head_refused_under_expect_100_continue_gets_its_final_status_and_no_100(runtime, length_header, status):
+    reply = _exchange(runtime.http_port, _POST_HEAD + b"Expect: 100-continue\r\n" + length_header + b"\r\n")
+    assert reply.startswith(b"HTTP/1.0 %d " % status)
+    assert b"100 Continue" not in reply
+
+
+def _post(path: bytes, body: bytes) -> bytes:
+    return b"POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s" % (path, len(body), body)
+
+
+#: requests whose replies repeat exactly, but for the Date header
+_REPEATABLE_REQUESTS = [
+    b"GET /api/v1/query?q=SELECT%20%3Fo%20WHERE%20%7B%20%3Fo%20m3%3Aindicates%20m3%3AFever%20%7D HTTP/1.1\r\n"
+    b"Host: x\r\n\r\n",
+    b"GET /api/v1/stats HTTP/1.0\r\n\r\n",
+    _post(b"/api/v1/sensors", json.dumps({
+        "device_id": "probe1", "observed_property": "m3:BodyTemperature",
+        "feature_of_interest": "m3:Patient", "canonical_unit": "unit:DegreeCelsius",
+    }).encode()),
+    _post(b"/api/v1/observations", json.dumps(ingest_body(39.0, device="ghost")).encode()),
+]
+
+
+def _without_date(reply: bytes) -> bytes:
+    return re.sub(rb"\r\nDate: [^\r]*", b"", reply)
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_request_sent_in_pieces_gets_the_reply_it_gets_whole(runtime, data):
+    request = data.draw(st.sampled_from(_REPEATABLE_REQUESTS))
+    cuts = sorted(data.draw(st.sets(st.integers(1, len(request) - 1), max_size=6)))
+    pauses = data.draw(st.lists(st.floats(0, 0.02), min_size=len(cuts), max_size=len(cuts)))
+    whole = _exchange(runtime.http_port, request)
+    with socket.create_connection(("127.0.0.1", runtime.http_port), timeout=5) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # each piece leaves on its own
+        for start, end, pause in zip([0] + cuts, cuts + [len(request)], [0.0] + pauses):
+            time.sleep(pause)
+            sock.sendall(request[start:end])
+        pieced = b""
+        while chunk := sock.recv(65536):
+            pieced += chunk
+    assert whole.startswith((b"HTTP/1.0 200 ", b"HTTP/1.0 404 "))
+    assert _without_date(pieced) == _without_date(whole)
+
+
+_REQUEST_LINES = st.sampled_from([
+    b"GET /api/v1/stats HTTP/1.1", b"POST /api/v1/observations HTTP/1.1", b"POST /api/v1/sensors HTTP/1.0",
+    b"GET /api/v1/query?q=x HTTP/1.1", b"PUT / HTTP/1.1", b"GET / HTTP/3.0", b"GET /",
+])
+_HEADER_LINES = st.sampled_from([
+    b"Content-Length: 4", b"Content-Length: -1", b"Content-Length: 99999999", b"Expect: 100-continue",
+    b"Host: x", b" folded", b"no colon", b"Transfer-Encoding: chunked",
+])
+_HOSTILE_REQUESTS = st.one_of(
+    st.binary(max_size=200),
+    st.lists(_REQUEST_LINES | _HEADER_LINES | st.sampled_from([b"", b"{}", b"\xff\x00"]) | st.binary(max_size=12),
+             max_size=8).map(b"\r\n".join),
+    st.tuples(_REQUEST_LINES, st.lists(_HEADER_LINES, max_size=4), st.binary(max_size=8)).map(
+        lambda t: b"\r\n".join([t[0], *t[1]]) + b"\r\n\r\n" + t[2]),
+    st.integers(MAX_HEADER_LINES - 2, MAX_HEADER_LINES + 2).map(
+        lambda n: b"GET /api/v1/stats HTTP/1.1\r\n" + b"X-A: 1\r\n" * n + b"\r\n"),
+    st.integers(MAX_HEAD_BYTES - 40, MAX_HEAD_BYTES + 40).map(
+        lambda n: b"GET /api/v1/stats HTTP/1.1\r\nX-Long: " + b"a" * n + b"\r\n\r\n"),
+)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(request=_HOSTILE_REQUESTS, hang_up=st.booleans())
+@example(request=_POST_HEAD + b"Content-Length: 99999999\r\n\r\n", hang_up=False)
+def test_no_bytes_get_a_500_a_traceback_or_a_worker_past_the_deadline(runtime, monkeypatch, caplog, request, hang_up):
+    monkeypatch.setattr(_ApiHandler, "timeout", 0.2)
+    reply = b""
+    t0 = time.monotonic()
+    with socket.create_connection(("127.0.0.1", runtime.http_port), timeout=5) as sock:
+        try:
+            sock.sendall(request)
+            if hang_up:
+                sock.shutdown(socket.SHUT_WR)
+            while chunk := sock.recv(65536):
+                reply += chunk
+        except OSError:
+            pass  # refused before it was all read, so the close reset the connection
+    assert time.monotonic() - t0 < 0.2 + 1.0
+    assert reply == b"" or re.match(rb"HTTP/1\.[01] [1-5]\d\d ", reply)
+    assert not reply.startswith(b"HTTP/1.0 500 ")
+    assert [r for r in caplog.records if r.levelno >= logging.ERROR or r.exc_info] == []
 
 
 def test_trickling_clients_cannot_hold_the_workers(runtime, base_url, monkeypatch):

@@ -186,12 +186,12 @@ def test_retract_matches_filter_oracle():
 
 def test_load_pack_empty_document():
     store = Store()
-    assert store.load_pack("", "p1") == 0
+    assert len(store.load_pack("", "p1")) == 0
 
 
 def test_load_pack_remedy_fixture(remedies_pack_text):
     store = Store()
-    assert store.load_pack(remedies_pack_text, "remedies") == 3
+    assert len(store.load_pack(remedies_pack_text, "remedies")) == 3
     results = store.match(
         TriplePattern(make_iri("m3:Fever"), make_iri("m3:hasRemedy"), Variable("r"))
     )
@@ -214,7 +214,7 @@ def test_load_then_retract_restores_snapshot():
             store.insert(rand_triple(rng), Asserted("urn:dev:x"))
         before = store.snapshot()
         pack = serialize_triples([rand_triple(rng) for _ in range(rng.randint(0, 15))])
-        loaded = store.load_pack(pack, "tmp")
+        loaded = len(store.load_pack(pack, "tmp"))
         assert len(store) == len(before) + loaded
         removed = store.retract(Loaded("tmp"))
         assert removed == loaded
