@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import threading
 import time
 import urllib.parse
@@ -85,35 +86,37 @@ def main() -> None:
     broker = LoopbackBroker()
     broker.start()
 
-    config = Path("/tmp/knotgate-e2e.toml")
-    config.write_text(
-        "[http]\nenabled = true\nhost = \"127.0.0.1\"\nport = 0\n"
-        "[coap]\nenabled = true\nhost = \"127.0.0.1\"\nport = 0\n"
-        f"[mqtt]\nenabled = true\nbroker_url = \"mqtt://127.0.0.1:{broker.port}\"\n"
-        "[load]\n"
-        f"sensors = [\"{FIXTURES}/sensors.csv\"]\n"
-        f"rulepacks = [\"{FIXTURES}/rules/fever.rules\"]\n"
-        f"packs = [\"{FIXTURES}/packs/remedies.nt\"]\n",
-        encoding="utf-8",
-    )
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "knotgate", "serve", "--config", str(config)],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.STDOUT,
-        text=True,
-        cwd=REPO,
-        # src first on the child's path, so that a checkout that is not installed runs too
-        env={**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))},
-    )
-    http_port = coap_port = None
-    deadline = time.monotonic() + 15
-    while time.monotonic() < deadline and (http_port is None or coap_port is None):
-        line = proc.stdout.readline()
-        if "http listening on" in line:
-            http_port = int(line.rsplit(":", 1)[1])
-        elif "coap listening on" in line:
-            coap_port = int(line.rsplit(":", 1)[1])
+    # the server reads its config at boot, so the directory goes once it reports its ports
+    with tempfile.TemporaryDirectory(prefix="knotgate-e2e-") as scratch:
+        config = Path(scratch) / "gateway.toml"
+        config.write_text(
+            "[http]\nenabled = true\nhost = \"127.0.0.1\"\nport = 0\n"
+            "[coap]\nenabled = true\nhost = \"127.0.0.1\"\nport = 0\n"
+            f"[mqtt]\nenabled = true\nbroker_url = \"mqtt://127.0.0.1:{broker.port}\"\n"
+            "[load]\n"
+            f"sensors = [\"{FIXTURES}/sensors.csv\"]\n"
+            f"rulepacks = [\"{FIXTURES}/rules/fever.rules\"]\n"
+            f"packs = [\"{FIXTURES}/packs/remedies.nt\"]\n",
+            encoding="utf-8",
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "knotgate", "serve", "--config", str(config)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            text=True,
+            cwd=REPO,
+            # src first on the child's path, so that a checkout that is not installed runs too
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(
+                filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))},
+        )
+        http_port = coap_port = None
+        deadline = time.monotonic() + 15
+        while time.monotonic() < deadline and (http_port is None or coap_port is None):
+            line = proc.stdout.readline()
+            if "http listening on" in line:
+                http_port = int(line.rsplit(":", 1)[1])
+            elif "coap listening on" in line:
+                coap_port = int(line.rsplit(":", 1)[1])
     check("server boots and reports ports", http_port is not None and coap_port is not None)
     api = f"http://127.0.0.1:{http_port}/api/v1"
 
@@ -178,7 +181,9 @@ def main() -> None:
             len(collector) == 3 and all(t == "derived/health" for t, _ in collector),
         )
 
-        time.sleep(0.2)
+        deadline = time.monotonic() + 5
+        while time.monotonic() < deadline and get(f"{api}/stats")["deliveries"]["pending"]:
+            time.sleep(0.02)
         states = [p for p in payloads if "state" in p]
         envelopes = [p for p in payloads if "triple" in p]
         check("subscription envelope per fever fact", len(envelopes) == 3)

@@ -32,6 +32,8 @@ SSN_OBSERVATION_RESULT = make_iri("ssn:observationResult")
 SSN_OBSERVED_BY = make_iri("ssn:observedBy")
 SSN_OBSERVED_AT = make_iri("ssn:observedAt")
 M3_HAS_UNIT = make_iri("m3:hasUnit")
+#: the largest timestamp an xsd:long literal holds
+XSD_LONG_MAX = 2**63 - 1
 
 UNIT_CELSIUS = make_iri("unit:DegreeCelsius")
 UNIT_FAHRENHEIT = make_iri("unit:DegreeFahrenheit")
@@ -94,6 +96,8 @@ class RawReading:
             raise InvalidReading("non-finite value")
         if self.timestamp < 0:
             raise InvalidReading("negative timestamp")
+        if self.timestamp > XSD_LONG_MAX:
+            raise InvalidReading("timestamp beyond xsd:long")
 
 
 @dataclass(frozen=True)

@@ -206,7 +206,10 @@ def _decode_json_fields(text: str) -> dict:
         v = obj["value"]
         if isinstance(v, bool) or not isinstance(v, (int, float)):
             raise DecodeError("field 'value' must be a number")
-        fields["value"] = float(v)
+        try:
+            fields["value"] = float(v)
+        except OverflowError:  # an integer past float's range
+            raise DecodeError("field 'value' out of range") from None
     if "timestamp" in obj:
         ts = obj["timestamp"]
         if isinstance(ts, bool) or not isinstance(ts, int):

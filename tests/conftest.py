@@ -32,6 +32,11 @@ def fever_observation_text() -> str:
     return (FIXTURES / "packs" / "fever-observation.nt").read_text(encoding="utf-8")
 
 
+def flat_json(payload: bytes) -> dict:
+    """A delivered JSON object, its arrays sorted: a lookup's rows come in no order an oracle knows."""
+    return {key: sorted(value) if isinstance(value, list) else value for key, value in json.loads(payload).items()}
+
+
 class CaptureServer:
     """Local HTTP sink recording webhook deliveries; can fail on demand."""
 

@@ -386,6 +386,13 @@ def test_golden_path_runs_under_python_3_10():
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_e2e_drive_passes_against_a_real_server():
+    # a `knotgate serve` process, its HTTP, CoAP and MQTT ingest, deliveries and the bridge
+    proc = subprocess.run([sys.executable, "scripts/e2e_drive.py"], cwd=REPO,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_serve_port_conflict_exits_3(tmp_path):
     blocker = socket.socket()
     blocker.bind(("127.0.0.1", 0))

@@ -35,8 +35,8 @@ from knotgate.gateway import (
     fact_envelope,
 )
 from knotgate.lexer import GrammarError
-from knotgate.model import Iri, Triple, TripleParseError, compact_term, make_iri, parse_triples, triple_to_line
-from knotgate.query import Query, UnsafeQuery, evaluate_query, parse_query
+from knotgate.model import Iri, Triple, TripleParseError, make_iri, parse_triples
+from knotgate.query import UnsafeQuery, evaluate_query, parse_query
 from knotgate.rules import RuleSafetyError, parse_pattern, parse_rulepack
 from knotgate import coap, services
 from knotgate.services import (
@@ -57,8 +57,7 @@ from knotgate.services import (
 )
 from knotgate.store import Inferred, Store, TriplePattern, Variable
 
-from conftest import FIXTURES
-from oracles import oracle_alias_classes, oracle_match, oracle_query
+from conftest import flat_json
 
 
 @pytest.fixture
@@ -180,6 +179,8 @@ def test_a_key_error_from_a_server_fault_is_a_500(runtime, base_url, monkeypatch
     (b"{not json", 400, coap.BAD_REQUEST),
     (json.dumps(ingest_body(39.0, device="ghost")).encode(), 404, coap.NOT_FOUND),
     (json.dumps(ingest_body(39.0, unit="parsec")).encode(), 422, coap.UNPROCESSABLE),
+    pytest.param(json.dumps(ingest_body(10**400)).encode(), 400, coap.BAD_REQUEST, id="value-past-float"),
+    pytest.param(json.dumps(ingest_body(39.0, ts=10**400)).encode(), 400, coap.BAD_REQUEST, id="timestamp-past-long"),
 ])
 def test_a_bad_reading_is_rejected_alike_over_http_coap_and_mqtt(runtime, base_url, caplog, payload, status,
                                                                  coap_code):
@@ -554,7 +555,8 @@ def test_a_fact_retracted_by_a_pack_replacement_is_delivered_again_when_derived_
     try:
         _register_fever_triggers(rt)
         rt.gateway.ingest(fever_reading(1, 39.0))
-        assert rt.gateway.set_rulepack(parse_rulepack(_PACKS["hot"]), rechain=True).committed == []
+        hot = fever_pack_text.replace("?v > 38.0", "?v > 60.0")  # derives fever only above 60.0
+        assert rt.gateway.set_rulepack(parse_rulepack(hot), rechain=True).committed == []
         rt.gateway.set_rulepack(parse_rulepack(fever_pack_text), rechain=True)
         drained(rt)
         assert [target for target, _ in sent] == ["http://sub.test/h", "remedies", "derived/health"] * 2
@@ -575,8 +577,8 @@ def test_a_knowledge_pack_load_notifies_what_it_derives_once(fixtures_dir, fever
         envelope = {"triple": "<urn:obs:x:1> <urn:knotgate:m3#indicates> <urn:knotgate:m3#Fever> .",
                     "rule_id": "fever", "observation_iri": "", "timestamp": 5}
         assert [json.loads(payload) for _, payload in sent[::2]] == [envelope] * 2
-        assert _flat(sent[1][1]) == {"observation": "urn:obs:x:1",
-                                     "remedies": ["m3:ColdCompress", "m3:GingerTea", "m3:Hydration"]}
+        assert flat_json(sent[1][1]) == {"observation": "urn:obs:x:1",
+                                         "remedies": ["m3:ColdCompress", "m3:GingerTea", "m3:Hydration"]}
         # the next ingest notifies only its own facts
         assert rt.gateway.ingest(fever_reading(1, 36.0)).notifications_queued == 0
         assert rt.gateway.ingest(fever_reading(2)).notifications_queued == 2
@@ -991,162 +993,6 @@ def test_close_leaves_what_its_deadline_cannot_deliver_and_logs_it(caplog):
     assert "3 deliveries undelivered" in caplog.text
     assert egress.drain(5) == 0
     assert egress.counts() == {"ok": 1, "failed": 0, "dropped": 0, "pending": 0}  # the one in flight
-
-
-_PATTERNS = ["?o m3:indicates m3:Fever", "?o m3:indicates ?s", "?o m3:indicates m3:AFever", "?o m3:indicates m3:FireRisk"]
-_COMPOSITIONS = [
-    ("?o m3:indicates ?s", "SELECT ?r WHERE { ?s m3:hasRemedy ?r }", {"state": "{s}", "suggestions": "{r}"}),
-    ("?o m3:indicates m3:Fever", "SELECT ?r WHERE { m3:Fever m3:hasRemedy ?r }", {"observation": "{o}", "remedies": "{r}"}),
-]
-_ALIASES = [
-    "<urn:knotgate:m3#Fever> <urn:knotgate:m3#equivalentTo> <urn:knotgate:m3#AFever> .\n",
-    "<urn:knotgate:m3#Blaze> <urn:knotgate:m3#equivalentTo> <urn:knotgate:m3#FireRisk> .\n",
-]
-_OPS = st.lists(
-    st.one_of(
-        st.tuples(st.just("ingest"), st.sampled_from(["thermo1", "ambient1"]), st.integers(300, 900)),
-        st.tuples(st.just("subscribe"), st.sampled_from(_PATTERNS), st.booleans()),
-        st.tuples(st.just("compose"), st.sampled_from(_COMPOSITIONS), st.booleans()),
-        st.tuples(st.just("alias"), st.sampled_from(_ALIASES)),
-        st.tuples(st.just("pack"), st.sampled_from(["fever", "hot"]), st.booleans()),
-    ),
-    max_size=25,
-)
-_FEVER_PACK = (FIXTURES / "rules" / "fever.rules").read_text()
-#: the fever pack and a replacement under the same pack id that derives fever only above 60.0
-_PACKS = {"fever": _FEVER_PACK, "hot": _FEVER_PACK.replace("?v > 38.0", "?v > 60.0")}
-
-
-def _replay_ops(ops, fixtures_dir, synchronous):
-    """Run ops on a fresh runtime whose MQTT bridge is on; return the receipts' notification
-    counts and every (target, payload) sent, in order.  synchronous delivers on the writer,
-    as before the outbox: the oracle."""
-    rt, sent = _bridged_runtime(fixtures_dir)
-    if synchronous:
-        rt.egress.enqueue = lambda target, payload: rt.egress.deliver(target, payload).ok
-    queued = []
-    try:
-        for n, op in enumerate(ops):
-            if op[0] == "ingest":
-                receipt = rt.gateway.ingest(RawReading(op[1], "temperature", op[2] / 10, "cel", n))
-                queued.append(receipt.notifications_queued)
-            elif op[0] in ("subscribe", "compose"):
-                endpoint = MqttTopic(f"t{n}") if op[2] else Webhook(f"http://t{n}.test/h")
-                if op[0] == "subscribe":
-                    rt.subscriptions.register(parse_pattern(op[1]), endpoint)
-                else:
-                    trigger, lookup, template = op[1]
-                    rt.compositions.register(parse_pattern(trigger), lookup, template, endpoint)
-            elif op[0] == "alias":
-                rt.gateway.load_knowledge_pack(op[1], f"alias{n}")
-            else:
-                rt.gateway.set_rulepack(parse_rulepack(_PACKS[op[1]]), rechain=op[2])
-        drained(rt)
-    finally:
-        rt.stop()
-    return queued, sent
-
-
-@settings(max_examples=40, deadline=None)
-@given(ops=_OPS)
-def test_outbox_delivers_what_synchronous_delivery_would(ops):
-    with mock.patch("knotgate.gateway.now_ms", return_value=0):  # a rechain stamps its facts with the clock
-        assert _replay_ops(ops, FIXTURES, synchronous=False) == _replay_ops(ops, FIXTURES, synchronous=True)
-
-
-def _flat(payload):
-    """A delivered JSON object, its array values sorted: a lookup's rows come in no order the
-    oracle knows."""
-    return {key: sorted(value) if isinstance(value, list) else value for key, value in json.loads(payload).items()}
-
-
-def _composition_payload(store, canon, trigger, lookup_text, template, bindings):
-    """The composition's payload by the query oracle: the lookup with the trigger's bindings
-    put in, over every served triple."""
-    def ground(term):
-        return bindings[term.name] if isinstance(term, Variable) and term.name in bindings else canon(term)
-
-    lookup = parse_query(lookup_text, presumed_bound=trigger.variables())
-    patterns = tuple(TriplePattern(*map(ground, p.positions())) for p in lookup.patterns)
-    select = tuple(name for name in lookup.select if name not in bindings)
-    rows = oracle_query(list(store), Query(select, patterns, lookup.filters))
-    arrays = {name: sorted({compact_term(row[i]) for row in rows}) for i, name in enumerate(select)}
-    scalars = {name: compact_term(term) for name, term in bindings.items()}
-    return {key: arrays.get(value[1:-1], scalars.get(value[1:-1])) for key, value in template.items()}
-
-
-@settings(max_examples=100, deadline=None)
-@given(ops=_OPS)
-@example(ops=[  # writes that add several facts: a rechain after a replacement, a stale ingest
-    ("subscribe", _PATTERNS[0], False), ("compose", _COMPOSITIONS[0], True),
-    ("ingest", "thermo1", 390), ("ingest", "thermo1", 450), ("ingest", "ambient1", 700),
-    ("pack", "hot", True), ("alias", _ALIASES[0]), ("pack", "fever", True), ("pack", "fever", True),
-    ("subscribe", _PATTERNS[2], True), ("pack", "hot", True), ("pack", "fever", False), ("ingest", "thermo1", 380),
-])
-def test_each_write_notifies_the_derived_facts_it_adds(ops):
-    # the oracle: a write adds the derived facts that the store serves after it and did not serve
-    # before it under the same alias classes; each is notified in commit order, to the matching
-    # subscriptions, then compositions, then the bridge, each in registration order
-    packs = {name: parse_rulepack(text) for name, text in _PACKS.items()}
-    subscriptions, compositions, aliases, expected = [], [], [], []
-    with mock.patch("knotgate.gateway.now_ms", return_value=0):  # a rechain stamps its facts with the clock
-        rt, sent = _bridged_runtime(FIXTURES)
-        domains = {rule.id: pack.domains[0] for pack in rt.gateway.active_packs() for rule in pack.rules}
-        try:
-            for n, op in enumerate(ops):
-                before = set(rt.store)
-                committed, obs, ts = [], "", 0
-                if op[0] == "ingest":
-                    receipt = rt.gateway.ingest(RawReading(op[1], "temperature", op[2] / 10, "cel", n))
-                    committed, obs, ts = receipt.derived, receipt.observation_iri, n
-                elif op[0] in ("subscribe", "compose"):
-                    target = f"t{n}" if op[2] else f"http://t{n}.test/h"
-                    endpoint = MqttTopic(target) if op[2] else Webhook(target)
-                    if op[0] == "subscribe":
-                        subscriptions.append((parse_pattern(op[1]), target))
-                        rt.subscriptions.register(subscriptions[-1][0], endpoint)
-                    else:
-                        trigger, lookup, template = op[1]
-                        compositions.append((parse_pattern(trigger), lookup, template, target))
-                        rt.compositions.register(compositions[-1][0], lookup, template, endpoint)
-                    continue
-                elif op[0] == "alias":
-                    rt.gateway.load_knowledge_pack(op[1], f"alias{n}")
-                    [link] = parse_triples(op[1])
-                    aliases.append((link.subject.value, link.object.value))
-                else:
-                    pack = packs[op[1]]
-                    stats = rt.gateway.set_rulepack(pack, rechain=op[2])
-                    domains.update((rule.id, pack.domains[0]) for rule in pack.rules)
-                    committed = stats.committed if stats is not None else []
-                classes = oracle_alias_classes(aliases)
-                canon = lambda term: Iri(classes.get(term.value, term.value)) if isinstance(term, Iri) else term
-                held = {Triple(*map(canon, (t.subject, t.predicate, t.object))) for t in before}
-                added = {t for t in rt.store if t not in held and isinstance(rt.store.provenance(t), Inferred)}
-                fresh = [t for t in committed if t in added]
-                assert set(fresh) == added
-                items = []
-                for fact in fresh:
-                    rule_id = rt.store.provenance(fact).rule_id
-                    envelope = {
-                        "triple": triple_to_line(fact), "rule_id": rule_id, "observation_iri": obs, "timestamp": ts,
-                    }
-                    for pattern, target in subscriptions:
-                        if oracle_match([fact], TriplePattern(*map(canon, pattern.positions()))):
-                            items.append((target, envelope))
-                    for trigger, lookup, template, target in compositions:
-                        matched = oracle_match([fact], TriplePattern(*map(canon, trigger.positions())))
-                        if matched:
-                            bindings = matched[0][1]
-                            items.append((target, _composition_payload(rt.store, canon, trigger, lookup, template, bindings)))
-                    items.append((f"derived/{domains.get(rule_id, 'default')}", envelope))
-                if op[0] == "ingest":
-                    assert receipt.notifications_queued == len(items) - len(fresh)  # the bridge counts none
-                expected += items
-            drained(rt)
-        finally:
-            rt.stop()
-    assert [(target, _flat(payload)) for target, payload in sent] == expected
 
 
 # -- HTTP worker pool -----------------------------------------------------------------
