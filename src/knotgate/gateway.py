@@ -20,10 +20,11 @@ queued within a deadline and logs what it leaves undelivered.
 
 from __future__ import annotations
 
-import http.client
 import json
 import logging
 import re
+import socket
+import ssl
 import threading
 import time
 import urllib.parse
@@ -45,9 +46,18 @@ RETRY_SPACING_S = 0.2
 OUTBOX_CAPACITY = 1024
 #: seconds Egress.close waits for the outbox to empty
 DRAIN_DEADLINE_S = 5.0
+#: seconds one webhook attempt may take, from connecting to the reply's head
+WEBHOOK_TIMEOUT_S = 5.0
+#: bytes of a webhook reply's head read at most; a longer head fails the attempt
+REPLY_HEAD_LIMIT = 64 * 1024
 
 #: an MQTT topic may hold any character but whitespace
 _WHITESPACE_RE = re.compile(r"\s")
+#: a webhook URL is sent as it is in the request line and Host header, so it
+#: holds no whitespace, control or non-ASCII character
+_URL_UNSAFE_RE = re.compile(r"[^\x21-\x7e]")
+_HEAD_END = re.compile(rb"\r?\n\r?\n")
+_STATUS_LINE = re.compile(rb"HTTP/[0-9]\.[0-9] ([0-9]{3})(?: [^\r\n]*)?\r?\n")
 
 
 class DecodeError(ValueError):
@@ -76,8 +86,15 @@ class Webhook:
     url: str
 
     def __post_init__(self) -> None:
-        if not self.url.startswith(("http://", "https://")):
+        if not self.url.startswith(("http://", "https://")) or _URL_UNSAFE_RE.search(self.url):
             raise InvalidTarget(f"bad webhook URL {self.url!r}")
+        try:
+            parts = urllib.parse.urlsplit(self.url)
+            port = parts.port
+        except ValueError as exc:  # a port out of range or not a number, or a bad IPv6 host
+            raise InvalidTarget(f"bad webhook URL {self.url!r}: {exc}") from None
+        if not parts.hostname or port == 0:
+            raise InvalidTarget(f"webhook URL {self.url!r} names no host and port to connect to")
 
 
 EgressTarget = Union[MqttTopic, Webhook]
@@ -180,6 +197,8 @@ def parse_json(text: str) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise DecodeError(f"bad JSON: {exc.msg}") from None
+    except ValueError:  # an integer of more digits than int() converts
+        raise DecodeError("bad JSON: integer out of range") from None
 
 
 def read_json(text: str, required: Sequence[str] = ()) -> dict:
@@ -265,19 +284,53 @@ def fact_envelope(fact: Triple, ctx: DerivedContext) -> bytes:
 
 
 def _post_webhook(url: str, payload: bytes) -> int:
-    """POST payload and return the status; one connection per call, no proxy,
-    no redirect followed.  Plain http.client costs the delivery thread, and so
-    the GIL, less than urllib.request's handler chain."""
+    """POST payload as JSON on a fresh connection and return the reply's
+    status; no proxy, no redirect followed.  The request goes out in one
+    write, and only the reply's head is read, within WEBHOOK_TIMEOUT_S of
+    the start, before the connection is closed.  An https target's
+    certificate and host name are verified.  Resolving the host name is
+    not bounded by the deadline, and each address a name resolves to may
+    take up to WEBHOOK_TIMEOUT_S to refuse or time out the connect."""
+    deadline = time.monotonic() + WEBHOOK_TIMEOUT_S
     parts = urllib.parse.urlsplit(url)
-    connection = http.client.HTTPSConnection if parts.scheme == "https" else http.client.HTTPConnection
-    conn = connection(parts.hostname, parts.port, timeout=5)
+    target = parts.path or "/"
+    if parts.query:
+        target += "?" + parts.query
+    head = (
+        f"POST {target} HTTP/1.1\r\nHost: {parts.netloc.rpartition('@')[2]}\r\n"
+        f"Content-Type: application/json\r\nContent-Length: {len(payload)}\r\nConnection: close\r\n\r\n"
+    )
+    tls = parts.scheme == "https"
+    port = parts.port or (443 if tls else 80)
+    sock = socket.create_connection((parts.hostname, port), _time_left(deadline))
     try:
-        target = parts.path or "/"
-        conn.request("POST", f"{target}?{parts.query}" if parts.query else target, payload,
-                     {"Content-Type": "application/json"})
-        return conn.getresponse().status
+        if tls:
+            sock.settimeout(_time_left(deadline))
+            sock = ssl.create_default_context().wrap_socket(sock, server_hostname=parts.hostname)
+        sock.settimeout(_time_left(deadline))
+        sock.sendall(head.encode("ascii") + payload)
+        reply = bytearray()
+        while not _HEAD_END.search(reply):
+            if len(reply) >= REPLY_HEAD_LIMIT:
+                raise ValueError(f"reply head over {REPLY_HEAD_LIMIT} bytes")
+            sock.settimeout(_time_left(deadline))
+            chunk = sock.recv(REPLY_HEAD_LIMIT - len(reply))
+            if not chunk:
+                raise ConnectionError("connection closed before the reply head ended")
+            reply += chunk
     finally:
-        conn.close()
+        sock.close()
+    status = _STATUS_LINE.match(reply)
+    if status is None:
+        raise ValueError(f"malformed status line {bytes(reply[:80])!r}")
+    return int(status[1])
+
+
+def _time_left(deadline: float) -> float:
+    left = deadline - time.monotonic()
+    if left <= 0:
+        raise TimeoutError(f"no reply within {WEBHOOK_TIMEOUT_S} s")
+    return left
 
 
 class Egress:

@@ -43,6 +43,7 @@ class CaptureServer:
     def __init__(self):
         self.requests: list[dict] = []
         self.paths: list[str] = []  # the request target of every delivery, failed ones included
+        self.headers: list[dict[str, str]] = []  # the headers of every delivery, failed ones included
         self.fail_times = 0
         self._lock = threading.Lock()
         outer = self
@@ -53,6 +54,7 @@ class CaptureServer:
                 body = self.rfile.read(length)
                 with outer._lock:
                     outer.paths.append(self.path)
+                    outer.headers.append(dict(self.headers))
                     if outer.fail_times > 0:
                         outer.fail_times -= 1
                         status = 500

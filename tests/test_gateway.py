@@ -1,6 +1,10 @@
 import gc
 import logging
 import random
+import shutil
+import socket
+import ssl
+import subprocess
 import sys
 import threading
 import time
@@ -637,6 +641,9 @@ def test_webhook_post_keeps_the_query_and_sends_json(capture_server):
     assert record.ok and record.attempts == 1
     assert capture_server.paths == ["/hook?k=v&n=1"]
     assert capture_server.requests == [{"n": 1}]
+    [headers] = capture_server.headers
+    assert headers["Host"] == f"127.0.0.1:{capture_server.port}"
+    assert headers["Content-Type"] == "application/json"
 
 
 def test_mqtt_target_without_client_fails_cleanly():
@@ -646,8 +653,176 @@ def test_mqtt_target_without_client_fails_cleanly():
     assert record.attempts == 0
 
 
+@pytest.mark.parametrize("url", [
+    "http://example.com/x",
+    "https://example.com:8443/x?k=v",
+    "http://[::1]:8080/x",
+    "http://user@example.com/x",
+])
+def test_egress_target_accepts_a_well_formed_url(url):
+    assert Webhook(url).url == url
+
+
 def test_egress_target_validation():
     with pytest.raises(InvalidTarget):
         MqttTopic("")
-    with pytest.raises(InvalidTarget):
-        Webhook("ftp://example.com/x")
+    for url in [
+        "ftp://example.com/x",
+        "http://",
+        "http:///x",
+        "http://user@/x",
+        "http://example.com:99999/x",
+        "http://example.com:http/x",
+        "http://example.com:0/x",
+        "http://[::1/x",
+        "http://h/a b\r\nX: y",  # request splitting, were it sent
+        "http://h/a\tb",
+        "http://h/\x00",
+        "http://h/\x7f",
+        "http://h/caf\u00e9",
+    ]:
+        with pytest.raises(InvalidTarget, match="webhook URL"):
+            Webhook(url)
+
+
+# -- the webhook poster against local sockets -------------------------------------
+
+
+class ScriptedPeer:
+    """A local listening socket that reads each connection's request (head and
+    Content-Length body) into requests, then hands the connection to answer.
+    With a server TLS context, each connection is a TLS handshake first."""
+
+    def __init__(self, answer, tls: ssl.SSLContext | None = None):
+        self.requests: list[bytes] = []
+        self._answer = answer
+        self._tls = tls
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)
+        self.port = self._listener.getsockname()[1]
+        self.url = f"http://127.0.0.1:{self.port}/hook"
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._serve, daemon=True)
+        self._thread.start()
+
+    def _serve(self):
+        while not self._stop.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except socket.timeout:
+                continue
+            try:
+                conn.settimeout(5)
+                if self._tls is not None:
+                    conn = self._tls.wrap_socket(conn, server_side=True)
+                data = b""
+                while b"\r\n\r\n" not in data:
+                    chunk = conn.recv(4096)
+                    if not chunk:
+                        break
+                    data += chunk
+                head, _, body = data.partition(b"\r\n\r\n")
+                length = int(next(line.split(b":")[1] for line in head.split(b"\r\n")
+                                  if line.lower().startswith(b"content-length:")))
+                while len(body) < length:
+                    body += conn.recv(4096)
+                self.requests.append(head + b"\r\n\r\n" + body)
+                self._answer(conn)
+            except OSError:  # the poster gave up, or refused the handshake
+                pass
+            finally:
+                conn.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._stop.set()
+        self._thread.join(5)
+        assert not self._thread.is_alive()
+        self._listener.close()
+
+
+def replying(reply: bytes):
+    return lambda conn: conn.sendall(reply)
+
+
+def test_the_poster_sends_its_request_as_these_bytes():
+    with ScriptedPeer(replying(b"HTTP/1.1 204 No Content\r\n\r\n")) as peer:
+        status = gateway_module._post_webhook(peer.url + "?k=v&n=1", b'{"n":1}')
+    assert status == 204
+    assert peer.requests == [
+        b"POST /hook?k=v&n=1 HTTP/1.1\r\n"
+        + f"Host: 127.0.0.1:{peer.port}\r\n".encode()
+        + b"Content-Type: application/json\r\nContent-Length: 7\r\nConnection: close\r\n\r\n"
+        + b'{"n":1}'
+    ]
+
+
+@pytest.mark.parametrize("status, ok", [
+    (200, True), (201, True), (204, True),
+    (301, False), (302, False), (307, False), (404, False), (500, False), (503, False),
+])
+def test_a_2xx_reply_is_a_delivery_and_any_other_a_failed_attempt_with_no_redirect_followed(status, ok):
+    reply = f"HTTP/1.1 {status} Whatever\r\nLocation: /elsewhere\r\nContent-Length: 0\r\n\r\n".encode()
+    with ScriptedPeer(replying(reply)) as peer:
+        record = Egress(spacing_s=0.01).deliver(Webhook(peer.url), b"{}")
+    assert (record.ok, record.attempts) == ((True, 1) if ok else (False, 3))
+    assert record.error == (None if ok else f"HTTP {status}")
+    assert all(request.startswith(b"POST /hook HTTP/1.1\r\n") for request in peer.requests)
+    assert len(peer.requests) == record.attempts
+
+
+@pytest.mark.parametrize("answer, error", [
+    pytest.param(replying(b"HTTP/1.1 OK\r\n\r\n"), "malformed status line b'HTTP/1.1 OK", id="no-status"),
+    pytest.param(replying(b"ICY 200 OK\r\n\r\n"), "malformed status line b'ICY 200 OK", id="not-HTTP"),
+    pytest.param(lambda conn: None, "connection closed before the reply head ended", id="closed-unanswered"),
+    pytest.param(replying(b"HTTP/1.1 200 OK\r\nX-A: 1\r\n"), "connection closed before the reply head ended",
+                 id="closed-mid-head"),
+])
+def test_a_malformed_or_missing_reply_is_a_failed_attempt_with_its_error(answer, error):
+    with ScriptedPeer(answer) as peer:
+        record = Egress(spacing_s=0.01).deliver(Webhook(peer.url), b"{}")
+    assert (record.ok, record.attempts) == (False, 3)
+    assert record.error.startswith(error), record.error
+    assert len(peer.requests) == 3
+
+
+def test_a_reply_head_over_the_limit_is_a_failed_attempt():
+    reply = b"HTTP/1.1 200 OK\r\nX-Long: " + b"x" * gateway_module.REPLY_HEAD_LIMIT + b"\r\n\r\n"
+    with ScriptedPeer(replying(reply)) as peer:
+        with pytest.raises(ValueError, match="reply head over"):
+            gateway_module._post_webhook(peer.url, b"{}")
+
+
+def test_a_peer_that_trickles_its_reply_ends_the_attempt_at_the_deadline(monkeypatch):
+    monkeypatch.setattr(gateway_module, "WEBHOOK_TIMEOUT_S", 0.5)
+
+    def trickle(conn):  # one byte every 0.2 s: each read waits far less than the deadline
+        for byte in b"HTTP/1.1 200 OK\r\nX-Slow: yes\r\n\r\n":
+            conn.sendall(bytes([byte]))
+            time.sleep(0.2)
+
+    with ScriptedPeer(trickle) as peer:
+        start = time.monotonic()
+        with pytest.raises(TimeoutError):
+            gateway_module._post_webhook(peer.url, b"{}")
+        elapsed = time.monotonic() - start
+    assert 0.45 <= elapsed < 0.9, elapsed
+
+
+@pytest.mark.skipif(shutil.which("openssl") is None, reason="needs the openssl command")
+def test_an_https_target_with_a_self_signed_certificate_fails_verification(tmp_path):
+    cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+    subprocess.run(
+        ["openssl", "req", "-x509", "-newkey", "ec", "-pkeyopt", "ec_paramgen_curve:prime256v1", "-nodes",
+         "-keyout", str(key), "-out", str(cert), "-days", "1", "-subj", "/CN=127.0.0.1",
+         "-addext", "subjectAltName=IP:127.0.0.1"],
+        check=True, capture_output=True, timeout=30,
+    )
+    server_tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+    server_tls.load_cert_chain(cert, key)
+    with ScriptedPeer(replying(b"HTTP/1.1 200 OK\r\n\r\n"), tls=server_tls) as peer:
+        with pytest.raises(ssl.SSLCertVerificationError, match="certificate verify failed"):
+            gateway_module._post_webhook(f"https://127.0.0.1:{peer.port}/hook", b"{}")
+    assert peer.requests == []  # nothing was sent over the unverified connection

@@ -145,6 +145,8 @@ def test_ingest_endpoint_malformed_json(base_url):
 WEBHOOK = {"kind": "webhook", "url": "http://sink.test/h"}
 NOT_AN_OBJECT = b'{"error": "DecodeError", "detail": "JSON payload must be an object"}'
 BAD_JSON = b'{"error": "DecodeError", "detail": "bad JSON: Expecting property name enclosed in double quotes"}'
+OUT_OF_RANGE = b'{"error": "DecodeError", "detail": "bad JSON: integer out of range"}'
+LONG_INTEGER = b"9" * 5000  # more digits than int() converts
 
 
 @pytest.mark.parametrize("path, data, reply", [
@@ -153,6 +155,10 @@ BAD_JSON = b'{"error": "DecodeError", "detail": "bad JSON: Expecting property na
     ("/api/v1/compositions", b'"x"', NOT_AN_OBJECT),
     ("/api/v1/observations", b"{not json", BAD_JSON),
     ("/api/v1/subscriptions", b"{", BAD_JSON),
+    pytest.param("/api/v1/observations", b'{"value": ' + LONG_INTEGER + b"}", OUT_OF_RANGE,
+                 id="observation-long-integer"),
+    pytest.param("/api/v1/subscriptions", b'{"pattern": "?o m3:indicates ?s", "n": [' + LONG_INTEGER + b"]}",
+                 OUT_OF_RANGE, id="subscription-long-integer"),
     ("/api/v1/subscriptions", json.dumps({"endpoint": WEBHOOK}).encode(),
      b'{"error": "DecodeError", "detail": "missing field \'pattern\'"}'),
     ("/api/v1/compositions", json.dumps({"trigger": "?o m3:indicates ?s", "endpoint": WEBHOOK}).encode(),
@@ -163,6 +169,19 @@ def test_a_json_body_that_is_bad_not_an_object_or_short_of_a_field_is_a_400(base
         resp = requests.post(f"{base_url}{path}", data=data, headers={"Content-Type": "application/json"})
     assert (resp.status_code, resp.content) == (400, reply)
     assert not caplog.records  # a client's fault logs no traceback
+
+
+@pytest.mark.parametrize("url", ["http://h/a b\r\nX: y", "http:///h", "http://h:99999/h"])
+@pytest.mark.parametrize("path, fields", [
+    ("/api/v1/subscriptions", {"pattern": "?o m3:indicates ?s"}),
+    ("/api/v1/compositions", {"trigger": "?o m3:indicates ?s", "lookup": "SELECT ?r WHERE { ?s m3:hasRemedy ?r }"}),
+])
+def test_registering_a_bad_webhook_url_is_a_400(runtime, base_url, path, fields, url):
+    resp = requests.post(f"{base_url}{path}", json={**fields, "endpoint": {"kind": "webhook", "url": url}})
+    assert resp.status_code == 400
+    assert resp.json()["error"] == "InvalidTarget"
+    receipt = requests.post(f"{base_url}/api/v1/observations", json=ingest_body(39.0)).json()
+    assert FEVER_LINE in receipt["derived"] and receipt["notifications_queued"] == 0  # nothing was registered
 
 
 def test_a_key_error_from_a_server_fault_is_a_500(runtime, base_url, monkeypatch):
