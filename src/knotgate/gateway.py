@@ -10,8 +10,9 @@ the store untouched.
 
 Egress keeps one bounded outbox.  Derived-fact hooks build each payload
 on the ingesting thread, under the write lock, and enqueue it with its
-target; one delivery thread, started with the first item, delivers the
-items in the order they were enqueued, with a fixed retry budget per item.
+target; one delivery thread, started by Egress.start (with the runtime) or
+else by the first item, delivers the items in the order they were
+enqueued, with a fixed retry budget per item.
 So no write waits on the network, and deliveries to one target arrive in
 order.  A full outbox drops the item and counts it, and a failed delivery
 is counted, never raised into the pipeline.  Egress.close delivers what is
@@ -95,6 +96,10 @@ class Webhook:
             raise InvalidTarget(f"bad webhook URL {self.url!r}: {exc}") from None
         if not parts.hostname or port == 0:
             raise InvalidTarget(f"webhook URL {self.url!r} names no host and port to connect to")
+        try:  # as socket.getaddrinfo will, which loads the codec here, not on the first delivery
+            parts.hostname.encode("idna")
+        except UnicodeError as exc:  # an empty label, or one over 63 characters
+            raise InvalidTarget(f"bad webhook URL {self.url!r}: host {parts.hostname!r}: {exc}") from None
 
 
 EgressTarget = Union[MqttTopic, Webhook]
@@ -199,6 +204,8 @@ def parse_json(text: str) -> object:
         raise DecodeError(f"bad JSON: {exc.msg}") from None
     except ValueError:  # an integer of more digits than int() converts
         raise DecodeError("bad JSON: integer out of range") from None
+    except RecursionError:  # arrays or objects nested deeper than the parser recurses
+        raise DecodeError("bad JSON: nested too deeply") from None
 
 
 def read_json(text: str, required: Sequence[str] = ()) -> dict:
@@ -365,11 +372,18 @@ class Egress:
                 return False
             self._full = False
             self._outbox.append((target, payload))
+            self.start()
+            self._changed.notify_all()
+            return True
+
+    def start(self) -> None:
+        """Start the delivery thread unless it runs.  Runtime.start calls
+        this before traffic; enqueue calls it too, for an Egress that was
+        never started or was closed since."""
+        with self._changed:
             if self._thread is None:
                 self._thread = threading.Thread(target=self._run, name="egress", daemon=True)
                 self._thread.start()
-            self._changed.notify_all()
-            return True
 
     def _run(self) -> None:
         me = threading.current_thread()

@@ -22,7 +22,9 @@ error is raised afresh on every call.  A Query keeps its plans as a pattern
 keeps its steps: per (prebound names, seed pattern), the join order, the
 guard filter and the select projection.  Which pattern seeds the join
 depends on the store, so evaluate_query costs the patterns on every call;
-the rows are never kept, as every call joins the live store.
+the rows are never kept, as every call joins the live store.  A
+composition's lookup is prepared further when it is registered
+(prepare_query): every plan and step it runs for its trigger's bindings.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import AbstractSet, Callable, Mapping, NamedTuple
 from .lexer import GrammarError, TokenCursor, parse_text, read_pattern
 from .model import Term
 from .rules import Guard, compile_guards, read_guard
-from .store import Store, TriplePattern, layout
+from .store import Store, TriplePattern, layout, prepare
 
 
 class QuerySyntaxError(GrammarError):
@@ -174,6 +176,15 @@ def _plan(query: Query, names: tuple[str, ...], first: int) -> _Plan:
         repeats = not set(where) >= set(range(len(names), len(slots)))
         plan = query.plans[key] = _Plan(tuple(patterns), compile_guards(query.filters, slots), select, repeats)
     return plan
+
+
+def prepare_query(query: Query, names: tuple[str, ...] = ()) -> None:
+    """Build the plans and compile the steps that evaluate_query runs for
+    bindings laid out as names, so that its first call compiles nothing:
+    each pattern's count and the join of each choice of seed pattern."""
+    for first, pattern in enumerate(query.patterns):
+        prepare([pattern], names, "count")
+        prepare(_plan(query, names, first).patterns, names)
 
 
 _KEY = itemgetter(0)  # compare keys only: a Term defines no order

@@ -39,7 +39,7 @@ from typing import AbstractSet, Callable, NamedTuple, Sequence
 
 from .lexer import GrammarError, TokenCursor, parse_text, read_pattern
 from .model import InvalidTriple, Term, Triple
-from .store import M3_EQUIVALENT_TO, Inferred, Store, TriplePattern, Variable, layout
+from .store import M3_EQUIVALENT_TO, Inferred, Store, TriplePattern, Variable, layout, prepare
 
 log = logging.getLogger(__name__)
 
@@ -407,6 +407,17 @@ class RuleFamily:
             plan = self.plans[k] = _Plan(early, late, joined, hole, members)
         return plan
 
+    def prepare(self) -> None:
+        """Build every plan and compile every step evaluate runs, so that
+        no chain compiles one: the first atom's whole-store step, each
+        atom's delta step, and each plan's joins."""
+        prepare(self.body[:1])
+        for k, atom in enumerate(self.body):
+            prepare([atom], kind="among")
+            plan = self._plan(k)
+            prepare(plan.early, atom.names, "exclude")
+            prepare(plan.late, plan.joined)
+
     def _route(self, hole: int | None, rows: list) -> dict[int, list]:
         """Member position -> the rows for it."""
         if hole is None:
@@ -565,8 +576,9 @@ def _reads_links(pattern: TriplePattern) -> bool:
 
 class RuleSet:
     """Rule packs compiled for forward_chain, once per set of packs: the
-    rules in order, their families, and the facts about them that a chain
-    would otherwise recompute.
+    rules in order, their families with every plan and step their chains
+    run (RuleFamily.prepare), and the facts about them that a chain would
+    otherwise recompute.
 
     A round evaluates only the families with an atom that can match its
     delta, found through an index from the canonical predicate of each body
@@ -586,6 +598,8 @@ class RuleSet:
         self.whole_store_only = any(_reads_links(h) for r in self.rules for h in r.head)
         self.reads_equivalences = any(_reads_links(a) for r in self.rules for a in r.body)
         self.families = _families(self.rules)
+        for family, _ in self.families:
+            family.prepare()
         #: the families with a variable predicate: they can match any delta triple
         self._wild = {
             f

@@ -62,9 +62,9 @@ from .gateway import (
 from .lexer import GrammarError
 from .model import Term, Triple, TripleParseError, compact_term, serialize_term
 from .mqtt import MqttClient
-from .query import Query, evaluate_query, parse_query
+from .query import Query, evaluate_query, parse_query, prepare_query
 from .rules import parse_pattern, parse_rulepack
-from .store import Store, TriplePattern
+from .store import Store, TriplePattern, prepare
 
 log = logging.getLogger(__name__)
 
@@ -157,6 +157,7 @@ class TriggerRegistry:
 
     def _add(self, trigger_id: str | None, pattern: TriplePattern, endpoint: EgressTarget,
              lookup: Query | None = None, response_template: object = None) -> str:
+        prepare([pattern], kind="among")  # the step _fired runs, compiled before any fact
         with self._lock:
             unnamed = (f"{self._id_prefix}-{n}" for n in self._ids)
             tid = trigger_id or next(t for t in unnamed if t not in self._triggers)
@@ -233,6 +234,7 @@ class CompositionManager(TriggerRegistry):
             raise TemplateError(
                 f"list placeholder {{{embedded[0]}}} must be the entire string value"
             )
+        prepare_query(lookup, trigger.names)  # as on_derived binds it
         return self._add(pipeline_id, trigger, endpoint, lookup, response_template)
 
     def on_derived(self, fact: Triple, ctx: DerivedContext) -> int:
@@ -655,6 +657,7 @@ class Runtime:
         self.gateway.add_derived_hook(self._bridge_derived_to_mqtt)
 
     def start(self) -> None:
+        self.egress.start()  # before traffic, so that no request waits for it
         if self.config.mqtt.enabled:
             self.start_mqtt()
         if self.config.coap.enabled:

@@ -16,21 +16,24 @@ routine).  A step's shape says what each position is: a constant, a
 variable the incoming bindings bind, a free variable, or a repeat of an
 earlier free one.  Each shape is generated once into straight-line code,
 and a pattern keeps its steps, that code closed over its own constants,
-slots and names.  Bindings are tuples of terms with one slot per variable,
-in the order the patterns bind them (layout), so a step reads a bound value
-as b[i] and a join row is b extended by the free positions' terms: no dict
-per binding.  A step runs over a whole batch of bindings: it canonicalizes
-the constants and picks their smallest subject, predicate or object bucket
-once, then per binding reads the bound values, lets them pick a bucket no
-larger, and appends the rows from that bucket's own loop, which checks only
-what the bucket does not imply.  Every bucket keeps insertion order, so the
-rows come in the same order whichever bucket is scanned.  Given among
-(stored triples such as a chaining round's delta or one derived fact), a
-step scans those instead, with every check.  Store.join, the one join of
-rules and queries, runs each pattern's step once over all the bindings that
-reach it.  Store.match runs the same step on the empty binding, for delta
-seeding, subscriptions and composition triggers, and returns the join's
-rows, so all see aliases alike and read one row type.
+slots and names.  Rules, triggers and composition lookups compile their
+steps when they are installed (prepare), so no write compiles one; an
+ad-hoc query compiles its steps on first use.  Bindings are tuples of terms
+with one slot per variable, in the order the patterns bind them (layout),
+so a step reads a bound value as b[i] and a join row is b extended by the
+free positions' terms: no dict per binding.  A step runs over a whole batch
+of bindings: it canonicalizes the constants and picks their smallest
+subject, predicate or object bucket once, then per binding reads the bound
+values, lets them pick a bucket no larger, and appends the rows from that
+bucket's own loop, which checks only what the bucket does not imply.  Every
+bucket keeps insertion order, so the rows come in the same order whichever
+bucket is scanned.  Given among (stored triples such as a chaining round's
+delta or one derived fact), a step scans those instead, with every check.
+Store.join, the one join of rules and queries, runs each pattern's step
+once over all the bindings that reach it.  Store.match runs the same step
+on the empty binding, for delta seeding, subscriptions and composition
+triggers, and returns the join's rows, so all see aliases alike and read
+one row type.
 
 Concurrency: one writer at a time, any number of readers.  The gateway's
 write lock makes the writer single: every ingest, rule-pack install and
@@ -382,6 +385,17 @@ def layout(patterns: Sequence[TriplePattern], names: tuple[str, ...] = ()) -> tu
     for pattern in patterns:
         names = _after(pattern, names)
     return names
+
+
+def prepare(patterns: Sequence[TriplePattern], names: tuple[str, ...] = (), kind: str = "join") -> None:
+    """Compile the steps of the kind (see _step) that a join of the patterns
+    runs from seeds laid out as names, so that the first such call compiles
+    nothing: Store.join's ("join", or "exclude" with an exclude set), or, of
+    one pattern, Store.match's with among ("among", names ()) and
+    Store.candidate_count's ("count").  A step depends on no store."""
+    for pattern in patterns:
+        _step(pattern, kind, names)
+        names = _after(pattern, names)
 
 
 def _after(pattern: TriplePattern, names: tuple[str, ...]) -> tuple[str, ...]:

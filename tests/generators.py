@@ -271,3 +271,17 @@ def rand_rule_family(
         )
         members.append(Rule(f"{pack_id}-m{m}", member_body, guards, head))
     return RulePack(pack_id, ("generated",), tuple(members)), constants
+
+
+def fresh_pack(pack: RulePack) -> RulePack:
+    """The pack with every body pattern built afresh, so that none holds a
+    step compiled before."""
+    rules = tuple(
+        Rule(r.id, tuple(TriplePattern(*p.positions()) for p in r.body), r.guards, r.head) for r in pack.rules
+    )
+    return RulePack(pack.pack_id, pack.domains, rules)
+
+
+def compiled_steps(patterns) -> set:
+    """(pattern identity, step key) of each step compiled on the patterns."""
+    return {(id(p), key) for p in patterns for key in p.steps}

@@ -658,6 +658,8 @@ def test_mqtt_target_without_client_fails_cleanly():
     "https://example.com:8443/x?k=v",
     "http://[::1]:8080/x",
     "http://user@example.com/x",
+    "http://example.com./x",
+    f"http://{'a' * 63}.example/x",
 ])
 def test_egress_target_accepts_a_well_formed_url(url):
     assert Webhook(url).url == url
@@ -680,6 +682,11 @@ def test_egress_target_validation():
         "http://h/\x00",
         "http://h/\x7f",
         "http://h/caf\u00e9",
+        # host names socket.getaddrinfo cannot encode: an empty label, one over 63 characters
+        "http://a..b/x",
+        "http://.example/x",
+        f"http://{'a' * 64}.example/x",
+        f"http://{'a' * 64}/x",
     ]:
         with pytest.raises(InvalidTarget, match="webhook URL"):
             Webhook(url)

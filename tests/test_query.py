@@ -13,12 +13,13 @@ from knotgate.query import (
     UnsafeQuery,
     evaluate_query,
     parse_query,
+    prepare_query,
 )
 import knotgate.query as query_module
 import knotgate.store as store_module
 from knotgate.store import Asserted, Inferred, Loaded, Store, TriplePattern, Variable
 
-from generators import Vocab, query_text, rand_query
+from generators import Vocab, compiled_steps, query_text, rand_query
 from oracles import oracle_alias_classes, oracle_query
 
 
@@ -321,6 +322,27 @@ def test_rows_are_the_sorted_oracle_rows_whether_or_not_a_select_can_repeat_one(
     }
     got = evaluate_query(Query(tuple(select), patterns, (), limit), store, bindings)
     assert got.rows == sorted(rows, key=_serialized)[:limit]
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), alias=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_a_query_prepared_as_a_lookup_compiles_no_step_when_evaluated(seed, alias):
+    # a composition binds some of the lookup's variables, and may bind one it does not use
+    rng = random.Random(seed)
+    vocab = Vocab(rng)
+    store, _ = vocab.store(rng.randint(0, 40))
+    if alias:
+        a, b = rng.sample(vocab.subjects, 2)
+        store.insert(Triple(a, make_iri("m3:equivalentTo"), b), Loaded("alias"))
+    query = rand_query(rng, vocab)
+    names = sorted(query.pattern_variables()) + ["w"]
+    names = rng.sample(names, rng.randint(0, len(names)))
+    bindings = {name: rng.choice(vocab.subjects + vocab.objects) for name in names}
+    prepare_query(query, tuple(names))
+    prepared = compiled_steps(query.patterns)
+    assert prepared
+    evaluate_query(query, store, bindings)
+    assert compiled_steps(query.patterns) == prepared
 
 
 def test_rows_sorted_by_serialized_terms():

@@ -44,7 +44,7 @@ from knotgate.store import (
     Variable,
 )
 
-from generators import Vocab, rand_rule_family, rand_rulepack, rand_safe_rule
+from generators import Vocab, compiled_steps, fresh_pack, rand_rule_family, rand_rulepack, rand_safe_rule
 from oracles import _guard_holds, oracle_alias_classes, oracle_closure, oracle_rule_fire, oracle_rule_outcome
 
 CHAINED_PACK = """
@@ -800,6 +800,22 @@ def test_family_members_form_their_own_instances(seed, aliases, use_delta):
             triples, skips = oracle_rule_outcome(served, _served_rule(rule, classes), delta)
             own = fire.get(m, RuleFire(set()))
             assert (own.triples, own.guard_skips) == (triples, skips)
+
+
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1), aliases=st.booleans(), families=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_a_rule_set_compiles_every_step_its_chains_run(seed, aliases, families):
+    build = family_store_then_batch if families else chained_store_then_batch
+    by_delta, packs, _, inserted = build(seed, aliases)[:4]
+    whole = build(seed, aliases)[0]
+    rules = RuleSet([fresh_pack(pack) for pack in packs])
+    patterns = [atom for family, _ in rules.families for atom in family.body]
+    prepared = compiled_steps(patterns)
+    assert prepared
+    forward_chain(by_delta, rules, delta=inserted)
+    assert compiled_steps(patterns) == prepared
+    forward_chain(whole, rules, delta=None)
+    assert compiled_steps(patterns) == prepared
 
 
 FAMILY_PACK = """

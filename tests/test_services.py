@@ -1,4 +1,5 @@
 import errno
+import itertools
 import json
 import logging
 import re
@@ -39,6 +40,7 @@ from knotgate.model import Iri, Triple, TripleParseError, make_iri, parse_triple
 from knotgate.query import UnsafeQuery, evaluate_query, parse_query
 from knotgate.rules import RuleSafetyError, parse_pattern, parse_rulepack
 from knotgate import coap, services
+from knotgate import store as store_module
 from knotgate.services import (
     HTTP_READ_TIMEOUT_S,
     HTTP_WORKERS,
@@ -58,6 +60,7 @@ from knotgate.services import (
 from knotgate.store import Inferred, Store, TriplePattern, Variable
 
 from conftest import flat_json
+from generators import compiled_steps
 
 
 @pytest.fixture
@@ -146,6 +149,7 @@ WEBHOOK = {"kind": "webhook", "url": "http://sink.test/h"}
 NOT_AN_OBJECT = b'{"error": "DecodeError", "detail": "JSON payload must be an object"}'
 BAD_JSON = b'{"error": "DecodeError", "detail": "bad JSON: Expecting property name enclosed in double quotes"}'
 OUT_OF_RANGE = b'{"error": "DecodeError", "detail": "bad JSON: integer out of range"}'
+NESTED = b'{"error": "DecodeError", "detail": "bad JSON: nested too deeply"}'
 LONG_INTEGER = b"9" * 5000  # more digits than int() converts
 
 
@@ -159,6 +163,8 @@ LONG_INTEGER = b"9" * 5000  # more digits than int() converts
                  id="observation-long-integer"),
     pytest.param("/api/v1/subscriptions", b'{"pattern": "?o m3:indicates ?s", "n": [' + LONG_INTEGER + b"]}",
                  OUT_OF_RANGE, id="subscription-long-integer"),
+    pytest.param("/api/v1/observations", b"[" * 100000, NESTED, id="observation-nested"),
+    pytest.param("/api/v1/subscriptions", b'{"pattern": ' + b"[" * 100000, NESTED, id="subscription-nested"),
     ("/api/v1/subscriptions", json.dumps({"endpoint": WEBHOOK}).encode(),
      b'{"error": "DecodeError", "detail": "missing field \'pattern\'"}'),
     ("/api/v1/compositions", json.dumps({"trigger": "?o m3:indicates ?s", "endpoint": WEBHOOK}).encode(),
@@ -171,7 +177,11 @@ def test_a_json_body_that_is_bad_not_an_object_or_short_of_a_field_is_a_400(base
     assert not caplog.records  # a client's fault logs no traceback
 
 
-@pytest.mark.parametrize("url", ["http://h/a b\r\nX: y", "http:///h", "http://h:99999/h"])
+@pytest.mark.parametrize("url", [
+    "http://h/a b\r\nX: y", "http:///h", "http://h:99999/h",
+    # host names that socket.getaddrinfo refuses to encode
+    "http://a..b/x", "http://.example/x", f"http://{'a' * 64}.example/x",
+])
 @pytest.mark.parametrize("path, fields", [
     ("/api/v1/subscriptions", {"pattern": "?o m3:indicates ?s"}),
     ("/api/v1/compositions", {"trigger": "?o m3:indicates ?s", "lookup": "SELECT ?r WHERE { ?s m3:hasRemedy ?r }"}),
@@ -805,6 +815,59 @@ def test_parse_endpoint_forms():
         parse_endpoint("not an object")
 
 
+def test_no_write_compiles_a_step_once_rules_triggers_and_lookups_are_installed(fixtures_dir, monkeypatch):
+    # with no shape compiled yet, as in a fresh process
+    monkeypatch.setattr(store_module, "_FACTORIES", {})
+    compile_step = store_module._compile
+    installing = True
+
+    def compile_while_installing(kind, shape):
+        if not installing:
+            raise AssertionError(f"step {kind} {shape} compiled after install")
+        return compile_step(kind, shape)
+
+    monkeypatch.setattr(store_module, "_compile", compile_while_installing)
+    cfg, base = load_config(fixtures_dir / "gateway.toml")
+    rt = Runtime.from_config(cfg, base)
+    posted = []
+    rt.egress.http_post = lambda url, payload: posted.append(url) or 200
+    trigger = parse_pattern("?o m3:indicates m3:Fever")
+    rt.subscriptions.register(trigger, Webhook("http://sink.test/sub"))
+    # a lookup text no other test parses, so that its steps are compiled here
+    rt.compositions.register(trigger, "SELECT ?remedy WHERE { m3:Fever m3:hasRemedy ?remedy }",
+                             {"remedies": "{remedy}"}, Webhook("http://sink.test/comp"))
+    # a rule compiled the trigger's shape already: its own step must be made at registration too
+    prepared = compiled_steps([trigger])
+    readings = itertools.count(1)
+
+    def first_ingests():
+        assert rt.gateway.ingest(fever_reading(next(readings), 36.5)).notifications_queued == 0
+        assert rt.gateway.ingest(fever_reading(next(readings))).notifications_queued == 2
+        drained(rt)
+        assert posted[-2:] == ["http://sink.test/sub", "http://sink.test/comp"]
+
+    try:
+        installing = False
+        first_ingests()
+        installing = True
+        rt.gateway.set_rulepack(parse_rulepack(
+            "PACK slor-health DOMAIN health\n"
+            "RULE fever : IF ?o ssn:observationResult ?v . ?o ssn:observedProperty m3:BodyTemperature "
+            "FILTER ?v > 38.5 THEN ?o m3:indicates m3:Fever .\n"
+        ), rechain=True)
+        installing = False
+        first_ingests()
+        # an alias renames the trigger's and the lookup's constant: no new shape
+        rt.gateway.load_knowledge_pack(
+            "<urn:knotgate:m3#Fever> <urn:knotgate:m3#equivalentTo> <urn:knotgate:m3#AFever> .\n", "aliases"
+        )
+        first_ingests()
+    finally:
+        rt.stop()
+    assert rt.egress.counts() == {"ok": 6, "failed": 0, "dropped": 0, "pending": 0}
+    assert prepared and compiled_steps([trigger]) == prepared
+
+
 # -- cross-domain isolation ---------------------------------------------------------
 
 
@@ -1392,6 +1455,20 @@ def test_other_connection_errors_log_their_traceback(runtime, monkeypatch, caplo
     record = _wait_for_record(caplog, "error serving")
     assert record.levelno == logging.ERROR and record.exc_info[0] is RuntimeError
     assert capfd.readouterr().err == ""
+
+
+def test_start_starts_the_delivery_thread_and_stop_ends_it(fixtures_dir):
+    cfg, base = load_config(fixtures_dir / "gateway.toml")
+    cfg.http.port = 0
+    rt = Runtime.from_config(cfg, base)
+    earlier = set(threading.enumerate())
+    rt.start()
+    try:
+        started = [t for t in threading.enumerate() if t.name == "egress" and t not in earlier]
+        assert len(started) == 1
+    finally:
+        rt.stop()
+    assert not started[0].is_alive()
 
 
 def test_stop_joins_workers_and_start_stop_repeats(fixtures_dir):
